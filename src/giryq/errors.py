@@ -55,3 +55,7 @@ class ScenarioValidationError(ScenarioError):
 
 class ScenarioReferenceError(ScenarioError):
     """A name used in the scenario does not resolve to a declaration."""
+
+
+class CertificateError(GiryqError):
+    """A computed answer failed its exact certificate check."""

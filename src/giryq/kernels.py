@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import (
     DimensionMismatchError,
@@ -48,10 +48,6 @@ class Kernel:
     def __call__(self, label: str) -> Dist:
         return self.row(label)
 
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Row-major stochastic matrix (row = source point, column = target point)."""
-        return tuple(r.weights for r in self.rows)
-
 
 @dataclass(frozen=True)
 class PointFunction:
@@ -77,19 +73,6 @@ class PointFunction:
     def __call__(self, label: str) -> str:
         return self.assignment[self.source.index(label)]
 
-    def compose(self, inner: "PointFunction") -> "PointFunction":
-        """Ordinary function composition ``self . inner``."""
-        if inner.target != self.source:
-            raise SpaceMismatchError(
-                f"cannot compose: inner lands in {inner.target.name!r}, "
-                f"outer starts at {self.source.name!r}"
-            )
-        return PointFunction(
-            inner.source,
-            self.target,
-            tuple(self(y) for y in inner.assignment),
-        )
-
 
 def identity_kernel(space: FiniteSpace) -> Kernel:
     """The identity kernel: each point goes to its own point mass."""
@@ -107,6 +90,17 @@ def deterministic_kernel(fn: PointFunction) -> Kernel:
     )
 
 
+def _mix(space: FiniteSpace, pairs: Iterable[tuple[Fraction, Dist]]) -> Dist:
+    """Weighted sum of ``(weight, distribution)`` pairs on ``space``; zero weights are skipped."""
+    weights = [ZERO] * len(space)
+    for w, row in pairs:
+        if w == 0:
+            continue
+        for j, v in enumerate(row.weights):
+            weights[j] += w * v
+    return Dist(space, tuple(weights))
+
+
 def compose(outer: Kernel, inner: Kernel) -> Kernel:
     """Kernel composition ``outer . inner`` (first ``inner``, then ``outer``).
 
@@ -119,16 +113,11 @@ def compose(outer: Kernel, inner: Kernel) -> Kernel:
             f"cannot compose: inner lands in {inner.target.name!r}, "
             f"outer starts at {outer.source.name!r}"
         )
-    rows = []
-    for in_row in inner.rows:
-        weights = [ZERO] * len(outer.target)
-        for w, out_row in zip(in_row.weights, outer.rows):
-            if w == 0:
-                continue
-            for j, v in enumerate(out_row.weights):
-                weights[j] += w * v
-        rows.append(Dist(outer.target, tuple(weights)))
-    return Kernel(inner.source, outer.target, tuple(rows))
+    return Kernel(
+        inner.source,
+        outer.target,
+        tuple(_mix(outer.target, zip(r.weights, outer.rows)) for r in inner.rows),
+    )
 
 
 def is_deterministic(kernel: Kernel) -> bool:
@@ -201,11 +190,7 @@ def mixture(measure: FinSuppMeasure) -> Dist:
             + ", ".join(sorted(s.name for s in spaces))
         )
     (space,) = spaces
-    weights = [ZERO] * len(space)
-    for atom, w in measure:
-        for j, v in enumerate(atom.weights):
-            weights[j] += w * v
-    return Dist(space, tuple(weights))
+    return _mix(space, zip(measure.weights, measure.atoms))
 
 
 def lift(kernel: Kernel) -> Callable[[Dist], Dist]:
@@ -221,12 +206,6 @@ def lift(kernel: Kernel) -> Callable[[Dist], Dist]:
                 f"distribution lives on {dist.space.name!r}, "
                 f"kernel starts at {kernel.source.name!r}"
             )
-        weights = [ZERO] * len(kernel.target)
-        for w, row in zip(dist.weights, kernel.rows):
-            if w == 0:
-                continue
-            for j, v in enumerate(row.weights):
-                weights[j] += w * v
-        return Dist(kernel.target, tuple(weights))
+        return _mix(kernel.target, zip(dist.weights, kernel.rows))
 
     return apply

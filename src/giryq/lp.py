@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import CertificateError, DimensionMismatchError
 from .measures import ZERO
 
 
@@ -179,7 +179,8 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     basis = list(range(n, n + m))
     phase1_cost = [ZERO] * n + [Fraction(1)] * m
     pivots, stuck = _bland_iterate(phase1_cost, rows, rhs, basis)
-    assert stuck is None, "phase-1 objective is bounded below by zero"
+    if stuck is not None:
+        raise CertificateError("phase-1 objective is bounded below by zero")
     artificial_mass = sum(
         (rhs[i] for i in range(len(basis)) if basis[i] >= n), ZERO
     )
@@ -215,9 +216,11 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     value = sum((c * x for c, x in zip(lp.objective, point)), ZERO)
 
     # the solution must satisfy the original system exactly
-    for row, b in zip(lp.matrix, lp.rhs):
-        assert sum((a * x for a, x in zip(row, point)), ZERO) == b
-    assert all(x >= 0 for x in point)
+    for i, (row, b) in enumerate(zip(lp.matrix, lp.rhs)):
+        if sum((a * x for a, x in zip(row, point)), ZERO) != b:
+            raise CertificateError(f"vertex violates constraint row {i}")
+    if not all(x >= 0 for x in point):
+        raise CertificateError("vertex has a negative coordinate")
     return LpSolution(
         status=LpStatus.OPTIMAL,
         value=value,

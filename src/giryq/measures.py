@@ -28,7 +28,7 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -41,12 +41,17 @@ def parse_rational(text: str) -> Fraction:
             f"not a rational literal (expected 'n' or 'n/d'): {text!r}"
         )
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise RationalFormatError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        n, d = int(num), int(den or "1")
+    except ValueError:
+        # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise RationalFormatError(
+            f"rational literal too long ({len(text)} characters)"
+        ) from None
+    if d == 0:
+        raise RationalFormatError(f"zero denominator: {text!r}")
+    return Fraction(n, d)
 
 
 def format_rational(value: Fraction) -> str:
@@ -125,11 +130,6 @@ class Dist:
         """The point mass at ``label``."""
         i = space.index(label)
         return cls(space, tuple(ONE if j == i else ZERO for j in range(len(space))))
-
-    @classmethod
-    def uniform(cls, space: FiniteSpace) -> "Dist":
-        n = len(space)
-        return cls(space, tuple(Fraction(1, n) for _ in range(n)))
 
     def weight_of(self, label: str) -> Fraction:
         """Probability of the singleton ``{label}``."""

@@ -1,31 +1,43 @@
 """Probabilistic existential and universal quantifiers along a kernel.
 
-Both quantifiers ask about the preimage of a query distribution and come in
-two regimes:
+Both quantifiers optimize a predicate over the fiber of a query
+distribution, in opposite directions.  One core, :func:`quantify`, serves
+both, keyed by the LP sense:
 
-* the fiber regime enumerates source points whose row equals the query
-  exactly and takes the best predicate value over that fiber;
-* the lifted regime quantifies along the induced map on distributions,
-  whose fibers are polytopes, so the optimum is an exact linear program.
+========  =====  ===================================  =================
+quantity  sense  a candidate replaces the best if it  empty-fiber value
+========  =====  ===================================  =================
+exists    MAX    is strictly larger (ties: first)     0
+forall    MIN    is strictly smaller (ties: first)    1
+========  =====  ===================================  =================
 
-Empty fibers follow the extension conventions: an existential over nothing
-is 0, a universal over nothing is 1.  ``check_adjunction_bounds`` and
-``check_galois`` verify the order-theoretic laws these conventions are
-designed to satisfy; ``exists_composite``/``forall_composite`` evaluate a
-two-kernel chain by staged nesting through finitely supported intermediate
-measures.
+The regime picks the fiber:
+
+* COUNTABLE scans the source points whose row equals the query exactly;
+  the witness is a point label;
+* LP quantifies along the lifted kernel, whose fibers are polytopes, so
+  the optimum is an exact linear program; the witness is a distribution,
+  and it is certified exactly (it maps onto the query and its expectation
+  is the value) before it is returned.
+
+The named ``exists_*``/``forall_*`` functions are one-line entries into
+the core.  ``exists_composite``/``forall_composite`` evaluate a two-kernel
+chain by staged nesting through finitely supported intermediate measures,
+merging with the same comparison and empty-fiber values.
+``check_adjunction_bounds`` and ``check_galois`` verify the
+order-theoretic laws these conventions are designed to satisfy.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .errors import ProbeSetIncompleteError, SpaceMismatchError
+from .errors import CertificateError, ProbeSetIncompleteError, SpaceMismatchError
 from .kernels import Kernel, image_measure, lift, mixture
 from .lp import LinearProgram, LpStatus, Sense, lp_solve
-from .measures import ONE, ZERO, Dist, FinSuppMeasure
+from .measures import ONE, ZERO, Dist, FiniteSpace, FinSuppMeasure
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
 
 
@@ -50,74 +62,40 @@ class QuantifierResult:
     feasible: bool
 
 
-def _check_query(kernel: Kernel, pred: Predicate, query: Dist) -> None:
-    if pred.space != kernel.source:
+def _check_ends(
+    pred: Predicate, query: Dist, source: FiniteSpace, target: FiniteSpace, what: str
+) -> None:
+    if pred.space != source:
         raise SpaceMismatchError(
-            f"predicate on {pred.space.name!r}, "
-            f"kernel starts at {kernel.source.name!r}"
+            f"predicate on {pred.space.name!r}, {what} starts at {source.name!r}"
         )
-    if query.space != kernel.target:
+    if query.space != target:
         raise SpaceMismatchError(
-            f"query on {query.space.name!r}, "
-            f"kernel lands in {kernel.target.name!r}"
+            f"query on {query.space.name!r}, {what} lands in {target.name!r}"
         )
 
 
-def _fiber_opt(
-    candidates: Iterable[tuple[str, Fraction]], better: Callable[[Fraction, Fraction], bool]
-) -> Optional[tuple[str, Fraction]]:
-    """First strictly-best candidate in iteration order, or None if empty."""
-    best: Optional[tuple[str, Fraction]] = None
-    for label, value in candidates:
-        if best is None or better(value, best[1]):
-            best = (label, value)
-    return best
+# value over an empty fiber: an existential over nothing is 0, a universal 1
+_EMPTY_VALUE = {Sense.MAX: ZERO, Sense.MIN: ONE}
 
 
-def exists_fiber(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierResult:
-    """Existential over the exact fiber: the largest predicate value among
-    source points whose row equals the query.
+def _better(sense: Sense, a: Fraction, b: Fraction) -> bool:
+    """Strictly better in ``sense``; ties keep the first candidate seen."""
+    return a > b if sense is Sense.MAX else a < b
 
-    An empty fiber yields 0 with ``feasible`` False.  Ties go to the first
-    maximizing point in declaration order.
-    """
-    _check_query(kernel, pred, query)
-    best = _fiber_opt(
-        (
-            (x, pred.value_at(x))
-            for x in kernel.source.points
-            if kernel.row(x) == query
-        ),
-        lambda a, b: a > b,
-    )
+
+def _result(best: Optional[tuple], sense: Sense, regime: Regime) -> QuantifierResult:
+    """The optimum ``(value, witness)``, or the extension value if the fiber is empty."""
     if best is None:
-        return QuantifierResult(ZERO, None, Regime.COUNTABLE, False)
-    return QuantifierResult(best[1], best[0], Regime.COUNTABLE, True)
-
-
-def forall_fiber(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierResult:
-    """Universal over the exact fiber; an empty fiber yields 1."""
-    _check_query(kernel, pred, query)
-    best = _fiber_opt(
-        (
-            (x, pred.value_at(x))
-            for x in kernel.source.points
-            if kernel.row(x) == query
-        ),
-        lambda a, b: a < b,
-    )
-    if best is None:
-        return QuantifierResult(ONE, None, Regime.COUNTABLE, False)
-    return QuantifierResult(best[1], best[0], Regime.COUNTABLE, True)
+        return QuantifierResult(_EMPTY_VALUE[sense], None, regime, False)
+    return QuantifierResult(*best, regime, True)
 
 
 def _lifted_program(kernel: Kernel, pred: Predicate, query: Dist, sense: Sense) -> LinearProgram:
     # one equality per target point: the mixture of rows must hit the query.
     # total mass 1 is implied because every matrix column sums to 1.
-    columns = kernel.matrix()
     matrix = tuple(
-        tuple(columns[i][j] for i in range(len(kernel.source)))
-        for j in range(len(kernel.target))
+        tuple(row.weights[j] for row in kernel.rows) for j in range(len(kernel.target))
     )
     return LinearProgram(
         objective=tuple(pred.values),
@@ -127,24 +105,52 @@ def _lifted_program(kernel: Kernel, pred: Predicate, query: Dist, sense: Sense) 
     )
 
 
-def _lifted(
-    kernel: Kernel,
-    pred: Predicate,
-    query: Dist,
-    sense: Sense,
-    empty_value: Fraction,
+def quantify(
+    kernel: Kernel, pred: Predicate, query: Dist, sense: Sense, regime: Regime
 ) -> QuantifierResult:
-    _check_query(kernel, pred, query)
+    """The quantifier core: optimize the predicate over the fiber of ``query``.
+
+    ``sense`` MAX is the existential, MIN the universal.  The COUNTABLE
+    regime scans the source points whose row equals the query, ties going
+    to the first in declaration order; the LP regime solves over the fiber
+    polytope and checks the certificate exactly.  An empty fiber yields
+    the sense's extension value with ``feasible`` False.
+    """
+    _check_ends(pred, query, kernel.source, kernel.target, "kernel")
+    if regime is Regime.COUNTABLE:
+        best: Optional[tuple[Fraction, str]] = None
+        for x, row, value in zip(kernel.source.points, kernel.rows, pred.values):
+            if row == query and (best is None or _better(sense, value, best[0])):
+                best = (value, x)
+        return _result(best, sense, regime)
     solution = lp_solve(_lifted_program(kernel, pred, query, sense))
     if solution.status is LpStatus.INFEASIBLE:
-        return QuantifierResult(empty_value, None, Regime.LP, False)
+        return _result(None, sense, regime)
     # the feasible set sits inside the probability simplex, so the program
     # can never be unbounded
-    assert solution.status is LpStatus.OPTIMAL
+    if solution.status is not LpStatus.OPTIMAL:
+        raise CertificateError(f"fiber program reported {solution.status.value}")
     witness = Dist(kernel.source, solution.point)
-    assert lift(kernel)(witness) == query
-    assert expectation(pred, witness) == solution.value
-    return QuantifierResult(solution.value, witness, Regime.LP, True)
+    if lift(kernel)(witness) != query:
+        raise CertificateError(f"witness {witness} does not map onto the query {query}")
+    if expectation(pred, witness) != solution.value:
+        raise CertificateError(f"value {solution.value} is not the expectation at {witness}")
+    return _result((solution.value, witness), sense, regime)
+
+
+def exists_fiber(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierResult:
+    """Existential over the exact fiber: the largest predicate value among
+    source points whose row equals the query.
+
+    An empty fiber yields 0 with ``feasible`` False.  Ties go to the first
+    maximizing point in declaration order.
+    """
+    return quantify(kernel, pred, query, Sense.MAX, Regime.COUNTABLE)
+
+
+def forall_fiber(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierResult:
+    """Universal over the exact fiber; an empty fiber yields 1."""
+    return quantify(kernel, pred, query, Sense.MIN, Regime.COUNTABLE)
 
 
 def exists_lifted(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierResult:
@@ -152,34 +158,26 @@ def exists_lifted(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierRes
     predicate over all source distributions that the kernel maps onto the
     query.  Unreachable queries yield 0 with ``feasible`` False.
     """
-    return _lifted(kernel, pred, query, Sense.MAX, ZERO)
+    return quantify(kernel, pred, query, Sense.MAX, Regime.LP)
 
 
 def forall_lifted(kernel: Kernel, pred: Predicate, query: Dist) -> QuantifierResult:
     """Universal along the lifted kernel: the minimum expectation over the
     same fiber polytope.  Unreachable queries yield 1.
     """
-    return _lifted(kernel, pred, query, Sense.MIN, ONE)
+    return quantify(kernel, pred, query, Sense.MIN, Regime.LP)
 
 
 def exists_at(
     kernel: Kernel, pred: Predicate, query: Dist, regime: Regime
 ) -> QuantifierResult:
-    return (
-        exists_fiber(kernel, pred, query)
-        if regime is Regime.COUNTABLE
-        else exists_lifted(kernel, pred, query)
-    )
+    return quantify(kernel, pred, query, Sense.MAX, regime)
 
 
 def forall_at(
     kernel: Kernel, pred: Predicate, query: Dist, regime: Regime
 ) -> QuantifierResult:
-    return (
-        forall_fiber(kernel, pred, query)
-        if regime is Regime.COUNTABLE
-        else forall_lifted(kernel, pred, query)
-    )
+    return quantify(kernel, pred, query, Sense.MIN, regime)
 
 
 @dataclass(frozen=True)
@@ -203,9 +201,6 @@ class PointBounds:
     def exists_margin(self) -> Fraction:
         return self.exists_value - self.predicate_value
 
-    @property
-    def forall_margin(self) -> Fraction:
-        return self.predicate_value - self.forall_value
 
 
 @dataclass(frozen=True)
@@ -245,18 +240,16 @@ def check_adjunction_bounds(
     """Evaluate both quantifiers at the image of every source point and
     report the sandwich ``forall <= predicate <= exists`` pointwise.
     """
-    rows = []
-    for x in kernel.source.points:
-        query = kernel.row(x)
-        rows.append(
-            PointBounds(
-                point=x,
-                predicate_value=pred.value_at(x),
-                exists_value=exists_at(kernel, pred, query, regime).value,
-                forall_value=forall_at(kernel, pred, query, regime).value,
-            )
+    rows = tuple(
+        PointBounds(
+            point=x,
+            predicate_value=value,
+            exists_value=exists_at(kernel, pred, query, regime).value,
+            forall_value=forall_at(kernel, pred, query, regime).value,
         )
-    return AdjunctionReport(regime=regime, rows=tuple(rows))
+        for x, query, value in zip(kernel.source.points, kernel.rows, pred.values)
+    )
+    return AdjunctionReport(regime=regime, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -319,10 +312,7 @@ def check_galois(
 
 
 def _composite_stages(
-    inner: Kernel,
-    outer: Kernel,
-    pred: Predicate,
-    better: Callable[[Fraction, Fraction], bool],
+    inner: Kernel, outer: Kernel, pred: Predicate, sense: Sense
 ) -> dict[Dist, tuple[Fraction, str]]:
     """Nest a quantifier through the chain point -> row -> spread -> mixture.
 
@@ -335,15 +325,13 @@ def _composite_stages(
     the direction being optimized, so only reachable intermediates matter.
     """
 
-    def merge(
-        table: dict, key, value: Fraction, witness: str
-    ) -> None:
-        if key not in table or better(value, table[key][0]):
+    def merge(table: dict, key, value: Fraction, witness: str) -> None:
+        if key not in table or _better(sense, value, table[key][0]):
             table[key] = (value, witness)
 
     stage1: dict[Dist, tuple[Fraction, str]] = {}
-    for x in inner.source.points:
-        merge(stage1, inner.row(x), pred.value_at(x), x)
+    for x, row, value in zip(inner.source.points, inner.rows, pred.values):
+        merge(stage1, row, value, x)
 
     stage2: dict[FinSuppMeasure, tuple[Fraction, str]] = {}
     for row, (value, witness) in stage1.items():
@@ -356,33 +344,16 @@ def _composite_stages(
 
 
 def _composite(
-    inner: Kernel,
-    outer: Kernel,
-    pred: Predicate,
-    query: Dist,
-    better: Callable[[Fraction, Fraction], bool],
-    empty_value: Fraction,
+    inner: Kernel, outer: Kernel, pred: Predicate, query: Dist, sense: Sense
 ) -> QuantifierResult:
-    if pred.space != inner.source:
-        raise SpaceMismatchError(
-            f"predicate on {pred.space.name!r}, "
-            f"chain starts at {inner.source.name!r}"
-        )
+    _check_ends(pred, query, inner.source, outer.target, "chain")
     if inner.target != outer.source:
         raise SpaceMismatchError(
             f"cannot chain: inner lands in {inner.target.name!r}, "
             f"outer starts at {outer.source.name!r}"
         )
-    if query.space != outer.target:
-        raise SpaceMismatchError(
-            f"query on {query.space.name!r}, "
-            f"chain lands in {outer.target.name!r}"
-        )
-    stage3 = _composite_stages(inner, outer, pred, better)
-    if query not in stage3:
-        return QuantifierResult(empty_value, None, Regime.COUNTABLE, False)
-    value, witness = stage3[query]
-    return QuantifierResult(value, witness, Regime.COUNTABLE, True)
+    stage3 = _composite_stages(inner, outer, pred, sense)
+    return _result(stage3.get(query), sense, Regime.COUNTABLE)
 
 
 def exists_composite(
@@ -394,11 +365,11 @@ def exists_composite(
     the staged route exercises the intermediate finitely supported
     measures rather than composing first.
     """
-    return _composite(inner, outer, pred, query, lambda a, b: a > b, ZERO)
+    return _composite(inner, outer, pred, query, Sense.MAX)
 
 
 def forall_composite(
     inner: Kernel, outer: Kernel, pred: Predicate, query: Dist
 ) -> QuantifierResult:
     """Universal along a two-kernel chain by the same staged nesting."""
-    return _composite(inner, outer, pred, query, lambda a, b: a < b, ONE)
+    return _composite(inner, outer, pred, query, Sense.MIN)

@@ -87,12 +87,6 @@ class Scenario:
     simplex_predicates: dict[str, SimplexPredicate]
     queries: tuple[Query, ...]
 
-    def space(self, name: str) -> FiniteSpace:
-        for s in self.spaces:
-            if s.name == name:
-                return s
-        raise ScenarioReferenceError(f"unknown space: {name!r}")
-
 
 def max_space_points() -> int:
     """Point-count cap per space, from GIRYQ_MAX_SPACE (default 64)."""

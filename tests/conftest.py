@@ -1,8 +1,31 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from giryq import Dist, FiniteSpace, Kernel, Predicate
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def run_python():
+    """Run ``python *argv`` in a fresh interpreter that imports giryq from ``src``.
+
+    Returns the completed process with stdout and stderr as bytes.
+    """
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *argv], cwd=REPO, env=env, capture_output=True, timeout=600
+        )
+
+    return run
 
 
 @pytest.fixture

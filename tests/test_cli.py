@@ -121,3 +121,23 @@ def test_laws_subcommand_reports_failures(capsys, monkeypatch):
     monkeypatch.setitem(laws.SUITES, "always_fails", lambda rng, cases: ["forced"])
     assert main(["laws", "--cases", "1"]) == 3
     assert "FAIL always_fails (1 cases): forced" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1/" + "1" * 5000,  # past the digit limit of int()
+        "١/٢",  # Arabic-Indic digits
+    ],
+)
+def test_bad_rational_literal_exits_2_with_its_path(tmp_path, run_python, literal):
+    doc = json.loads(Path(FIXTURE).read_text())
+    doc["predicates"]["g"]["values"][0] = literal
+    path = tmp_path / "bad_literal.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    err = done.stderr.decode()
+    assert done.returncode == 2
+    assert "predicates['g'].values[0]" in err
+    assert "Traceback" not in err
+    assert done.stdout == b""

@@ -1,0 +1,32 @@
+"""Byte-for-byte pins of the CLI's stdout.
+
+The expected files under ``golden/`` were captured from the bundled scenario
+and a fixed law seed; any change to a printed value, witness, regime or
+report line shows up here.  Regenerate them only for an intended change of
+output.
+"""
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "run_noisy_channel.txt": ("run", "scenarios/noisy_channel.json"),
+    "run_noisy_channel.json": ("run", "scenarios/noisy_channel.json", "--format", "json"),
+    "laws_seed0_cases20.txt": ("laws", "--seed", "0", "--cases", "20"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_stdout_matches_golden(run_python, golden):
+    done = run_python("-m", "giryq.cli", *CASES[golden])
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_output_is_the_same_under_python_O(run_python):
+    # every certificate check is an explicit test, so -O skips none of them
+    done = run_python("-O", "-m", "giryq.cli", *CASES["run_noisy_channel.txt"])
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (GOLDEN / "run_noisy_channel.txt").read_bytes()

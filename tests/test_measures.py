@@ -45,6 +45,16 @@ class TestRationalLiterals:
         with pytest.raises(RationalFormatError):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["١/٢", "٣", "１/2", "1/२"])
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(RationalFormatError):
+            parse_rational(text)
+
+    def test_rejects_literal_past_the_int_digit_limit(self):
+        # 5,000 digits exceed the 4,300 that int() converts by default
+        with pytest.raises(RationalFormatError, match="too long"):
+            parse_rational("1/" + "1" * 5000)
+
     def test_rejects_non_string(self):
         with pytest.raises(RationalFormatError):
             parse_rational(0.5)

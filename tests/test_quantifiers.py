@@ -1,13 +1,18 @@
+import dataclasses
 import random
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
+from giryq import quantifiers
 from giryq import (
+    CertificateError,
     Dist,
     FiniteSpace,
     Kernel,
     LiftedPredicate,
+    LpStatus,
     PointFunction,
     Predicate,
     ProbeSetIncompleteError,
@@ -324,3 +329,59 @@ class TestComposite:
             exists_composite(outer, inner, pred, Dist.dirac(inner.target, "y1"))
         with pytest.raises(SpaceMismatchError):
             exists_composite(inner, outer, pred, Dist.dirac(inner.target, "y1"))
+
+
+def _moved_vertex(lp, solution):
+    # the value stays the objective at the moved point, so only the
+    # preimage check can refuse it
+    point = solution.point[1:] + solution.point[:1]
+    value = sum(c * x for c, x in zip(lp.objective, point))
+    return dataclasses.replace(solution, point=point, value=value)
+
+
+# an LP answer altered after the solve, one way per certificate check
+FORGERIES = {
+    "status": lambda lp, s: dataclasses.replace(s, status=LpStatus.UNBOUNDED),
+    "point": _moved_vertex,
+    "value": lambda lp, s: dataclasses.replace(s, value=s.value + F(1, 100)),
+}
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    @pytest.mark.parametrize("quantifier", [exists_lifted, forall_lifted])
+    def test_forged_lp_answer_is_refused(
+        self, channel, gain, two_points, monkeypatch, quantifier, forgery
+    ):
+        honest = quantifiers.lp_solve
+        monkeypatch.setattr(
+            quantifiers, "lp_solve", lambda lp: FORGERIES[forgery](lp, honest(lp))
+        )
+        with pytest.raises(CertificateError):
+            quantifier(channel, gain, Dist(two_points, (F(7, 10), F(3, 10))))
+
+    def test_forged_lp_answer_is_refused_under_python_O(self, run_python):
+        code = textwrap.dedent(
+            """
+            import dataclasses
+            from giryq import CertificateError, exists_lifted, load_scenario
+            from giryq import quantifiers
+
+            honest = quantifiers.lp_solve
+
+            def forged(lp):
+                solution = honest(lp)
+                return dataclasses.replace(solution, value=solution.value + 1)
+
+            quantifiers.lp_solve = forged
+            s = load_scenario("scenarios/noisy_channel.json")
+            f = s.kernels["f"]
+            try:
+                exists_lifted(f, s.predicates["g"], f.rows[1])
+            except CertificateError:
+                print("refused")
+            """
+        )
+        done = run_python("-O", "-c", code)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == b"refused\n"

@@ -162,7 +162,7 @@ def test_lifted_simplex_predicate_resolves_base():
     doc["simplex_predicates"]["lifted"] = {"kind": "lifted", "base": "on_y"}
     scenario = scenario_from_dict(doc)
     h = scenario.simplex_predicates["lifted"]
-    assert h(Dist(scenario.space("Y"), (F(1, 2), F(1, 2)))) == F(1, 2)
+    assert h(Dist(scenario.kernels["f"].target, (F(1, 2), F(1, 2)))) == F(1, 2)
 
 
 def test_check_laws_suites_validated():
