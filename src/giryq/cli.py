@@ -38,74 +38,62 @@ _QUANTIFIER_OPS = {
 }
 
 
-def _decimal(value: Optional[Fraction]) -> Optional[float]:
-    return None if value is None else float(value)
-
-
 def _witness_doc(witness: Any) -> Any:
-    if witness is None:
-        return None
     if isinstance(witness, Dist):
         return [format_rational(w) for w in witness.weights]
     return witness
 
 
-def _quantifier_record(kind: str, inputs: dict, result: QuantifierResult) -> dict:
-    return {
-        "kind": kind,
-        "inputs": inputs,
-        "value": format_rational(result.value),
-        "value_decimal": _decimal(result.value),
-        "witness": _witness_doc(result.witness),
-        "feasible": result.feasible,
-        "regime": result.regime.value,
-    }
-
-
-def _plain_record(kind: str, inputs: dict, value: Fraction, witness: Any = None) -> dict:
+def _record(kind: str, inputs: dict, value: Fraction, witness: Any = None,
+            feasible: Optional[bool] = None, regime: Optional[str] = None) -> dict:
     return {
         "kind": kind,
         "inputs": inputs,
         "value": format_rational(value),
-        "value_decimal": _decimal(value),
+        "value_decimal": float(value),
         "witness": witness,
-        "feasible": None,
-        "regime": None,
+        "feasible": feasible,
+        "regime": regime,
     }
+
+
+def _quantifier_record(kind: str, inputs: dict, result: QuantifierResult) -> dict:
+    witness = _witness_doc(result.witness)
+    return _record(kind, inputs, result.value, witness, result.feasible, result.regime.value)
 
 
 def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> dict:
     """Evaluate one query to its result record (a JSON-ready dict)."""
-    kind = query.kind
+    kind, args = query.kind, query.args
+    if kind == "CHECK_LAWS":
+        suites = args.get("suites")
+        reports = laws.run_suites(suites, seed=seed, cases=cases)
+        passed = all(r.passed for r in reports)
+        record = _record(
+            kind,
+            {"seed": seed, "cases": cases, "suites": list(suites or laws.SUITES)},
+            Fraction(1 if passed else 0),
+            [r.line() for r in reports],
+        )
+        record["passed"] = passed
+        return record
+
+    inputs = {key: _witness_doc(value) for key, value in args.items()}
+    kernel = scenario.kernels.get(args.get("kernel"))
+    pred = scenario.predicates.get(args.get("predicate"))
     if kind in _QUANTIFIER_OPS:
-        kernel = scenario.kernels[query.kernel]
-        pred = scenario.predicates[query.predicate]
-        result = _QUANTIFIER_OPS[kind](kernel, pred, query.dist)
-        inputs = {
-            "kernel": query.kernel,
-            "predicate": query.predicate,
-            "dist": _witness_doc(query.dist),
-        }
+        result = _QUANTIFIER_OPS[kind](kernel, pred, args["dist"])
         return _quantifier_record(kind, inputs, result)
 
     if kind == "COMPOSE":
-        inner = scenario.kernels[query.inner]
-        outer = scenario.kernels[query.outer]
-        pred = scenario.predicates[query.predicate]
+        inner, outer = scenario.kernels[args["inner"]], scenario.kernels[args["outer"]]
         staged_fn, direct_fn = (
             (exists_composite, exists_fiber)
-            if query.quantifier == "EXISTS"
+            if args["quantifier"] == "EXISTS"
             else (forall_composite, forall_fiber)
         )
-        result = staged_fn(inner, outer, pred, query.dist)
-        direct = direct_fn(compose(outer, inner), pred, query.dist)
-        inputs = {
-            "inner": query.inner,
-            "outer": query.outer,
-            "predicate": query.predicate,
-            "quantifier": query.quantifier,
-            "dist": _witness_doc(query.dist),
-        }
+        result = staged_fn(inner, outer, pred, args["dist"])
+        direct = direct_fn(compose(outer, inner), pred, args["dist"])
         record = _quantifier_record(kind, inputs, result)
         record["agrees_with_direct"] = (
             result.value == direct.value and result.feasible == direct.feasible
@@ -113,47 +101,18 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
         return record
 
     if kind == "METRIC":
-        inputs = {
-            "space": query.space,
-            "left": _witness_doc(query.left),
-            "right": _witness_doc(query.right),
-        }
-        return _plain_record(kind, inputs, tv_metric(query.left, query.right))
+        return _record(kind, inputs, tv_metric(args["left"], args["right"]))
 
     if kind == "DETERMINISM":
-        kernel = scenario.kernels[query.kernel]
         deterministic = is_deterministic(kernel)
         witness = None
         if deterministic:
             fn = extract_point_function(kernel)
             witness = dict(zip(fn.source.points, fn.assignment))
-        return _plain_record(
-            kind,
-            {"kernel": query.kernel},
-            Fraction(1 if deterministic else 0),
-            witness,
-        )
+        return _record(kind, inputs, Fraction(1 if deterministic else 0), witness)
 
-    if kind == "EXPECTATION":
-        pred = scenario.predicates[query.predicate]
-        inputs = {"predicate": query.predicate, "dist": _witness_doc(query.dist)}
-        return _plain_record(kind, inputs, expectation(pred, query.dist))
-
-    assert kind == "CHECK_LAWS"
-    reports = laws.run_suites(query.suites, seed=seed, cases=cases)
-    passed = all(r.passed for r in reports)
-    record = _plain_record(
-        kind,
-        {
-            "seed": seed,
-            "cases": cases,
-            "suites": list(query.suites) if query.suites else list(laws.SUITES),
-        },
-        Fraction(1 if passed else 0),
-        [r.line() for r in reports],
-    )
-    record["passed"] = passed
-    return record
+    assert kind == "EXPECTATION"
+    return _record(kind, inputs, expectation(pred, args["dist"]))
 
 
 def evaluate_scenario(

@@ -7,13 +7,31 @@ arrays in point order, and simplex-predicate tables are lists of
 (distribution, value) pairs with a mandatory default.  Parsing resolves
 every name reference and validates every invariant up front, so query
 evaluation cannot fail later.
+
+A query is a ``kind`` plus the fields its entry in ``QUERY_SPECS`` lists, in
+document order (optional fields in brackets)::
+
+    EXISTS_COUNTABLE, FORALL_COUNTABLE, EXISTS_LP, FORALL_LP
+                  kernel, predicate, dist      dist on the kernel's target
+    COMPOSE       inner, outer, predicate, [quantifier], dist
+                                               dist on the outer kernel's target
+    METRIC        space, left, right           left, right on the space
+    DETERMINISM   kernel
+    EXPECTATION   predicate, dist              dist on the predicate's space
+    CHECK_LAWS    [suites]
+
+``kernel``, ``inner`` and ``outer`` name kernels, ``predicate`` a predicate
+and ``space`` a space.  The predicate must live where the kernel, or the
+chain ``inner`` then ``outer``, starts, and ``inner`` must land where
+``outer`` starts.  ``quantifier`` is ``"EXISTS"`` (the default) or
+``"FORALL"``; ``suites`` lists law suites and defaults to all of them.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from .errors import (
     GiryqError,
@@ -34,47 +52,51 @@ from .predicates import (
 
 DEFAULT_MAX_SPACE = 64
 
-QUERY_KINDS = (
-    "EXISTS_COUNTABLE",
-    "FORALL_COUNTABLE",
-    "EXISTS_LP",
-    "FORALL_LP",
-    "COMPOSE",
-    "METRIC",
-    "DETERMINISM",
-    "EXPECTATION",
-    "CHECK_LAWS",
-)
 
-# required / optional document fields per query kind
-_QUERY_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "EXISTS_COUNTABLE": (("kernel", "predicate", "dist"), ()),
-    "FORALL_COUNTABLE": (("kernel", "predicate", "dist"), ()),
-    "EXISTS_LP": (("kernel", "predicate", "dist"), ()),
-    "FORALL_LP": (("kernel", "predicate", "dist"), ()),
-    "COMPOSE": (("inner", "outer", "predicate", "dist"), ("quantifier",)),
-    "METRIC": (("space", "left", "right"), ()),
-    "DETERMINISM": (("kernel",), ()),
-    "EXPECTATION": (("predicate", "dist"), ()),
-    "CHECK_LAWS": ((), ("suites",)),
+@dataclass(frozen=True)
+class QuerySpec:
+    """The document layout of one query kind."""
+
+    fields: tuple[str, ...]  # document order, which serialization keeps
+    optional: dict[str, Any]  # field -> its value when left out (None: absent)
+    # the space of the kind's distribution fields, from its resolved name fields
+    dist_space: Optional[Callable[[dict[str, Any]], FiniteSpace]] = None
+
+
+_QUANTIFIER_SPEC = QuerySpec(("kernel", "predicate", "dist"), {}, lambda r: r["kernel"].target)
+QUERY_SPECS: dict[str, QuerySpec] = {
+    "EXISTS_COUNTABLE": _QUANTIFIER_SPEC,
+    "FORALL_COUNTABLE": _QUANTIFIER_SPEC,
+    "EXISTS_LP": _QUANTIFIER_SPEC,
+    "FORALL_LP": _QUANTIFIER_SPEC,
+    "COMPOSE": QuerySpec(("inner", "outer", "predicate", "quantifier", "dist"),
+                         {"quantifier": "EXISTS"}, lambda r: r["outer"].target),
+    "METRIC": QuerySpec(("space", "left", "right"), {}, lambda r: r["space"]),
+    "DETERMINISM": QuerySpec(("kernel",), {}),
+    "EXPECTATION": QuerySpec(("predicate", "dist"), {}, lambda r: r["predicate"].space),
+    "CHECK_LAWS": QuerySpec(("suites",), {"suites": None}),
 }
+QUERY_KINDS = tuple(QUERY_SPECS)
+
+# name field -> the kind of declaration it names; other fields that are not
+# in _VALUE_FIELDS are distributions
+_NAME_FIELDS = {"kernel": "kernel", "inner": "kernel", "outer": "kernel",
+                "predicate": "predicate", "space": "space"}
 
 
 @dataclass(frozen=True)
 class Query:
-    """One query record; which fields are set depends on ``kind``."""
+    """One query record.
+
+    ``args`` maps each field of ``QUERY_SPECS[kind]`` that the query has, in
+    document order, to its resolved value: the declared name for kernel,
+    predicate and space fields, a ``Dist`` for ``dist``/``left``/``right``,
+    the quantifier word, and the tuple of suite names.  A left-out
+    ``quantifier`` reads ``"EXISTS"``; left-out ``suites`` are absent.
+    """
 
     kind: str
-    kernel: Optional[str] = None
-    inner: Optional[str] = None
-    outer: Optional[str] = None
-    predicate: Optional[str] = None
-    quantifier: Optional[str] = None
-    space: Optional[str] = None
-    dist: Optional[Dist] = None
-    left: Optional[Dist] = None
-    right: Optional[Dist] = None
-    suites: Optional[tuple[str, ...]] = None
+    args: dict[str, Any]
 
 
 @dataclass
@@ -145,6 +167,52 @@ def _no_extras(doc: dict, allowed: set[str], where: str) -> None:
         raise ScenarioParseError(f"{where}: unexpected field {extras[0]!r}")
 
 
+def _ref(doc: dict, key: str, table: dict, noun: str, where: str) -> Any:
+    name = _get(doc, key, str, where)
+    if name not in table:
+        raise ScenarioReferenceError(f"{where}.{key}: unknown {noun} {name!r}")
+    return table[name]
+
+
+def _check_spaces(refs: dict[str, Any], where: str) -> None:
+    """Inner lands where outer starts; the predicate, where the kernel or chain does."""
+    checks = []
+    if "inner" in refs:
+        checks.append(("inner lands in", refs["inner"].target,
+                       "outer starts at", refs["outer"].source))
+    for key, start in (("kernel", "the kernel"), ("inner", "the chain")):
+        if key in refs and "predicate" in refs:
+            checks.append(("predicate lives on", refs["predicate"].space,
+                           f"{start} starts at", refs[key].source))
+    for lives, got, starts, want in checks:
+        if got != want:
+            raise ScenarioValidationError(
+                f"{where}: {lives} {got.name!r} but {starts} {want.name!r}"
+            )
+
+
+def _quantifier(value: Any, where: str) -> str:
+    if value not in ("EXISTS", "FORALL"):
+        raise ScenarioParseError(
+            f"{where}: expected 'EXISTS' or 'FORALL', got {value!r}"
+        )
+    return value
+
+
+def _suites(value: Any, where: str) -> tuple[str, ...]:
+    suites = tuple(
+        _expect(s, str, f"{where}[{j}]")
+        for j, s in enumerate(_expect(value, list, where))
+    )
+    for s in suites:
+        if s not in SUITES:
+            raise ScenarioValidationError(f"{where}: unknown law suite {s!r}")
+    return suites
+
+
+_VALUE_FIELDS = {"quantifier": _quantifier, "suites": _suites}
+
+
 # ---------------------------------------------------------------------------
 # document -> scenario
 # ---------------------------------------------------------------------------
@@ -181,19 +249,13 @@ def scenario_from_dict(doc: Any) -> Scenario:
         except GiryqError as exc:
             raise ScenarioValidationError(f"{where}: {exc}") from None
 
-    def space_ref(name: Any, where: str) -> FiniteSpace:
-        name = _expect(name, str, where)
-        if name not in spaces:
-            raise ScenarioReferenceError(f"{where}: unknown space {name!r}")
-        return spaces[name]
-
     kernels: dict[str, Kernel] = {}
     for name, raw in _get(doc, "kernels", dict, "document").items():
         where = f"kernels[{name!r}]"
         _expect(raw, dict, where)
         _no_extras(raw, {"source", "target", "rows"}, where)
-        source = space_ref(_get(raw, "source", str, where), f"{where}.source")
-        target = space_ref(_get(raw, "target", str, where), f"{where}.target")
+        source = _ref(raw, "source", spaces, "space", where)
+        target = _ref(raw, "target", spaces, "space", where)
         raw_rows = _get(raw, "rows", list, where)
         if len(raw_rows) != len(source):
             raise ScenarioValidationError(
@@ -211,7 +273,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         where = f"predicates[{name!r}]"
         _expect(raw, dict, where)
         _no_extras(raw, {"space", "values"}, where)
-        space = space_ref(_get(raw, "space", str, where), f"{where}.space")
+        space = _ref(raw, "space", spaces, "space", where)
         values = tuple(
             _rational(v, f"{where}.values[{j}]")
             for j, v in enumerate(_get(raw, "values", list, where))
@@ -228,15 +290,11 @@ def scenario_from_dict(doc: Any) -> Scenario:
         kind = _get(raw, "kind", str, where)
         if kind == "lifted":
             _no_extras(raw, {"kind", "base"}, where)
-            base = _get(raw, "base", str, where)
-            if base not in predicates:
-                raise ScenarioReferenceError(
-                    f"{where}.base: unknown predicate {base!r}"
-                )
-            simplex_predicates[name] = LiftedPredicate(predicates[base])
+            base = _ref(raw, "base", predicates, "predicate", where)
+            simplex_predicates[name] = LiftedPredicate(base)
         elif kind == "table":
             _no_extras(raw, {"kind", "space", "entries", "default"}, where)
-            space = space_ref(_get(raw, "space", str, where), f"{where}.space")
+            space = _ref(raw, "space", spaces, "space", where)
             entries = []
             for j, pair in enumerate(_get(raw, "entries", list, where)):
                 pair_where = f"{where}.entries[{j}]"
@@ -263,114 +321,35 @@ def scenario_from_dict(doc: Any) -> Scenario:
                 f"{where}.kind: expected 'lifted' or 'table', got {kind!r}"
             )
 
-    def kernel_ref(doc_q: dict, key: str, where: str) -> Kernel:
-        name = _get(doc_q, key, str, where)
-        if name not in kernels:
-            raise ScenarioReferenceError(f"{where}.{key}: unknown kernel {name!r}")
-        return kernels[name]
-
-    def predicate_ref(doc_q: dict, where: str) -> Predicate:
-        name = _get(doc_q, "predicate", str, where)
-        if name not in predicates:
-            raise ScenarioReferenceError(
-                f"{where}.predicate: unknown predicate {name!r}"
-            )
-        return predicates[name]
-
+    tables = {"kernel": kernels, "predicate": predicates, "space": spaces}
     queries: list[Query] = []
     for i, raw in enumerate(_get(doc, "queries", list, "document")):
         where = f"queries[{i}]"
         _expect(raw, dict, where)
         kind = _get(raw, "kind", str, where)
-        if kind not in QUERY_KINDS:
+        if kind not in QUERY_SPECS:
             raise ScenarioParseError(f"{where}.kind: unknown query kind {kind!r}")
-        required, optional = _QUERY_FIELDS[kind]
-        _no_extras(raw, {"kind", *required, *optional}, where)
-        for key in required:
-            if key not in raw:
+        spec = QUERY_SPECS[kind]
+        _no_extras(raw, {"kind", *spec.fields}, where)
+        for key in spec.fields:
+            if key not in raw and key not in spec.optional:
                 raise ScenarioParseError(f"{where}: missing field {key!r}")
-
-        if kind in ("EXISTS_COUNTABLE", "FORALL_COUNTABLE", "EXISTS_LP", "FORALL_LP"):
-            kernel = kernel_ref(raw, "kernel", where)
-            pred = predicate_ref(raw, where)
-            if pred.space != kernel.source:
-                raise ScenarioValidationError(
-                    f"{where}: predicate lives on {pred.space.name!r} but the "
-                    f"kernel starts at {kernel.source.name!r}"
-                )
-            queries.append(
-                Query(
-                    kind=kind,
-                    kernel=raw["kernel"],
-                    predicate=raw["predicate"],
-                    dist=_dist(raw["dist"], kernel.target, f"{where}.dist"),
-                )
-            )
-        elif kind == "COMPOSE":
-            inner = kernel_ref(raw, "inner", where)
-            outer = kernel_ref(raw, "outer", where)
-            pred = predicate_ref(raw, where)
-            if inner.target != outer.source:
-                raise ScenarioValidationError(
-                    f"{where}: inner lands in {inner.target.name!r} but outer "
-                    f"starts at {outer.source.name!r}"
-                )
-            if pred.space != inner.source:
-                raise ScenarioValidationError(
-                    f"{where}: predicate lives on {pred.space.name!r} but the "
-                    f"chain starts at {inner.source.name!r}"
-                )
-            quantifier = raw.get("quantifier", "EXISTS")
-            if quantifier not in ("EXISTS", "FORALL"):
-                raise ScenarioParseError(
-                    f"{where}.quantifier: expected 'EXISTS' or 'FORALL', "
-                    f"got {quantifier!r}"
-                )
-            queries.append(
-                Query(
-                    kind=kind,
-                    inner=raw["inner"],
-                    outer=raw["outer"],
-                    predicate=raw["predicate"],
-                    quantifier=quantifier,
-                    dist=_dist(raw["dist"], outer.target, f"{where}.dist"),
-                )
-            )
-        elif kind == "METRIC":
-            space = space_ref(raw["space"], f"{where}.space")
-            queries.append(
-                Query(
-                    kind=kind,
-                    space=raw["space"],
-                    left=_dist(raw["left"], space, f"{where}.left"),
-                    right=_dist(raw["right"], space, f"{where}.right"),
-                )
-            )
-        elif kind == "DETERMINISM":
-            kernel_ref(raw, "kernel", where)
-            queries.append(Query(kind=kind, kernel=raw["kernel"]))
-        elif kind == "EXPECTATION":
-            pred = predicate_ref(raw, where)
-            queries.append(
-                Query(
-                    kind=kind,
-                    predicate=raw["predicate"],
-                    dist=_dist(raw["dist"], pred.space, f"{where}.dist"),
-                )
-            )
-        else:  # CHECK_LAWS
-            suites = None
-            if "suites" in raw:
-                suites = tuple(
-                    _expect(s, str, f"{where}.suites[{j}]")
-                    for j, s in enumerate(_expect(raw["suites"], list, f"{where}.suites"))
-                )
-                for s in suites:
-                    if s not in SUITES:
-                        raise ScenarioValidationError(
-                            f"{where}.suites: unknown law suite {s!r}"
-                        )
-            queries.append(Query(kind=kind, suites=suites))
+        refs = {
+            key: _ref(raw, key, tables[noun], noun, where)
+            for key in spec.fields
+            if (noun := _NAME_FIELDS.get(key))
+        }
+        _check_spaces(refs, where)
+        args: dict[str, Any] = {}
+        for key in spec.fields:
+            if key in refs:
+                args[key] = raw[key]
+            elif key not in _VALUE_FIELDS:
+                args[key] = _dist(raw[key], spec.dist_space(refs), f"{where}.{key}")
+            elif key in raw or spec.optional[key] is not None:
+                value = raw.get(key, spec.optional[key])
+                args[key] = _VALUE_FIELDS[key](value, f"{where}.{key}")
+        queries.append(Query(kind, args))
 
     return Scenario(
         spaces=tuple(spaces.values()),
@@ -388,12 +367,18 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # a too-long integer; deep nesting
+        raise ScenarioParseError(f"invalid JSON: {exc}") from None
     return scenario_from_dict(doc)
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +434,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             }
     for q in scenario.queries:
         record: dict[str, Any] = {"kind": q.kind}
-        for f in fields(Query):
-            if f.name == "kind":
-                continue
-            value = getattr(q, f.name)
-            if value is None:
-                continue
+        for key, value in q.args.items():
             if isinstance(value, Dist):
-                record[f.name] = _dist_doc(value)
-            elif isinstance(value, tuple):
-                record[f.name] = list(value)
-            else:
-                record[f.name] = value
+                value = _dist_doc(value)
+            record[key] = list(value) if isinstance(value, tuple) else value
         doc["queries"].append(record)
     return doc
 

@@ -141,3 +141,23 @@ def test_bad_rational_literal_exits_2_with_its_path(tmp_path, run_python, litera
     assert "predicates['g'].values[0]" in err
     assert "Traceback" not in err
     assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"spaces": [\xff]}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"spaces": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["not_utf8", "nested_too_deep", "integer_past_digit_limit"],
+)
+def test_malformed_file_exits_2_without_traceback(tmp_path, run_python, content):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert done.stdout == b""

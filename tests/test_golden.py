@@ -1,19 +1,27 @@
 """Byte-for-byte pins of the CLI's stdout.
 
-The expected files under ``golden/`` were captured from the bundled scenario
-and a fixed law seed; any change to a printed value, witness, regime or
-report line shows up here.  Regenerate them only for an intended change of
-output.
+The expected files under ``golden/`` were captured from the scenario corpus
+and a fixed law seed; any change to a printed value, witness, regime,
+report line or serialized document shows up here.  Regenerate them only for
+an intended change of output.
 """
 from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+from giryq import load_scenario, serialize_scenario
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+CORPUS = ("noisy_channel", "chain_and_laws")
 
 CASES = {
     "run_noisy_channel.txt": ("run", "scenarios/noisy_channel.json"),
     "run_noisy_channel.json": ("run", "scenarios/noisy_channel.json", "--format", "json"),
+    "run_chain_and_laws.txt": ("run", "scenarios/chain_and_laws.json", "--cases", "5"),
+    "run_chain_and_laws.json": (
+        "run", "scenarios/chain_and_laws.json", "--cases", "5", "--format", "json"
+    ),
     "laws_seed0_cases20.txt": ("laws", "--seed", "0", "--cases", "20"),
 }
 
@@ -30,3 +38,10 @@ def test_output_is_the_same_under_python_O(run_python):
     done = run_python("-O", "-m", "giryq.cli", *CASES["run_noisy_channel.txt"])
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == (GOLDEN / "run_noisy_channel.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_serialized_corpus_matches_golden(name):
+    scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
+    expected = (GOLDEN / f"serialize_{name}.json").read_text(encoding="utf-8")
+    assert serialize_scenario(scenario) == expected

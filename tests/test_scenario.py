@@ -1,11 +1,17 @@
+import copy
+import functools
 import json
+import operator
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from giryq import (
     Dist,
+    ScenarioError,
     ScenarioParseError,
     ScenarioReferenceError,
     ScenarioValidationError,
@@ -15,7 +21,12 @@ from giryq import (
     serialize_scenario,
 )
 
-FIXTURE = Path(__file__).resolve().parent.parent / "scenarios" / "noisy_channel.json"
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
+FIXTURE = CORPUS / "noisy_channel.json"
+CORPUS_DOCS = {
+    name: json.loads((CORPUS / name).read_text(encoding="utf-8"))
+    for name in ("noisy_channel.json", "chain_and_laws.json")
+}
 
 
 def minimal_doc(**overrides):
@@ -49,8 +60,9 @@ def test_bundled_scenario_loads(tmp_path):
     assert scenario.kernels["f"].row("x3").weights == (F(3, 10), F(7, 10))
 
 
-def test_round_trip_is_identity():
-    scenario = load_scenario(str(FIXTURE))
+@pytest.mark.parametrize("name", sorted(CORPUS_DOCS))
+def test_round_trip_is_identity(name):
+    scenario = load_scenario(str(CORPUS / name))
     again = parse_scenario(serialize_scenario(scenario))
     assert again == scenario
     assert serialize_scenario(again) == serialize_scenario(scenario)
@@ -201,3 +213,66 @@ def test_compose_query_chain_validation():
     ]
     with pytest.raises(ScenarioValidationError, match="outer"):
         scenario_from_dict(doc)
+
+
+def test_compose_predicate_must_live_where_the_chain_starts():
+    doc = minimal_doc()
+    doc["kernels"]["back"] = {"source": "Y", "target": "X", "rows": [["1", "0"], ["0", "1"]]}
+    doc["predicates"]["h"] = {"space": "Y", "values": ["1", "0"]}
+    doc["queries"] = [
+        {"kind": "COMPOSE", "inner": "f", "outer": "back", "predicate": "h", "dist": ["1", "0"]}
+    ]
+    with pytest.raises(ScenarioValidationError, match="the chain starts at 'X'"):
+        scenario_from_dict(doc)
+
+
+# wrong types, undeclared names and bad rational literals
+MUTATION_POOL = (
+    None, True, 7, 1.5, "", [], {}, ["1"], {"kind": "METRIC"},
+    "nowhere", "X", "f", "EXISTS_LP", "FORALL",
+    "0.5", "1/0", "-1/2", "2", "3/2", "\u0661/\u0662", "1/" + "1" * 5000,
+)
+
+
+def _paths(node, path=()):
+    """The key or index path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutants(draw, doc):
+    """``doc`` with one to three keys or list items deleted or replaced."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, parent_path, doc)
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(MUTATION_POOL)))
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DOCS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_parses_or_raises_scenario_error(name, data):
+    mutant = data.draw(mutants(CORPUS_DOCS[name]))
+    try:
+        scenario = scenario_from_dict(mutant)
+    except ScenarioError:
+        return
+    text = serialize_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert serialize_scenario(parse_scenario(text)) == text
