@@ -4,9 +4,9 @@ All rationals in a document are exact strings (``"3/10"``, ``"1"``); decimal
 notation is rejected.  Kernels are row-major arrays (row order = source
 point order, column order = target point order), predicates are value
 arrays in point order, and simplex-predicate tables are lists of
-(distribution, value) pairs with a mandatory default.  Parsing resolves
-every name reference and validates every invariant up front, so query
-evaluation cannot fail later.
+(distribution, value) pairs with a mandatory default.  No object may repeat
+a key.  Parsing resolves every name reference and validates every
+invariant up front, so query evaluation cannot fail later.
 
 A query is a ``kind`` plus the fields its entry in ``QUERY_SPECS`` lists, in
 document order (optional fields in brackets)::
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import (
     GiryqError,
@@ -360,15 +360,44 @@ def scenario_from_dict(doc: Any) -> Scenario:
     )
 
 
+def _objects(doc: Any) -> Iterator[tuple[str, dict]]:
+    """Every JSON object in the document, in document order, with where it is."""
+    stack: list[tuple[str, Any]] = [("", doc)]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, dict):
+            yield where or "document", node
+            children = [(f"{where}[{k!r}]" if where else k, v) for k, v in node.items()]
+        elif isinstance(node, list):
+            children = [(f"{where}[{i}]", v) for i, v in enumerate(node)]
+        else:
+            continue
+        stack.extend(reversed(children))
+
+
 def parse_scenario(text: str) -> Scenario:
+    # JSON keeps the last of two equal keys; a scenario rejects them, since
+    # the earlier declaration or field would be dropped without a word
+    repeated: dict[int, str] = {}
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated[id(obj)] = next(k for i, k in enumerate(keys) if k in keys[:i])
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except (ValueError, RecursionError) as exc:  # a too-long integer; deep nesting
         raise ScenarioParseError(f"invalid JSON: {exc}") from None
+    if repeated:
+        where, obj = next((w, o) for w, o in _objects(doc) if id(o) in repeated)
+        raise ScenarioValidationError(f"{where}: duplicate key {repeated[id(obj)]!r}")
     return scenario_from_dict(doc)
 
 

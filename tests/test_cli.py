@@ -161,3 +161,24 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, run_python, content)
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        # a second kernel 'f' would silently replace the first
+        ('"kernels": {', '"kernels": {"f": {"source": "X", "target": "Y", "rows": []}, ',
+         "kernels: duplicate key 'f'"),
+        ('"kernel": "f"', '"kernel": "f", "kernel": "f"', "queries[0]: duplicate key 'kernel'"),
+    ],
+    ids=["kernel_name", "query_field"],
+)
+def test_duplicate_key_exits_2_with_its_path(tmp_path, capsys, old, new, where):
+    text = json.dumps(json.loads(Path(FIXTURE).read_text()))
+    assert old in text
+    path = tmp_path / "duplicate.json"
+    path.write_text(text.replace(old, new, 1))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {where}\n"
+    assert captured.out == ""
