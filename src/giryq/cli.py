@@ -195,6 +195,12 @@ def _cmd_laws(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+def _case_count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="giryq",
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="path to a scenario JSON document")
     run.add_argument("--seed", type=int, default=0, help="seed for law suites")
     run.add_argument(
-        "--cases", type=int, default=200, help="random instances per law suite"
+        "--cases", type=_case_count, default=200, help="random instances per law suite"
     )
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument(
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lawsp = sub.add_parser("laws", help="run the full law suite without a scenario")
     lawsp.add_argument("--seed", type=int, default=0)
-    lawsp.add_argument("--cases", type=int, default=200)
+    lawsp.add_argument("--cases", type=_case_count, default=200)
     lawsp.set_defaults(handler=_cmd_laws)
     return parser
 

@@ -45,9 +45,6 @@ class Kernel:
         """The distribution this kernel assigns to a source point."""
         return self.rows[self.source.index(label)]
 
-    def __call__(self, label: str) -> Dist:
-        return self.row(label)
-
 
 @dataclass(frozen=True)
 class PointFunction:
@@ -69,9 +66,6 @@ class PointFunction:
             )
         for y in self.assignment:
             self.target.index(y)
-
-    def __call__(self, label: str) -> str:
-        return self.assignment[self.source.index(label)]
 
 
 def identity_kernel(space: FiniteSpace) -> Kernel:
@@ -162,7 +156,7 @@ def pushforward(fn: PointFunction, dist: Dist) -> Dist:
 
 
 def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
-    """Image of ``dist`` under the row map ``x -> kernel(x)``.
+    """Image of ``dist`` under the row map ``x -> kernel.row(x)``.
 
     The result is a finitely supported measure over distributions on the
     kernel's target; source points with equal rows merge.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -20,10 +20,6 @@ from .errors import (
     RationalFormatError,
     SpaceMismatchError,
 )
-
-# The single scalar type of the library: arbitrary-precision rationals,
-# always in lowest terms with a positive denominator.
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -131,19 +127,6 @@ class Dist:
         i = space.index(label)
         return cls(space, tuple(ONE if j == i else ZERO for j in range(len(space))))
 
-    def weight_of(self, label: str) -> Fraction:
-        """Probability of the singleton ``{label}``."""
-        return self.weights[self.space.index(label)]
-
-    def mass(self, labels: Iterable[str]) -> Fraction:
-        """Probability of the event given as a set of point labels."""
-        return sum((self.weight_of(x) for x in set(labels)), ZERO)
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(
-            x for x, w in zip(self.space.points, self.weights) if w > 0
-        )
-
     def __sub__(self, other: "Dist") -> "SignedMeasure":
         if self.space != other.space:
             raise SpaceMismatchError(
@@ -176,9 +159,6 @@ class SignedMeasure:
                 f"{len(self.weights)} weights for the {len(self.space)} points "
                 f"of space {self.space.name!r}"
             )
-
-    def total_mass(self) -> Fraction:
-        return sum(self.weights, ZERO)
 
 
 def tv_norm(m: SignedMeasure) -> Fraction:
@@ -241,19 +221,9 @@ class FinSuppMeasure:
         self._pairs = frozenset(kept)
 
     @classmethod
-    def dirac(cls, atom: Hashable) -> "FinSuppMeasure":
-        return cls((atom,), (ONE,))
-
-    @classmethod
     def from_dist(cls, dist: Dist) -> "FinSuppMeasure":
         """Reread a distribution as a measure over its own point labels."""
         return cls(dist.space.points, dist.weights)
-
-    def weight_of(self, atom: Hashable) -> Fraction:
-        for a, w in zip(self.atoms, self.weights):
-            if a == atom:
-                return w
-        return ZERO
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FinSuppMeasure":
         """Image measure under ``fn``; atoms with equal images merge."""
@@ -262,9 +232,6 @@ class FinSuppMeasure:
             image = fn(a)
             merged[image] = merged.get(image, ZERO) + w
         return FinSuppMeasure(tuple(merged.keys()), tuple(merged.values()))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     def __iter__(self):
         return iter(zip(self.atoms, self.weights))

@@ -52,9 +52,6 @@ class Predicate:
     def value_at(self, label: str) -> Fraction:
         return self.values[self.space.index(label)]
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
-
 
 def entails(lower: Predicate, upper: Predicate) -> bool:
     """Pointwise order: ``lower(x) <= upper(x)`` at every point.

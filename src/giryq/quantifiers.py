@@ -197,11 +197,6 @@ class PointBounds:
     def counit_ok(self) -> bool:
         return self.forall_value <= self.predicate_value
 
-    @property
-    def exists_margin(self) -> Fraction:
-        return self.exists_value - self.predicate_value
-
-
 
 @dataclass(frozen=True)
 class AdjunctionReport:

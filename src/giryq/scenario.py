@@ -76,7 +76,6 @@ QUERY_SPECS: dict[str, QuerySpec] = {
     "EXPECTATION": QuerySpec(("predicate", "dist"), {}, lambda r: r["predicate"].space),
     "CHECK_LAWS": QuerySpec(("suites",), {"suites": None}),
 }
-QUERY_KINDS = tuple(QUERY_SPECS)
 
 # name field -> the kind of declaration it names; other fields that are not
 # in _VALUE_FIELDS are distributions
@@ -204,6 +203,8 @@ def _suites(value: Any, where: str) -> tuple[str, ...]:
         _expect(s, str, f"{where}[{j}]")
         for j, s in enumerate(_expect(value, list, where))
     )
+    if not suites:  # an empty list would run nothing and report a pass
+        raise ScenarioValidationError(f"{where}: empty list (leave it out to run every suite)")
     for s in suites:
         if s not in SUITES:
             raise ScenarioValidationError(f"{where}: unknown law suite {s!r}")

@@ -182,3 +182,33 @@ def test_duplicate_key_exits_2_with_its_path(tmp_path, capsys, old, new, where):
     captured = capsys.readouterr()
     assert captured.err == f"error: {where}\n"
     assert captured.out == ""
+
+
+def test_empty_suite_list_exits_2_with_its_path(tmp_path, run_python):
+    doc = {
+        "spaces": [],
+        "kernels": {},
+        "predicates": {},
+        "simplex_predicates": {},
+        "queries": [{"kind": "CHECK_LAWS", "suites": []}],
+    }
+    path = tmp_path / "no_suites.json"
+    path.write_text(json.dumps(doc))
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err.startswith("error: queries[0].suites: empty list")
+    assert "Traceback" not in err
+    assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "argv", [("laws", "--cases", "-3"), ("run", FIXTURE, "--cases", "-1")], ids=["laws", "run"]
+)
+def test_negative_case_count_exits_2(run_python, argv):
+    done = run_python("-m", "giryq.cli", *argv)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "argument --cases: expected a count of 0 or more" in err
+    assert "Traceback" not in err
+    assert done.stdout == b""

@@ -124,7 +124,7 @@ class TestPushforward:
 class TestMixture:
     def test_point_mass_on_a_dist_collapses_to_it(self, three_points):
         p = Dist(three_points, (F(2, 5), F(3, 5), F(0)))
-        assert mixture(FinSuppMeasure.dirac(p)) == p
+        assert mixture(FinSuppMeasure((p,), (1,))) == p
 
     def test_even_mixture_of_opposite_point_masses(self, two_points):
         p1 = Dist(two_points, (F(1), F(0)))

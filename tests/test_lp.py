@@ -184,7 +184,8 @@ def test_enumeration_oracle_sees_the_blend_vertices():
 def test_random_programs_match_the_enumeration_oracle():
     rng = random.Random("lp-unit")
     for i in range(120):
-        failures = _check_lp_against_oracle(rand_lp(rng), f"case {i}")
+        lp = rand_lp(rng)
+        failures = _check_lp_against_oracle(lp, lp_solve(lp), f"case {i}")
         assert not failures, failures
 
 

@@ -166,7 +166,7 @@ class TestAdjunctionBounds:
         # the third row reaches its image only through its own point mass
         assert by_point["x3"].exists_value == F(9, 10)
         assert by_point["x3"].forall_value == F(9, 10)
-        assert by_point["x3"].exists_margin == 0
+        assert by_point["x3"].exists_value - by_point["x3"].predicate_value == 0
 
     def test_channel_bounds_in_the_fiber_regime(self, channel, gain):
         report = check_adjunction_bounds(channel, gain, Regime.COUNTABLE)
