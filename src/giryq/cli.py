@@ -1,14 +1,16 @@
 """Command-line front end: scenario execution and the standalone law runner.
 
-Exit codes: 0 on success, 2 when the scenario fails to parse or validate,
-3 when a law suite reports a failure.  Every reported value is an exact
-rational string; the decimal column is display-only and never feeds back
-into any computation.
+Exit codes: 0 on success, 1 when standard output closes before all of
+the output is written (say, piped into ``head``), 2 when the scenario or
+an argument fails to parse or validate, 3 when a law suite reports a
+failure.  Every reported value is an exact rational string; the decimal
+column is display-only and never feeds back into any computation.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -111,8 +113,9 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
             witness = dict(zip(fn.source.points, fn.assignment))
         return _record(kind, inputs, Fraction(1 if deterministic else 0), witness)
 
-    assert kind == "EXPECTATION"
-    return _record(kind, inputs, expectation(pred, args["dist"]))
+    if kind == "EXPECTATION":
+        return _record(kind, inputs, expectation(pred, args["dist"]))
+    raise ValueError(f"unknown query kind {kind!r}")
 
 
 def evaluate_scenario(
@@ -234,7 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 A kernel ``X -> Y`` assigns one distribution on ``Y`` to each point of ``X``
 (a row-stochastic rational matrix, rows in declaration point order).
-Composition integrates the second kernel against the first; deterministic
-kernels are exactly the ones induced by plain point functions.
+Composition integrates the second kernel against the first, and the lift
+integrates a kernel against a distribution: both are one weighted sum of
+rows, :func:`measures.combine_rows`.  Deterministic kernels are exactly the
+ones induced by plain point functions.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .errors import (
     NotDeterministicError,
     SpaceMismatchError,
 )
-from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace
+from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, combine_rows
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,8 @@ def deterministic_kernel(fn: PointFunction) -> Kernel:
 
 
 def _mix(space: FiniteSpace, pairs: Iterable[tuple[Fraction, Dist]]) -> Dist:
-    """Weighted sum of ``(weight, distribution)`` pairs on ``space``; zero weights are skipped."""
-    weights = [ZERO] * len(space)
-    for w, row in pairs:
-        if w == 0:
-            continue
-        for j, v in enumerate(row.weights):
-            weights[j] += w * v
+    """Weighted sum of ``(weight, distribution)`` pairs on ``space``."""
+    weights = combine_rows([ZERO] * len(space), ((w, row.weights) for w, row in pairs))
     return Dist(space, tuple(weights))
 
 

@@ -23,6 +23,10 @@ artificial column left in the basis, a singular or rejected basis, an
 unbounded program) reruns the simplex with every tableau entry a
 ``Fraction``.  That exact path is the reference the tests compare against.
 Either way the optimum and the returned vertex are exact.
+
+Every weighted row sum here, in floats and in ``Fraction`` alike, is one
+call to :func:`measures.combine_rows`: the elimination step of a pivot,
+the reduced costs of the tableau, and ``y^T A`` in both certificates.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
-from .measures import ZERO
+from .measures import ZERO, combine_rows
 
 
 class Sense(enum.Enum):
@@ -121,28 +125,16 @@ def _pivot(rows: list[list], rhs: list, basis: list[int], r: int, e: int) -> Non
     rows[r] = [a / piv for a in rows[r]]
     rhs[r] /= piv
     for i in range(len(rows)):
-        if i == r:
-            continue
         factor = rows[i][e]
-        if factor == 0:
-            continue
-        rows[i] = [a - factor * p for a, p in zip(rows[i], rows[r])]
-        rhs[i] -= factor * rhs[r]
+        if i != r and factor:
+            rows[i] = combine_rows(rows[i], [(-factor, rows[r])])
+            rhs[i] -= factor * rhs[r]
     basis[r] = e
 
 
 def _reduced_costs(cost: Sequence, rows: list[list], basis: list[int]) -> list:
-    ncols = len(cost)
-    reduced = list(cost)
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb == 0:
-            continue
-        row = rows[i]
-        for j in range(ncols):
-            if row[j] != 0:
-                reduced[j] -= cb * row[j]
-    return reduced
+    """``cost - c_B^T rows``: the objective row of the tableau."""
+    return combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
 
 
 def _bland_iterate(
@@ -352,13 +344,10 @@ def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Frac
         return None
     cost = lp.objective if lp.sense is Sense.MIN else [-c for c in lp.objective]
     y = _solve_transposed(*factors, [cost[j] for j in basis])
+    reduced = combine_rows(cost, zip([-yi for yi in y], lp.matrix))
     basic = set(basis)
-    for j in range(n):
-        if j in basic:
-            continue
-        reduced = cost[j] - sum((yi * row[j] for yi, row in zip(y, lp.matrix)), ZERO)
-        if reduced <= 0:
-            return None
+    if any(c <= 0 for j, c in enumerate(reduced) if j not in basic):
+        return None
     point = [ZERO] * n
     for j, x in zip(basis, x_b):
         point[j] = x
@@ -376,9 +365,7 @@ def _certified_infeasible(lp: LinearProgram, basis: list[int]) -> bool:
     y = _solve_transposed(*factors, [Fraction(j >= n) for j in basis])
     if sum((yi * b for yi, b in zip(y, lp.rhs)), ZERO) <= 0:
         return False
-    return all(
-        sum((yi * row[j] for yi, row in zip(y, lp.matrix)), ZERO) <= 0 for j in range(n)
-    )
+    return all(v <= 0 for v in combine_rows([ZERO] * n, zip(y, lp.matrix)))
 
 
 def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int, guided: bool) -> LpSolution:

@@ -1,16 +1,17 @@
 """Finite measurable spaces, exact distributions, and the total-variation metric.
 
 Everything here is computed in exact rational arithmetic
-(:class:`fractions.Fraction`); there is no floating point anywhere in the
-core.  Values are immutable after construction and safe to share between
-threads.
+(:class:`fractions.Fraction`).  The one exception is :func:`combine_rows`,
+the weighted row sum shared by the kernels and the LP, which also serves
+the LP's float guide.  Values are immutable after construction and safe
+to share between threads.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -53,6 +54,25 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a rational as ``"n"`` or ``"n/d"`` (inverse of :func:`parse_rational`)."""
     return str(Fraction(value))
+
+
+def combine_rows(start: Sequence, pairs: Iterable[tuple[Any, Sequence]]) -> list:
+    """``list(start)`` plus the sum of ``w * row`` over the ``(w, row)`` pairs.
+
+    This is the one vector-times-matrix routine: kernel composition, the
+    lift, the simplex tableau and the LP certificates all call it.  Zero
+    weights and zero row entries are skipped, so a sparse row costs only
+    its support.  Entries may be ``Fraction`` or ``float``: each entry is
+    summed in pair order, so float rounding matches a dense loop over the
+    same pairs.  ``start`` is never changed.
+    """
+    out = list(start)
+    for w, row in pairs:
+        if w:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] += w * v
+    return out
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,7 @@ class LiftedPredicate:
         return expectation(self.base, dist)
 
 
+@dataclass(frozen=True)
 class TableSimplexPredicate:
     """A simplex predicate given by a finite probe table plus a default.
 
@@ -103,24 +104,22 @@ class TableSimplexPredicate:
     on the use, so it is never implied.
     """
 
-    __slots__ = ("space", "entries", "default")
+    space: FiniteSpace
+    entries: tuple[tuple[Dist, Fraction], ...]
+    default: Fraction
 
-    def __init__(
-        self,
-        space: FiniteSpace,
-        entries: tuple[tuple[Dist, Fraction], ...],
-        default: Fraction | int,
-    ) -> None:
-        self.space = space
-        self.entries = tuple((d, Fraction(v)) for d, v in entries)
-        self.default = Fraction(default)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "entries", tuple((d, Fraction(v)) for d, v in self.entries)
+        )
+        object.__setattr__(self, "default", Fraction(self.default))
         probes = [d for d, _ in self.entries]
         if len(set(probes)) != len(probes):
             raise DuplicateAtomError("probe table lists a distribution twice")
         for d, v in self.entries:
-            if d.space != space:
+            if d.space != self.space:
                 raise SpaceMismatchError(
-                    f"probe {d} lives on {d.space.name!r}, expected {space.name!r}"
+                    f"probe {d} lives on {d.space.name!r}, expected {self.space.name!r}"
                 )
             _check_unit_interval(v, f"table value at {d}")
         _check_unit_interval(self.default, "table default")
@@ -130,21 +129,6 @@ class TableSimplexPredicate:
             if probe == dist:
                 return value
         return self.default
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TableSimplexPredicate):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.entries == other.entries
-            and self.default == other.default
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TableSimplexPredicate({self.space.name!r}, "
-            f"{len(self.entries)} probes, default={self.default})"
-        )
 
 
 SimplexPredicate = Union[LiftedPredicate, TableSimplexPredicate]

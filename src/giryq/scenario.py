@@ -29,7 +29,6 @@ chain ``inner`` then ``outer``, starts, and ``inner`` must land where
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
@@ -50,7 +49,8 @@ from .predicates import (
     TableSimplexPredicate,
 )
 
-DEFAULT_MAX_SPACE = 64
+# the most points a space may declare; fiber scans and lifted LPs grow with it
+MAX_SPACE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -107,22 +107,6 @@ class Scenario:
     predicates: dict[str, Predicate]
     simplex_predicates: dict[str, SimplexPredicate]
     queries: tuple[Query, ...]
-
-
-def max_space_points() -> int:
-    """Point-count cap per space, from GIRYQ_MAX_SPACE (default 64)."""
-    raw = os.environ.get("GIRYQ_MAX_SPACE")
-    if raw is None:
-        return DEFAULT_MAX_SPACE
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ScenarioValidationError(
-            f"GIRYQ_MAX_SPACE must be an integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise ScenarioValidationError("GIRYQ_MAX_SPACE must be positive")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +211,6 @@ def scenario_from_dict(doc: Any) -> Scenario:
         "document",
     )
 
-    cap = max_space_points()
     spaces: dict[str, FiniteSpace] = {}
     for i, raw in enumerate(_get(doc, "spaces", list, "document")):
         where = f"spaces[{i}]"
@@ -240,10 +223,9 @@ def scenario_from_dict(doc: Any) -> Scenario:
         )
         if name in spaces:
             raise ScenarioValidationError(f"{where}: space {name!r} declared twice")
-        if len(points) > cap:
+        if len(points) > MAX_SPACE_POINTS:
             raise ScenarioValidationError(
-                f"{where}: {len(points)} points exceeds the cap of {cap} "
-                f"(set GIRYQ_MAX_SPACE to raise it)"
+                f"{where}: {len(points)} points exceeds the cap of {MAX_SPACE_POINTS}"
             )
         try:
             spaces[name] = FiniteSpace(name, points)
@@ -445,8 +427,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
     for name, h in scenario.simplex_predicates.items():
         if isinstance(h, LiftedPredicate):
+            # by identity: equal predicates under two names are two predicates
             base = next(
-                (n for n, p in scenario.predicates.items() if p == h.base), None
+                (n for n, p in scenario.predicates.items() if p is h.base), None
             )
             if base is None:
                 raise ScenarioValidationError(

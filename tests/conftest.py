@@ -15,14 +15,16 @@ REPO = Path(__file__).resolve().parent.parent
 def run_python():
     """Run ``python *argv`` in a fresh interpreter that imports giryq from ``src``.
 
-    Returns the completed process with stdout and stderr as bytes.
+    Returns the completed process with stdout and stderr as bytes; stdout
+    goes to ``stdout`` (a file descriptor) when one is given.
     """
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
-    def run(*argv: str) -> subprocess.CompletedProcess:
+    def run(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, *argv], cwd=REPO, env=env, capture_output=True, timeout=600
+            [sys.executable, *argv], cwd=REPO, env=env, stdout=stdout,
+            stderr=subprocess.PIPE, timeout=600,
         )
 
     return run

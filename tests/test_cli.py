@@ -1,12 +1,17 @@
+import ast
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from giryq import laws
-from giryq.cli import main
+from giryq.cli import evaluate_query, main
+from giryq.scenario import Query, load_scenario
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "scenarios" / "noisy_channel.json")
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "giryq").glob("*.py"))
 
 
 def test_run_bundled_scenario(capsys):
@@ -212,3 +217,37 @@ def test_negative_case_count_exits_2(run_python, argv):
     assert "argument --cases: expected a count of 0 or more" in err
     assert "Traceback" not in err
     assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "argv", [("run", FIXTURE, "--format", "json"), ("laws", "--cases", "0")], ids=["run", "laws"]
+)
+def test_closed_stdout_exits_1_without_traceback(run_python, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_python("-m", "giryq.cli", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
+def test_no_stdout_at_all_exits_0(monkeypatch):
+    # started with file descriptor 1 closed, python sets sys.stdout to None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["laws", "--cases", "0"]) == 0
+
+
+def test_unknown_query_kind_raises():
+    scenario = load_scenario(FIXTURE)
+    with pytest.raises(ValueError, match="unknown query kind 'NOPE'"):
+        evaluate_query(scenario, Query("NOPE", {}), seed=0, cases=0)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements_in_the_library(source):
+    # python -O strips assert statements, and with them any check they make
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

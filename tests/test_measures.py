@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -19,6 +20,7 @@ from giryq import (
     tv_norm,
 )
 from giryq.laws import tv_oracle
+from giryq.measures import combine_rows
 
 from strategies import dist_pairs, dist_triples
 
@@ -201,3 +203,29 @@ class TestFinSuppMeasure:
         m = FinSuppMeasure(("a", "b", "c"), (F(1, 2), F(1, 4), F(1, 4)))
         collapsed = m.map(lambda atom: "x" if atom in ("a", "b") else "y")
         assert collapsed == FinSuppMeasure(("x", "y"), (F(3, 4), F(1, 4)))
+
+
+@st.composite
+def row_sums(draw, entries):
+    """A start vector and up to four ``(weight, row)`` pairs of one length."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    return draw(vectors), draw(st.lists(st.tuples(entries, vectors), max_size=4))
+
+
+# zeros are drawn often: combine_rows skips zero weights and zero entries
+FRACTIONS = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=7))
+FLOATS = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+
+
+class TestCombineRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(row_sums(FRACTIONS), row_sums(FLOATS)))
+    def test_equals_the_dense_sum_and_leaves_start_alone(self, case):
+        start, pairs = case
+        before = list(start)
+        dense = list(start)
+        for w, row in pairs:
+            dense = [a + w * v for a, v in zip(dense, row)]
+        assert combine_rows(start, pairs) == dense
+        assert start == before

@@ -20,6 +20,7 @@ from giryq import (
     scenario_from_dict,
     serialize_scenario,
 )
+from giryq.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 FIXTURE = CORPUS / "noisy_channel.json"
@@ -183,16 +184,24 @@ def test_check_laws_suites_validated():
         scenario_from_dict(doc)
 
 
-def test_space_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("GIRYQ_MAX_SPACE", "1")
-    with pytest.raises(ScenarioValidationError, match="cap"):
-        scenario_from_dict(minimal_doc())
+def test_space_past_the_cap_exits_2_with_its_path(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["spaces"].append({"name": "Z", "points": [f"z{i}" for i in range(65)]})
+    path = tmp_path / "too_big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: spaces[2]: 65 points exceeds the cap of 64\n"
+    assert captured.out == ""
 
 
-def test_space_cap_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("GIRYQ_MAX_SPACE", "lots")
-    with pytest.raises(ScenarioValidationError, match="integer"):
-        scenario_from_dict(minimal_doc())
+def test_lifted_base_serializes_under_its_own_name():
+    doc = minimal_doc()
+    doc["predicates"]["p"] = {"space": "Y", "values": ["1/4", "3/4"]}
+    doc["predicates"]["q"] = {"space": "Y", "values": ["1/4", "3/4"]}
+    doc["simplex_predicates"]["h"] = {"kind": "lifted", "base": "q"}
+    out = json.loads(serialize_scenario(scenario_from_dict(doc)))
+    assert out["simplex_predicates"]["h"] == {"kind": "lifted", "base": "q"}
 
 
 def test_compose_query_chain_validation():
