@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -119,7 +120,7 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
 
 
 def evaluate_scenario(
-    scenario: Scenario, seed: int = 0, cases: int = 200, parallel: bool = False
+    scenario: Scenario, seed: int = 0, cases: int = laws.DEFAULT_CASES, parallel: bool = False
 ) -> list[dict]:
     """Evaluate all queries in order; `parallel` keeps the output order."""
     if parallel and len(scenario.queries) > 1:
@@ -166,7 +167,7 @@ def render_text(records: list[dict]) -> str:
         if "agrees_with_direct" in record:
             agrees = "yes" if record["agrees_with_direct"] else "no"
             lines.append(f"  agrees with direct evaluation: {agrees}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -199,8 +200,14 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _case_count(text: str) -> int:
-    if not text.strip().isdecimal():
+    if not re.fullmatch(r"[0-9]+", text):
         raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
 
@@ -216,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate the queries of a scenario file")
     run.add_argument("scenario", help="path to a scenario JSON document")
-    run.add_argument("--seed", type=int, default=0, help="seed for law suites")
+    run.add_argument("--seed", type=_seed, default=0, help="seed for law suites")
     run.add_argument(
-        "--cases", type=_case_count, default=200, help="random instances per law suite"
+        "--cases", type=_case_count, default=laws.DEFAULT_CASES,
+        help="random instances per law suite",
     )
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument(
@@ -229,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=_cmd_run)
 
     lawsp = sub.add_parser("laws", help="run the full law suite without a scenario")
-    lawsp.add_argument("--seed", type=int, default=0)
-    lawsp.add_argument("--cases", type=_case_count, default=200)
+    lawsp.add_argument("--seed", type=_seed, default=0)
+    lawsp.add_argument("--cases", type=_case_count, default=laws.DEFAULT_CASES)
     lawsp.set_defaults(handler=_cmd_laws)
     return parser
 

@@ -1,11 +1,24 @@
-"""Markov kernels between finite spaces and their category operations.
+"""Markov kernels between finite spaces: the Kleisli category of the Giry monad.
 
 A kernel ``X -> Y`` assigns one distribution on ``Y`` to each point of ``X``
 (a row-stochastic rational matrix, rows in declaration point order).
-Composition integrates the second kernel against the first, and the lift
-integrates a kernel against a distribution: both are one weighted sum of
-rows, :func:`measures.combine_rows`.  Deterministic kernels are exactly the
-ones induced by plain point functions.
+The Giry monad's operations, and the functions built from them:
+
+* point mass (the unit), :meth:`Dist.dirac`: a :func:`deterministic_kernel`
+  sends each point to the point mass at its image under a point function
+  (:func:`extract_point_function` inverts it); :func:`identity_kernel` is
+  the one of the identity function;
+* image measure: :func:`image_measure` pushes a distribution along the row
+  map, a finitely supported measure over distributions on the target;
+* mixture (the multiplication): :func:`mixture` collapses such a measure;
+* lift (the Kleisli extension): ``lift(kernel)(P)`` is
+  ``mixture(image_measure(kernel, P))``; :func:`pushforward` lifts a
+  deterministic kernel;
+* composition (Kleisli): row ``x`` of ``compose(outer, inner)`` is
+  ``lift(outer)`` at row ``x`` of ``inner``.
+
+The lift, composition and the mixture are one weighted sum of rows each,
+:func:`measures.combine_rows`, with no intermediate measure.
 """
 from __future__ import annotations
 
@@ -13,12 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import (
-    DimensionMismatchError,
-    NotDeterministicError,
-    SpaceMismatchError,
-)
-from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, combine_rows
+from .errors import NotDeterministicError, SpaceMismatchError
+from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, combine_rows
 
 
 @dataclass(frozen=True)
@@ -30,12 +39,7 @@ class Kernel:
     rows: tuple[Dist, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != len(self.source):
-            raise DimensionMismatchError(
-                f"{len(self.rows)} rows for the {len(self.source)} points "
-                f"of space {self.source.name!r}"
-            )
+        object.__setattr__(self, "rows", _per_point(self.rows, self.source, "rows", tuple))
         for label, row in zip(self.source.points, self.rows):
             if row.space != self.target:
                 raise SpaceMismatchError(
@@ -60,21 +64,16 @@ class PointFunction:
     assignment: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if len(self.assignment) != len(self.source):
-            raise DimensionMismatchError(
-                f"{len(self.assignment)} assignments for the "
-                f"{len(self.source)} points of space {self.source.name!r}"
-            )
+        object.__setattr__(
+            self, "assignment", _per_point(self.assignment, self.source, "assignments", tuple)
+        )
         for y in self.assignment:
             self.target.index(y)
 
 
 def identity_kernel(space: FiniteSpace) -> Kernel:
     """The identity kernel: each point goes to its own point mass."""
-    return Kernel(
-        space, space, tuple(Dist.dirac(space, x) for x in space.points)
-    )
+    return deterministic_kernel(PointFunction(space, space, space.points))
 
 
 def deterministic_kernel(fn: PointFunction) -> Kernel:
@@ -137,33 +136,33 @@ def extract_point_function(kernel: Kernel) -> PointFunction:
 
 
 def pushforward(fn: PointFunction, dist: Dist) -> Dist:
-    """Image of a distribution under a point function.
+    """Image of a distribution under a point function: the lift of its
+    deterministic kernel.
 
     The weight at a target point is the summed weight of its preimage.
     """
-    if dist.space != fn.source:
-        raise SpaceMismatchError(
-            f"distribution lives on {dist.space.name!r}, "
-            f"function starts at {fn.source.name!r}"
-        )
-    weights = [ZERO] * len(fn.target)
-    for y, w in zip(fn.assignment, dist.weights):
-        weights[fn.target.index(y)] += w
-    return Dist(fn.target, tuple(weights))
+    return lift(deterministic_kernel(fn))(dist)
 
 
 def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
     """Image of ``dist`` under the row map ``x -> kernel.row(x)``.
 
     The result is a finitely supported measure over distributions on the
-    kernel's target; source points with equal rows merge.
+    kernel's target: each row carries the summed weight of the source
+    points that have it.  Zero-weight points are left out, and rows keep
+    the order in which they first appear.  Its :func:`mixture` is
+    ``lift(kernel)(dist)``.
     """
     if dist.space != kernel.source:
         raise SpaceMismatchError(
             f"distribution lives on {dist.space.name!r}, "
             f"kernel starts at {kernel.source.name!r}"
         )
-    return FinSuppMeasure.from_dist(dist).map(lambda x: kernel.row(x))
+    merged: dict[Dist, Fraction] = {}
+    for row, w in zip(kernel.rows, dist.weights):
+        if w:
+            merged[row] = merged.get(row, ZERO) + w
+    return FinSuppMeasure(tuple(merged), tuple(merged.values()))
 
 
 def mixture(measure: FinSuppMeasure) -> Dist:

@@ -45,6 +45,9 @@ from .quantifiers import (
     forall_lifted,
 )
 
+# random instances per suite when the caller names no count
+DEFAULT_CASES = 200
+
 # ---------------------------------------------------------------------------
 # random instance generators (exact rationals only)
 # ---------------------------------------------------------------------------
@@ -603,7 +606,7 @@ SUITES: dict[str, Callable[[random.Random, int], list[str]]] = {
 }
 
 
-def run_suite(name: str, seed: int = 0, cases: int = 200) -> LawReport:
+def run_suite(name: str, seed: int = 0, cases: int = DEFAULT_CASES) -> LawReport:
     """Run one named suite with a seed-derived generator."""
     if name not in SUITES:
         raise KeyError(f"unknown law suite: {name!r}")
@@ -612,7 +615,7 @@ def run_suite(name: str, seed: int = 0, cases: int = 200) -> LawReport:
 
 
 def run_suites(
-    names: Optional[Sequence[str]] = None, seed: int = 0, cases: int = 200
+    names: Optional[Sequence[str]] = None, seed: int = 0, cases: int = DEFAULT_CASES
 ) -> list[LawReport]:
     """Run the named suites (all of them by default), in registry order."""
     selected = list(SUITES) if names is None else list(names)

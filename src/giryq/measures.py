@@ -1,5 +1,10 @@
 """Finite measurable spaces, exact distributions, and the total-variation metric.
 
+Every type with one entry per point (distributions, signed measures,
+predicates, kernels, point functions) checks its length in
+:func:`_per_point`.  A :class:`FinSuppMeasure` is a finitely supported
+measure over any atoms, such as the rows in a kernel's image measure.
+
 Everything here is computed in exact rational arithmetic
 (:class:`fractions.Fraction`).  The one exception is :func:`combine_rows`,
 the weighted row sum shared by the kernels and the LP, which also serves
@@ -111,6 +116,18 @@ def _as_fractions(weights: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(w) for w in weights)
 
 
+def _per_point(
+    values: Iterable, space: FiniteSpace, noun: str, convert: Callable = _as_fractions
+) -> tuple:
+    """``convert(values)``, which must hold exactly one entry per point of ``space``."""
+    out = convert(values)
+    if len(out) != len(space):
+        raise DimensionMismatchError(
+            f"{len(out)} {noun} for the {len(space)} points of space {space.name!r}"
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class Dist:
     """A probability distribution on a :class:`FiniteSpace`.
@@ -124,12 +141,7 @@ class Dist:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_fractions(self.weights))
-        if len(self.weights) != len(self.space):
-            raise DimensionMismatchError(
-                f"{len(self.weights)} weights for the {len(self.space)} points "
-                f"of space {self.space.name!r}"
-            )
+        object.__setattr__(self, "weights", _per_point(self.weights, self.space, "weights"))
         for label, w in zip(self.space.points, self.weights):
             if w < 0:
                 raise NegativeWeightError(
@@ -173,12 +185,7 @@ class SignedMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_fractions(self.weights))
-        if len(self.weights) != len(self.space):
-            raise DimensionMismatchError(
-                f"{len(self.weights)} weights for the {len(self.space)} points "
-                f"of space {self.space.name!r}"
-            )
+        object.__setattr__(self, "weights", _per_point(self.weights, self.space, "weights"))
 
 
 def tv_norm(m: SignedMeasure) -> Fraction:
@@ -239,11 +246,6 @@ class FinSuppMeasure:
         self.atoms = tuple(a for a, _ in kept)
         self.weights = tuple(w for _, w in kept)
         self._pairs = frozenset(kept)
-
-    @classmethod
-    def from_dist(cls, dist: Dist) -> "FinSuppMeasure":
-        """Reread a distribution as a measure over its own point labels."""
-        return cls(dist.space.points, dist.weights)
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FinSuppMeasure":
         """Image measure under ``fn``; atoms with equal images merge."""

@@ -12,14 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateAtomError,
-    SpaceMismatchError,
-    ValueOutOfRangeError,
-)
+from .errors import DuplicateAtomError, SpaceMismatchError, ValueOutOfRangeError
 from .kernels import Kernel
-from .measures import ZERO, Dist, FiniteSpace, _as_fractions
+from .measures import ZERO, Dist, FiniteSpace, _per_point
 
 
 def _check_unit_interval(value: Fraction, what: str) -> None:
@@ -35,12 +30,7 @@ class Predicate:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_fractions(self.values))
-        if len(self.values) != len(self.space):
-            raise DimensionMismatchError(
-                f"{len(self.values)} values for the {len(self.space)} points "
-                f"of space {self.space.name!r}"
-            )
+        object.__setattr__(self, "values", _per_point(self.values, self.space, "values"))
         for label, v in zip(self.space.points, self.values):
             _check_unit_interval(v, f"value at {label!r}")
 

@@ -32,12 +32,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateError, ProbeSetIncompleteError, SpaceMismatchError
 from .kernels import Kernel, image_measure, lift, mixture
 from .lp import LinearProgram, LpStatus, Sense, lp_solve
-from .measures import ONE, ZERO, Dist, FiniteSpace, FinSuppMeasure
+from .measures import ONE, ZERO, Dist, FiniteSpace
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
 
 
@@ -288,11 +288,9 @@ def check_galois(
     the existential 0 and the universal 1 there.
     """
     probes = list(probes)
-    for x in kernel.source.points:
-        if kernel.row(x) not in probes:
-            raise ProbeSetIncompleteError(
-                f"probe set misses the image of {x!r}: {kernel.row(x)}"
-            )
+    for x, row in zip(kernel.source.points, kernel.rows):
+        if row not in probes:
+            raise ProbeSetIncompleteError(f"probe set misses the image of {x!r}: {row}")
     pullback = substitute(h, kernel)
     return GaloisReport(
         exists_premise=entails(pred, pullback),
@@ -306,36 +304,35 @@ def check_galois(
     )
 
 
+def _best_per_key(
+    sense: Sense, entries: Iterable[tuple[Hashable, tuple[Fraction, str]]]
+) -> dict[Hashable, tuple[Fraction, str]]:
+    """Keep, per key, the best ``(value, witness)`` in ``sense``; ties keep the first."""
+    table: dict[Hashable, tuple[Fraction, str]] = {}
+    for key, best in entries:
+        if key not in table or _better(sense, best[0], table[key][0]):
+            table[key] = best
+    return table
+
+
 def _composite_stages(
     inner: Kernel, outer: Kernel, pred: Predicate, sense: Sense
 ) -> dict[Dist, tuple[Fraction, str]]:
     """Nest a quantifier through the chain point -> row -> spread -> mixture.
 
-    Stage 1 optimizes the predicate over the fiber of each reachable row;
-    stage 2 pushes each row through the outer kernel's row map, giving a
-    finitely supported measure over distributions, and merges fibers of
-    that map; stage 3 collapses each such measure to its mixture and merges
-    again.  Unreachable intermediate values never arise: off-image points
-    carry the extension constant, which can never beat an occupied fiber in
-    the direction being optimized, so only reachable intermediates matter.
+    Each stage rekeys the table before it and keeps the best ``(value,
+    witness)`` per new key (:func:`_best_per_key`): 1. the fiber table,
+    each row of ``inner`` with the best predicate value among its points;
+    2. :func:`image_measure` of each row along ``outer``, a finitely
+    supported measure over distributions; 3. its :func:`mixture`, a row of
+    the composed kernel.  Unreachable intermediate values never arise:
+    off-image points carry the extension constant, which can never beat an
+    occupied fiber in the direction being optimized, so only reachable
+    intermediates matter.
     """
-
-    def merge(table: dict, key, value: Fraction, witness: str) -> None:
-        if key not in table or _better(sense, value, table[key][0]):
-            table[key] = (value, witness)
-
-    stage1: dict[Dist, tuple[Fraction, str]] = {}
-    for x, row, value in zip(inner.source.points, inner.rows, pred.values):
-        merge(stage1, row, value, x)
-
-    stage2: dict[FinSuppMeasure, tuple[Fraction, str]] = {}
-    for row, (value, witness) in stage1.items():
-        merge(stage2, image_measure(outer, row), value, witness)
-
-    stage3: dict[Dist, tuple[Fraction, str]] = {}
-    for spread, (value, witness) in stage2.items():
-        merge(stage3, mixture(spread), value, witness)
-    return stage3
+    rows = _best_per_key(sense, zip(inner.rows, zip(pred.values, inner.source.points)))
+    spreads = _best_per_key(sense, ((image_measure(outer, r), b) for r, b in rows.items()))
+    return _best_per_key(sense, ((mixture(s), b) for s, b in spreads.items()))
 
 
 def _composite(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from .errors import (
     GiryqError,
@@ -114,7 +114,26 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that lists ``key`` twice; :func:`_expect` rejects it."""
+
+    key: str
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    # JSON keeps the last of two equal keys; a scenario rejects them, since
+    # the earlier declaration or field would be dropped without a word
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        obj = _RepeatedKeys(pairs)
+        obj.key = next(k for i, k in enumerate(keys) if k in keys[:i])
+    return obj
+
+
 def _expect(value: Any, kind: type, where: str) -> Any:
+    if isinstance(value, _RepeatedKeys):
+        raise ScenarioValidationError(f"{where}: duplicate key {value.key!r}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ScenarioParseError(
             f"{where}: expected {kind.__name__}, got {type(value).__name__}"
@@ -343,44 +362,15 @@ def scenario_from_dict(doc: Any) -> Scenario:
     )
 
 
-def _objects(doc: Any) -> Iterator[tuple[str, dict]]:
-    """Every JSON object in the document, in document order, with where it is."""
-    stack: list[tuple[str, Any]] = [("", doc)]
-    while stack:
-        where, node = stack.pop()
-        if isinstance(node, dict):
-            yield where or "document", node
-            children = [(f"{where}[{k!r}]" if where else k, v) for k, v in node.items()]
-        elif isinstance(node, list):
-            children = [(f"{where}[{i}]", v) for i, v in enumerate(node)]
-        else:
-            continue
-        stack.extend(reversed(children))
-
-
 def parse_scenario(text: str) -> Scenario:
-    # JSON keeps the last of two equal keys; a scenario rejects them, since
-    # the earlier declaration or field would be dropped without a word
-    repeated: dict[int, str] = {}
-
-    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-        obj = dict(pairs)
-        if len(obj) != len(pairs):
-            keys = [k for k, _ in pairs]
-            repeated[id(obj)] = next(k for i, k in enumerate(keys) if k in keys[:i])
-        return obj
-
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except (ValueError, RecursionError) as exc:  # a too-long integer; deep nesting
         raise ScenarioParseError(f"invalid JSON: {exc}") from None
-    if repeated:
-        where, obj = next((w, o) for w, o in _objects(doc) if id(o) in repeated)
-        raise ScenarioValidationError(f"{where}: duplicate key {repeated[id(obj)]!r}")
     return scenario_from_dict(doc)
 
 

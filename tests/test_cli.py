@@ -173,7 +173,7 @@ def test_malformed_file_exits_2_without_traceback(tmp_path, run_python, content)
     [
         # a second kernel 'f' would silently replace the first
         ('"kernels": {', '"kernels": {"f": {"source": "X", "target": "Y", "rows": []}, ',
-         "kernels: duplicate key 'f'"),
+         "document.kernels: duplicate key 'f'"),
         ('"kernel": "f"', '"kernel": "f", "kernel": "f"', "queries[0]: duplicate key 'kernel'"),
     ],
     ids=["kernel_name", "query_field"],
@@ -208,7 +208,14 @@ def test_empty_suite_list_exits_2_with_its_path(tmp_path, run_python):
 
 
 @pytest.mark.parametrize(
-    "argv", [("laws", "--cases", "-3"), ("run", FIXTURE, "--cases", "-1")], ids=["laws", "run"]
+    "argv",
+    [
+        ("laws", "--cases", "-3"),
+        ("run", FIXTURE, "--cases", "-1"),
+        ("laws", "--cases", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("run", FIXTURE, "--cases", "1_0"),
+    ],
+    ids=["laws", "run", "laws_non_ascii_digit", "run_underscore"],
 )
 def test_negative_case_count_exits_2(run_python, argv):
     done = run_python("-m", "giryq.cli", *argv)
@@ -217,6 +224,38 @@ def test_negative_case_count_exits_2(run_python, argv):
     assert "argument --cases: expected a count of 0 or more" in err
     assert "Traceback" not in err
     assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("laws", "--cases", "0", "--seed", "\u0667"),  # ARABIC-INDIC DIGIT SEVEN
+        ("run", FIXTURE, "--seed", "1_0"),
+    ],
+    ids=["laws_non_ascii_digit", "run_underscore"],
+)
+def test_malformed_seed_exits_2(run_python, argv):
+    done = run_python("-m", "giryq.cli", *argv)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "argument --seed: expected an integer" in err
+    assert "Traceback" not in err
+    assert done.stdout == b""
+
+
+@pytest.mark.parametrize("seed", ["-3", "+3"])
+def test_signed_seed_is_accepted(capsys, seed):
+    assert main(["laws", "--cases", "0", "--seed", seed]) == 0
+    assert capsys.readouterr().out.startswith("PASS ")
+
+
+@pytest.mark.parametrize("fmt, out", [("text", ""), ("json", "[]\n")])
+def test_scenario_without_queries_prints_no_record(tmp_path, capsys, fmt, out):
+    doc = {"spaces": [], "kernels": {}, "predicates": {}, "simplex_predicates": {}, "queries": []}
+    path = tmp_path / "no_queries.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(

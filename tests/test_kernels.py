@@ -93,6 +93,13 @@ def test_identity_function_embeds_to_identity_kernel(three_points):
     assert deterministic_kernel(fn) == identity_kernel(three_points)
 
 
+def test_row_on_the_wrong_space_is_rejected(two_points):
+    other = FiniteSpace("Z", ("y1", "y2"))
+    rows = (Dist.dirac(two_points, "y1"), Dist.dirac(other, "y1"))
+    with pytest.raises(SpaceMismatchError, match="^row of 'y2' lives on 'Z', expected 'Y'$"):
+        Kernel(two_points, two_points, rows)
+
+
 def test_noisy_kernel_is_not_deterministic(channel):
     assert not is_deterministic(channel)
     with pytest.raises(NotDeterministicError):
@@ -170,6 +177,10 @@ class TestLift:
     def test_space_mismatch(self, channel, two_points):
         with pytest.raises(SpaceMismatchError):
             lift(channel)(Dist.dirac(two_points, "y1"))
+
+    def test_image_measure_space_mismatch(self, channel, two_points):
+        with pytest.raises(SpaceMismatchError, match="kernel starts at 'X'"):
+            image_measure(channel, Dist(two_points, (F(1, 2), F(1, 2))))
 
     def test_agrees_with_spread_then_mix(self, channel, three_points):
         p = Dist(three_points, (F(1, 6), F(1, 3), F(1, 2)))

@@ -328,6 +328,7 @@ WRONG_PROPOSALS = {
     "singular": (blend_program(Sense.MIN), (LpStatus.OPTIMAL, [0, 0], 0)),
     "too_few_columns": (blend_program(Sense.MIN), (LpStatus.OPTIMAL, [0], 0)),
     "feasible_called_infeasible": (blend_program(Sense.MIN), (LpStatus.INFEASIBLE, [3, 4], 0)),
+    "singular_called_infeasible": (blend_program(Sense.MIN), (LpStatus.INFEASIBLE, [0, 0], 0)),
     # the phase-1 optimum of a feasible program: y = 0, so only y.b > 0 refuses it
     "phase1_optimum_called_infeasible": (
         blend_program(Sense.MIN),

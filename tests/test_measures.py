@@ -10,9 +10,13 @@ from giryq import (
     DimensionMismatchError,
     FinSuppMeasure,
     FiniteSpace,
+    Kernel,
     MassNotOneError,
     NegativeWeightError,
+    PointFunction,
+    Predicate,
     RationalFormatError,
+    SignedMeasure,
     SpaceMismatchError,
     format_rational,
     parse_rational,
@@ -106,6 +110,25 @@ class TestDist:
         assert Dist(two_points, (F(1), F(0))) != Dist(other, (F(1), F(0)))
 
 
+# every type with one entry per point, built on the two-point space Y with
+# one entry too few
+@pytest.mark.parametrize(
+    "build, noun",
+    [
+        (lambda y: Dist(y, (F(1),)), "weights"),
+        (lambda y: SignedMeasure(y, (F(1),)), "weights"),
+        (lambda y: Predicate(y, (F(1),)), "values"),
+        (lambda y: Kernel(y, y, (Dist.dirac(y, "y1"),)), "rows"),
+        (lambda y: PointFunction(y, y, ("y1",)), "assignments"),
+    ],
+    ids=["Dist", "SignedMeasure", "Predicate", "Kernel", "PointFunction"],
+)
+def test_one_entry_per_point(two_points, build, noun):
+    with pytest.raises(DimensionMismatchError) as info:
+        build(two_points)
+    assert str(info.value) == f"1 {noun} for the 2 points of space 'Y'"
+
+
 class TestTotalVariation:
     def test_zero_measure(self, two_points):
         p = Dist(two_points, (F(7, 10), F(3, 10)))
@@ -192,6 +215,10 @@ class TestFinSuppMeasure:
         m2 = FinSuppMeasure(("b", "a"), (F(2, 3), F(1, 3)))
         assert m1 == m2
         assert hash(m1) == hash(m2)
+
+    def test_one_weight_per_atom(self):
+        with pytest.raises(DimensionMismatchError, match="^2 atoms but 1 weights$"):
+            FinSuppMeasure(("a", "b"), (F(1),))
 
     def test_mass_and_sign_validation(self):
         with pytest.raises(MassNotOneError):

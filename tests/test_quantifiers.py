@@ -7,12 +7,14 @@ import pytest
 
 from giryq import quantifiers
 from giryq import (
+    AdjunctionReport,
     CertificateError,
     Dist,
     FiniteSpace,
     Kernel,
     LiftedPredicate,
     LpStatus,
+    PointBounds,
     PointFunction,
     Predicate,
     ProbeSetIncompleteError,
@@ -173,6 +175,20 @@ class TestAdjunctionBounds:
         assert report.ok
         assert report.failures() == []
 
+    def test_failures_name_each_violated_bound(self):
+        report = AdjunctionReport(
+            Regime.COUNTABLE,
+            (
+                PointBounds("x1", F(1, 2), exists_value=F(1, 4), forall_value=F(1, 3)),
+                PointBounds("x2", F(1, 2), exists_value=F(3, 4), forall_value=F(2, 3)),
+            ),
+        )
+        assert not report.ok
+        assert report.failures() == [
+            "x1: predicate 1/2 exceeds existential bound 1/4",
+            "x2: universal bound 2/3 exceeds predicate 1/2",
+        ]
+
     def test_injective_embedding_gives_equalities(self, three_points):
         target = FiniteSpace("T", ("t1", "t2", "t3"))
         fn = PointFunction(three_points, target, ("t2", "t3", "t1"))
@@ -329,6 +345,10 @@ class TestComposite:
             exists_composite(outer, inner, pred, Dist.dirac(inner.target, "y1"))
         with pytest.raises(SpaceMismatchError):
             exists_composite(inner, outer, pred, Dist.dirac(inner.target, "y1"))
+        # the predicate and the query fit, but the kernels do not meet
+        sx = inner.source
+        with pytest.raises(SpaceMismatchError, match="^cannot chain: inner lands in 'Y'"):
+            exists_composite(inner, identity_kernel(sx), pred, Dist.dirac(sx, "x1"))
 
 
 def _moved_vertex(lp, solution):
