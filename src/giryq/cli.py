@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from . import laws
 from .errors import ScenarioError
-from .kernels import compose, extract_point_function, is_deterministic
+from .kernels import Kernel, compose, extract_point_function, is_deterministic
 from .measures import Dist, format_rational, tv_metric
 from .predicates import expectation
 from .quantifiers import (
@@ -65,8 +65,16 @@ def _quantifier_record(kind: str, inputs: dict, result: QuantifierResult) -> dic
     return _record(kind, inputs, result.value, witness, result.feasible, result.regime.value)
 
 
-def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> dict:
-    """Evaluate one query to its result record (a JSON-ready dict)."""
+def evaluate_query(
+    scenario: Scenario, query: Query, seed: int, cases: int,
+    composed: Optional[dict[tuple[str, str], Kernel]] = None,
+) -> dict:
+    """Evaluate one query to its result record (a JSON-ready dict).
+
+    ``composed`` holds ``compose(outer, inner)`` by ``(outer, inner)``
+    kernel name for COMPOSE's direct check; queries that share it compose
+    each pair once.  The staged route never reads it.
+    """
     kind, args = query.kind, query.args
     if kind == "CHECK_LAWS":
         suites = args.get("suites")
@@ -96,7 +104,11 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
             else (forall_composite, forall_fiber)
         )
         result = staged_fn(inner, outer, pred, args["dist"])
-        direct = direct_fn(compose(outer, inner), pred, args["dist"])
+        composed = {} if composed is None else composed
+        pair = (args["outer"], args["inner"])
+        if pair not in composed:
+            composed[pair] = compose(outer, inner)
+        direct = direct_fn(composed[pair], pred, args["dist"])
         record = _quantifier_record(kind, inputs, result)
         record["agrees_with_direct"] = (
             result.value == direct.value and result.feasible == direct.feasible
@@ -122,16 +134,20 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
 def evaluate_scenario(
     scenario: Scenario, seed: int = 0, cases: int = laws.DEFAULT_CASES, parallel: bool = False
 ) -> list[dict]:
-    """Evaluate all queries in order; `parallel` keeps the output order."""
+    """Evaluate all queries in order; `parallel` keeps the output order.
+
+    The queries of one call share one table of composed kernels.
+    """
+    composed: dict[tuple[str, str], Kernel] = {}
     if parallel and len(scenario.queries) > 1:
         with ThreadPoolExecutor(max_workers=min(8, len(scenario.queries))) as pool:
             return list(
                 pool.map(
-                    lambda q: evaluate_query(scenario, q, seed, cases),
+                    lambda q: evaluate_query(scenario, q, seed, cases, composed),
                     scenario.queries,
                 )
             )
-    return [evaluate_query(scenario, q, seed, cases) for q in scenario.queries]
+    return [evaluate_query(scenario, q, seed, cases, composed) for q in scenario.queries]
 
 
 def _format_inputs(inputs: dict) -> str:
@@ -199,16 +215,25 @@ def _cmd_laws(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+def _integer(text: str, pattern: str, expected: str) -> int:
+    """``int(text)`` for a ``pattern`` match; argparse names the flag in an error."""
+    if not re.fullmatch(pattern, text):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"expected {expected}, got one {len(text)} characters long"
+        ) from None
+
+
 def _case_count(text: str) -> int:
-    if not re.fullmatch(r"[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
-    return int(text)
+    return _integer(text, r"[0-9]+", "a count of 0 or more")
 
 
 def _seed(text: str) -> int:
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    return _integer(text, r"[+-]?[0-9]+", "an integer")
 
 
 def build_parser() -> argparse.ArgumentParser:

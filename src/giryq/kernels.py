@@ -19,11 +19,18 @@ The Giry monad's operations, and the functions built from them:
 
 The lift, composition and the mixture are one weighted sum of rows each,
 :func:`measures.combine_rows`, with no intermediate measure.
+
+Equal rows form one atom of the image measure, so a kernel's rows are
+partitioned by value (:attr:`Kernel.row_partition`), once per kernel on
+first use.  Composition, the image measure and the composite stages of
+:mod:`giryq.quantifiers` work once per row class: a kernel whose 64 rows
+take 8 distinct values mixes 8 rows, not 64.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import NotDeterministicError, SpaceMismatchError
@@ -50,6 +57,19 @@ class Kernel:
     def row(self, label: str) -> Dist:
         """The distribution this kernel assigns to a source point."""
         return self.rows[self.source.index(label)]
+
+    @cached_property
+    def row_partition(self) -> tuple[tuple[int, ...], tuple[Dist, ...]]:
+        """The rows up to equality: ``(classes, representatives)``.
+
+        ``classes[i]`` is the class of the i-th source point's row, and
+        ``representatives[c]`` is the first row of class ``c``; classes are
+        numbered in order of first appearance.  Computed on first use and
+        kept; it is not a field, so equality and ``repr`` ignore it.
+        """
+        ids: dict[Dist, int] = {}
+        classes = tuple(ids.setdefault(row, len(ids)) for row in self.rows)
+        return classes, tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -96,18 +116,17 @@ def compose(outer: Kernel, inner: Kernel) -> Kernel:
 
     The row at ``x`` averages the rows of ``outer`` with the weights of
     ``inner``'s row at ``x``; for finite spaces this is the stochastic
-    matrix product.
+    matrix product.  Equal rows of ``inner`` are mixed once and share the
+    result.
     """
     if inner.target != outer.source:
         raise SpaceMismatchError(
             f"cannot compose: inner lands in {inner.target.name!r}, "
             f"outer starts at {outer.source.name!r}"
         )
-    return Kernel(
-        inner.source,
-        outer.target,
-        tuple(_mix(outer.target, zip(r.weights, outer.rows)) for r in inner.rows),
-    )
+    classes, representatives = inner.row_partition
+    mixed = [_mix(outer.target, zip(r.weights, outer.rows)) for r in representatives]
+    return Kernel(inner.source, outer.target, tuple(mixed[c] for c in classes))
 
 
 def is_deterministic(kernel: Kernel) -> bool:
@@ -158,11 +177,12 @@ def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
             f"distribution lives on {dist.space.name!r}, "
             f"kernel starts at {kernel.source.name!r}"
         )
-    merged: dict[Dist, Fraction] = {}
-    for row, w in zip(kernel.rows, dist.weights):
+    classes, representatives = kernel.row_partition
+    merged: dict[int, Fraction] = {}
+    for c, w in zip(classes, dist.weights):
         if w:
-            merged[row] = merged.get(row, ZERO) + w
-    return FinSuppMeasure(tuple(merged), tuple(merged.values()))
+            merged[c] = merged.get(c, ZERO) + w
+    return FinSuppMeasure(tuple(representatives[c] for c in merged), tuple(merged.values()))
 
 
 def mixture(measure: FinSuppMeasure) -> Dist:

@@ -9,13 +9,17 @@ Everything here is computed in exact rational arithmetic
 (:class:`fractions.Fraction`).  The one exception is :func:`combine_rows`,
 the weighted row sum shared by the kernels and the LP, which also serves
 the LP's float guide.  Values are immutable after construction and safe
-to share between threads.
+to share between threads.  A :class:`Dist` computes its hash on first use
+and keeps it, as a :class:`~giryq.kernels.Kernel` keeps its row partition;
+both caches are idempotent (two threads that fill one at once store equal
+values), so sharing stays safe.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -152,6 +156,15 @@ class Dist:
             raise MassNotOneError(
                 f"weights on space {self.space.name!r} sum to {total}, expected 1"
             )
+
+    @cached_property
+    def _hash(self) -> int:
+        # the weights alone, so the value does not depend on the process's
+        # string-hash seed; equality still compares the space
+        return hash(self.weights)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def dirac(cls, space: FiniteSpace, label: str) -> "Dist":

@@ -322,16 +322,19 @@ def _composite_stages(
 
     Each stage rekeys the table before it and keeps the best ``(value,
     witness)`` per new key (:func:`_best_per_key`): 1. the fiber table,
-    each row of ``inner`` with the best predicate value among its points;
-    2. :func:`image_measure` of each row along ``outer``, a finitely
-    supported measure over distributions; 3. its :func:`mixture`, a row of
-    the composed kernel.  Unreachable intermediate values never arise:
-    off-image points carry the extension constant, which can never beat an
-    occupied fiber in the direction being optimized, so only reachable
-    intermediates matter.
+    each row class of ``inner`` (:attr:`Kernel.row_partition`) with the
+    best predicate value among its points; 2. :func:`image_measure` of the
+    class's row along ``outer``, a finitely supported measure over
+    distributions; 3. its :func:`mixture`, a row of the composed kernel.
+    Unreachable intermediate values never arise: off-image points carry the
+    extension constant, which can never beat an occupied fiber in the
+    direction being optimized, so only reachable intermediates matter.
     """
-    rows = _best_per_key(sense, zip(inner.rows, zip(pred.values, inner.source.points)))
-    spreads = _best_per_key(sense, ((image_measure(outer, r), b) for r, b in rows.items()))
+    classes, representatives = inner.row_partition
+    fibers = _best_per_key(sense, zip(classes, zip(pred.values, inner.source.points)))
+    spreads = _best_per_key(
+        sense, ((image_measure(outer, representatives[c]), b) for c, b in fibers.items())
+    )
     return _best_per_key(sense, ((mixture(s), b) for s, b in spreads.items()))
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import (
+    DimensionMismatchError,
     GiryqError,
     RationalFormatError,
     ScenarioParseError,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .kernels import Kernel
 from .laws import SUITES
-from .measures import Dist, FiniteSpace, format_rational, parse_rational
+from .measures import Dist, FiniteSpace, _per_point, format_rational, parse_rational
 from .predicates import (
     LiftedPredicate,
     Predicate,
@@ -259,11 +260,10 @@ def scenario_from_dict(doc: Any) -> Scenario:
         source = _ref(raw, "source", spaces, "space", where)
         target = _ref(raw, "target", spaces, "space", where)
         raw_rows = _get(raw, "rows", list, where)
-        if len(raw_rows) != len(source):
-            raise ScenarioValidationError(
-                f"{where}: {len(raw_rows)} rows for the {len(source)} points "
-                f"of {source.name!r}"
-            )
+        try:
+            _per_point(raw_rows, source, "rows", list)
+        except DimensionMismatchError as exc:
+            raise ScenarioValidationError(f"{where}: {exc}") from None
         rows = []
         for j, raw_row in enumerate(raw_rows):
             row_where = f"{where}.rows[{j}] (point {source.points[j]!r})"

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from giryq import laws
-from giryq.cli import evaluate_query, main
-from giryq.scenario import Query, load_scenario
+from giryq import cli, laws
+from giryq.cli import evaluate_query, evaluate_scenario, main
+from giryq.scenario import Query, load_scenario, scenario_from_dict
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "scenarios" / "noisy_channel.json")
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "giryq").glob("*.py"))
@@ -52,6 +52,67 @@ def test_parallel_matches_sequential(capsys):
     main(["run", FIXTURE])
     sequential = capsys.readouterr().out
     main(["run", FIXTURE, "--parallel"])
+    assert capsys.readouterr().out == sequential
+
+
+def _compose(inner, outer, quantifier, dist):
+    return {"kind": "COMPOSE", "inner": inner, "outer": outer, "predicate": "p",
+            "quantifier": quantifier, "dist": dist}
+
+
+# COMPOSE queries over two kernel pairs, f then g and h then g, with both
+# quantifiers; f repeats rows, and the last query is unreachable
+CHAIN_DOC = {
+    "spaces": [
+        {"name": "X", "points": ["x1", "x2", "x3", "x4"]},
+        {"name": "Y", "points": ["y1", "y2", "y3"]},
+        {"name": "Z", "points": ["z1", "z2"]},
+    ],
+    "kernels": {
+        "f": {"source": "X", "target": "Y",
+              "rows": [["1", "0", "0"], ["0", "1", "0"], ["1", "0", "0"], ["1/2", "1/2", "0"]]},
+        "h": {"source": "X", "target": "Y",
+              "rows": [["0", "0", "1"], ["0", "0", "1"], ["1/3", "1/3", "1/3"], ["0", "1", "0"]]},
+        "g": {"source": "Y", "target": "Z", "rows": [["1", "0"], ["0", "1"], ["1/2", "1/2"]]},
+    },
+    "predicates": {"p": {"space": "X", "values": ["1/5", "2/5", "3/5", "9/10"]}},
+    "simplex_predicates": {},
+    "queries": [
+        _compose("f", "g", "EXISTS", ["1/2", "1/2"]),
+        _compose("h", "g", "FORALL", ["1/2", "1/2"]),
+        _compose("f", "g", "FORALL", ["1/2", "1/2"]),
+        _compose("f", "g", "EXISTS", ["1", "0"]),
+        _compose("h", "g", "EXISTS", ["1/2", "1/2"]),
+        _compose("h", "g", "FORALL", ["1", "0"]),
+    ],
+}
+
+
+def test_compose_queries_compose_each_kernel_pair_once(monkeypatch):
+    scenario = scenario_from_dict(CHAIN_DOC)
+    alone = [evaluate_query(scenario, q, seed=0, cases=0) for q in scenario.queries]
+    assert all(record["agrees_with_direct"] for record in alone)
+    assert [record["feasible"] for record in alone] == [True] * 5 + [False]
+    composed = []
+    compose = cli.compose
+
+    def recording_compose(outer, inner):
+        composed.append((outer, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(cli, "compose", recording_compose)
+    assert evaluate_scenario(scenario) == alone
+    kernels = scenario.kernels
+    assert composed == [(kernels["g"], kernels["f"]), (kernels["g"], kernels["h"])]
+
+
+def test_compose_queries_run_the_same_in_parallel(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_DOC))
+    assert main(["run", str(path)]) == 0
+    sequential = capsys.readouterr().out
+    assert sequential.count("agrees with direct evaluation: yes") == 6
+    assert main(["run", str(path), "--parallel"]) == 0
     assert capsys.readouterr().out == sequential
 
 
@@ -239,6 +300,20 @@ def test_malformed_seed_exits_2(run_python, argv):
     err = done.stderr.decode()
     assert done.returncode == 2, err
     assert "argument --seed: expected an integer" in err
+    assert "Traceback" not in err
+    assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "flag, expected", [("--seed", "an integer"), ("--cases", "a count of 0 or more")]
+)
+def test_integer_longer_than_int_allows_exits_2_without_echo(run_python, flag, expected):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    done = run_python("-m", "giryq.cli", "laws", flag, "9" * 5000)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert f"argument {flag}: expected {expected}, got one 5000 characters long" in err
+    assert "9999" not in err
     assert "Traceback" not in err
     assert done.stdout == b""
 

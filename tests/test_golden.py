@@ -33,11 +33,12 @@ def test_stdout_matches_golden(run_python, golden):
     assert done.stdout == (GOLDEN / golden).read_bytes()
 
 
-def test_output_is_the_same_under_python_O(run_python):
+@pytest.mark.parametrize("golden", ["run_noisy_channel.txt", "run_chain_and_laws.txt"])
+def test_output_is_the_same_under_python_O(run_python, golden):
     # every certificate check is an explicit test, so -O skips none of them
-    done = run_python("-O", "-m", "giryq.cli", *CASES["run_noisy_channel.txt"])
+    done = run_python("-O", "-m", "giryq.cli", *CASES[golden])
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout == (GOLDEN / "run_noisy_channel.txt").read_bytes()
+    assert done.stdout == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -207,3 +207,93 @@ def test_lift_never_expands_total_variation(data):
     f, p, p2 = data
     apply_f = lift(f)
     assert tv_metric(apply_f(p), apply_f(p2)) <= tv_norm(p - p2)
+
+
+def _product(outer, inner):
+    """The stochastic matrix product, one inner row at a time, as a reference."""
+    rows = []
+    for r in inner.rows:
+        weights = [F(0)] * len(outer.target)
+        for w, o in zip(r.weights, outer.rows):
+            for j, v in enumerate(o.weights):
+                weights[j] += w * v
+        rows.append(Dist(outer.target, tuple(weights)))
+    return Kernel(inner.source, outer.target, tuple(rows))
+
+
+class TestRepeatedRows:
+    """Kernels whose rows repeat by value, each repeat a separate object."""
+
+    @pytest.fixture
+    def space(self):
+        return FiniteSpace("P", ("p1", "p2", "p3", "p4", "p5"))
+
+    @pytest.fixture
+    def repeating(self, space, two_points):
+        # rows by class: a, b, a, c, b
+        a, b, c = (F(1), F(0)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))
+        return Kernel(space, two_points, tuple(Dist(two_points, w) for w in (a, b, a, c, b)))
+
+    def test_partition_numbers_classes_in_first_appearance_order(self, repeating):
+        classes, representatives = repeating.row_partition
+        assert classes == (0, 1, 0, 2, 1)
+        assert representatives == tuple(repeating.rows[i] for i in (0, 1, 3))
+        assert all(r is repeating.rows[i] for r, i in zip(representatives, (0, 1, 3)))
+
+    def test_partition_is_not_part_of_equality_or_repr(self, repeating):
+        fresh = Kernel(repeating.source, repeating.target, repeating.rows)
+        before = repr(repeating)
+        repeating.row_partition
+        assert repeating == fresh and hash(repeating) == hash(fresh)
+        assert repr(repeating) == before == repr(fresh)
+
+    def test_compose_equals_the_per_row_product(self, repeating, two_points):
+        target = FiniteSpace("Z", ("z1", "z2", "z3"))
+        outer = Kernel(two_points, target, (
+            Dist(target, (F(1, 4), F(0), F(3, 4))),
+            Dist(target, (F(0), F(2, 5), F(3, 5))),
+        ))
+        composed = compose(outer, repeating)
+        assert composed == _product(outer, repeating)
+        assert composed.row_partition[0] == (0, 1, 0, 2, 1)
+
+    def test_image_measure_orders_atoms_by_first_weighted_point(self, repeating, space):
+        # p1 has the row of p3 but no weight; p5 repeats p2's row, also unweighted
+        dist = Dist(space, (F(0), F(1, 4), F(1, 4), F(1, 2), F(0)))
+        spread = image_measure(repeating, dist)
+        rows = repeating.rows
+        assert spread.atoms == (rows[1], rows[2], rows[3])
+        assert spread.weights == (F(1, 4), F(1, 4), F(1, 2))
+        assert mixture(spread) == lift(repeating)(dist)
+
+    def test_image_measure_merges_the_weights_of_equal_rows(self, repeating, space):
+        dist = Dist(space, (F(1, 10), F(1, 5), F(3, 10), F(0), F(2, 5)))
+        spread = image_measure(repeating, dist)
+        assert spread.atoms == (repeating.rows[0], repeating.rows[1])
+        assert spread.weights == (F(2, 5), F(3, 5))
+
+
+@st.composite
+def pooled_kernel_pairs(draw):
+    """An inner kernel whose rows come from a pool of at most three, and an outer one."""
+    sa = draw(spaces("A", max_size=6))
+    sb = draw(spaces("B", max_size=4))
+    sc = draw(spaces("C", max_size=4))
+    pool = draw(st.lists(dists(sb), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=len(sa), max_size=len(sa)))
+    # rebuild each pick, so equal rows are separate objects
+    inner = Kernel(sa, sb, tuple(Dist(sb, pool[i].weights) for i in picks))
+    return draw(kernels(sb, sc)), inner, draw(dists(sa))
+
+
+@settings(max_examples=50, deadline=None)
+@given(pooled_kernel_pairs())
+def test_pooled_rows_compose_and_spread_like_the_reference(data):
+    outer, inner, dist = data
+    assert compose(outer, inner) == _product(outer, inner)
+    merged = {}
+    for row, w in zip(inner.rows, dist.weights):
+        if w:
+            merged[row] = merged.get(row, F(0)) + w
+    spread = image_measure(inner, dist)
+    assert spread.atoms == tuple(merged) and spread.weights == tuple(merged.values())

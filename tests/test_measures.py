@@ -109,6 +109,24 @@ class TestDist:
         other = FiniteSpace("Z", ("y1", "y2"))
         assert Dist(two_points, (F(1), F(0))) != Dist(other, (F(1), F(0)))
 
+    def test_equal_dists_built_separately_hash_equal(self, three_points):
+        first = Dist(three_points, (F(1, 6), F(1, 3), F(1, 2)))
+        second = Dist(three_points, (F(2, 12), F(2, 6), F(1, 2)))
+        assert first is not second
+        assert hash(first) == hash(second)
+        assert hash(first) == hash(first) == hash(second)
+
+    def test_cached_hash_is_not_part_of_equality_or_repr(self, two_points):
+        hashed = Dist(two_points, (F(1, 4), F(3, 4)))
+        before = repr(hashed)
+        table = {hashed: "found"}
+        fresh = Dist(two_points, (F(1, 4), F(3, 4)))
+        assert hashed == fresh and fresh == hashed
+        assert repr(hashed) == before == repr(fresh)
+        assert table[fresh] == "found"
+        # equal weights on another space: the lookup still compares the space
+        assert Dist(FiniteSpace("Z", ("y1", "y2")), hashed.weights) not in table
+
 
 # every type with one entry per point, built on the two-point space Y with
 # one entry too few

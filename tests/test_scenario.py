@@ -88,6 +88,16 @@ def test_non_stochastic_row_names_the_row():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_row_count_names_the_kernel(count):
+    doc = minimal_doc()
+    doc["kernels"]["f"]["rows"] = [["1", "0"]] * count
+    message = f"kernels['f']: {count} rows for the 2 points of space 'X'"
+    with pytest.raises(ScenarioValidationError) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value) == message
+
+
 def test_unknown_space_reference():
     doc = minimal_doc()
     doc["kernels"]["f"]["target"] = "Nowhere"
