@@ -20,7 +20,7 @@ from typing import Any, Optional
 from . import laws
 from .errors import ScenarioError
 from .kernels import Kernel, compose, extract_point_function, is_deterministic
-from .measures import Dist, format_rational, tv_metric
+from .measures import _quoted, format_rational, tv_metric
 from .predicates import expectation
 from .quantifiers import (
     QuantifierResult,
@@ -31,7 +31,7 @@ from .quantifiers import (
     forall_fiber,
     forall_lifted,
 )
-from .scenario import Query, Scenario, load_scenario
+from .scenario import Query, Scenario, _doc, load_scenario
 
 _QUANTIFIER_OPS = {
     "EXISTS_COUNTABLE": exists_fiber,
@@ -39,12 +39,6 @@ _QUANTIFIER_OPS = {
     "EXISTS_LP": exists_lifted,
     "FORALL_LP": forall_lifted,
 }
-
-
-def _witness_doc(witness: Any) -> Any:
-    if isinstance(witness, Dist):
-        return [format_rational(w) for w in witness.weights]
-    return witness
 
 
 def _record(kind: str, inputs: dict, value: Fraction, witness: Any = None,
@@ -61,8 +55,8 @@ def _record(kind: str, inputs: dict, value: Fraction, witness: Any = None,
 
 
 def _quantifier_record(kind: str, inputs: dict, result: QuantifierResult) -> dict:
-    witness = _witness_doc(result.witness)
-    return _record(kind, inputs, result.value, witness, result.feasible, result.regime.value)
+    return _record(kind, inputs, result.value, _doc(result.witness), result.feasible,
+                   result.regime.value)
 
 
 def evaluate_query(
@@ -89,7 +83,7 @@ def evaluate_query(
         record["passed"] = passed
         return record
 
-    inputs = {key: _witness_doc(value) for key, value in args.items()}
+    inputs = {key: _doc(value) for key, value in args.items()}
     kernel = scenario.kernels.get(args.get("kernel"))
     pred = scenario.predicates.get(args.get("predicate"))
     if kind in _QUANTIFIER_OPS:
@@ -217,15 +211,12 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 def _integer(text: str, pattern: str, expected: str) -> int:
     """``int(text)`` for a ``pattern`` match; argparse names the flag in an error."""
-    if not re.fullmatch(pattern, text):
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        # int() refuses literals longer than sys.get_int_max_str_digits()
-        raise argparse.ArgumentTypeError(
-            f"expected {expected}, got one {len(text)} characters long"
-        ) from None
+    if re.fullmatch(pattern, text):
+        try:
+            return int(text)
+        except ValueError:  # past sys.get_int_max_str_digits(), far past _quoted's limit
+            pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {_quoted(text)}")
 
 
 def _case_count(text: str) -> int:

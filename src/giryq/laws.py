@@ -53,9 +53,9 @@ DEFAULT_CASES = 200
 # ---------------------------------------------------------------------------
 
 
-def rand_fraction(rng: random.Random, max_den: int = 6) -> Fraction:
-    """A random rational in [0, 1] with a small denominator."""
-    den = rng.randint(1, max_den)
+def rand_fraction(rng: random.Random) -> Fraction:
+    """A random rational in [0, 1] with a denominator of at most 6."""
+    den = rng.randint(1, 6)
     return Fraction(rng.randint(0, den), den)
 
 
@@ -66,8 +66,8 @@ def rand_space(
     return FiniteSpace(tag, tuple(f"{tag.lower()}{i + 1}" for i in range(size)))
 
 
-def rand_dist(rng: random.Random, space: FiniteSpace, scale: int = 8) -> Dist:
-    parts = [rng.randint(0, scale) for _ in range(len(space))]
+def rand_dist(rng: random.Random, space: FiniteSpace) -> Dist:
+    parts = [rng.randint(0, 8) for _ in range(len(space))]
     if not any(parts):
         parts[rng.randrange(len(parts))] = 1
     total = sum(parts)
@@ -92,11 +92,10 @@ def rand_point_function(
     )
 
 
-def rand_finsupp_over_dists(
-    rng: random.Random, space: FiniteSpace, max_atoms: int = 3
-) -> FinSuppMeasure:
+def rand_finsupp_over_dists(rng: random.Random, space: FiniteSpace) -> FinSuppMeasure:
+    """A measure on at most three distinct random distributions."""
     atoms: list[Dist] = []
-    for _ in range(rng.randint(1, max_atoms)):
+    for _ in range(rng.randint(1, 3)):
         d = rand_dist(rng, space)
         if d not in atoms:
             atoms.append(d)
@@ -397,9 +396,10 @@ def _suite_continuity(rng: random.Random, cases: int) -> list[str]:
     return failures
 
 
-def rand_lp(rng: random.Random, max_rows: int = 4, max_cols: int = 6) -> LinearProgram:
-    m = rng.randint(1, max_rows)
-    n = rng.randint(1, max_cols)
+def rand_lp(rng: random.Random) -> LinearProgram:
+    """A program with 1-4 rows and 1-6 columns of small rational entries."""
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 6)
     entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return LinearProgram(
         objective=tuple(entry() for _ in range(n)),

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
-from .measures import ZERO, combine_rows
+from .measures import ZERO, _as_fractions, combine_rows
 
 
 class Sense(enum.Enum):
@@ -60,15 +60,9 @@ class LinearProgram:
     sense: Sense = Sense.MIN
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "objective", tuple(Fraction(c) for c in self.objective)
-        )
-        object.__setattr__(
-            self,
-            "matrix",
-            tuple(tuple(Fraction(a) for a in row) for row in self.matrix),
-        )
-        object.__setattr__(self, "rhs", tuple(Fraction(b) for b in self.rhs))
+        object.__setattr__(self, "objective", _as_fractions(self.objective))
+        object.__setattr__(self, "matrix", tuple(map(_as_fractions, self.matrix)))
+        object.__setattr__(self, "rhs", _as_fractions(self.rhs))
         n = len(self.objective)
         if len(self.matrix) != len(self.rhs):
             raise DimensionMismatchError(

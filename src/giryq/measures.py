@@ -2,8 +2,14 @@
 
 Every type with one entry per point (distributions, signed measures,
 predicates, kernels, point functions) checks its length in
-:func:`_per_point`.  A :class:`FinSuppMeasure` is a finitely supported
-measure over any atoms, such as the rows in a kernel's image measure.
+:func:`_per_point`.  Numbers cross into exact arithmetic once, in
+:func:`_as_fractions`: an ``int`` or a string such as ``"3/10"`` becomes a
+``Fraction``, and a value that already is one is kept as it is, so a
+literal that :func:`parse_rational` read is not converted again.
+:class:`Dist`, :class:`SignedMeasure`, :class:`FinSuppMeasure`, the
+predicates and :class:`~giryq.lp.LinearProgram` all store what it
+returns.  A :class:`FinSuppMeasure` is a finitely supported measure over
+any atoms, such as the rows in a kernel's image measure.
 
 Everything here is computed in exact rational arithmetic
 (:class:`fractions.Fraction`).  The one exception is :func:`combine_rows`,
@@ -36,6 +42,17 @@ ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
+# an error message quotes a rejected string up to this length, and past it
+# gives only the length, so a huge input cannot flood the terminal
+_QUOTE_LIMIT = 64
+
+
+def _quoted(value: Any) -> str:
+    """``repr(value)``, or only the length of a string past ``_QUOTE_LIMIT``."""
+    if isinstance(value, str) and len(value) > _QUOTE_LIMIT:
+        return f"one {len(value)} characters long"
+    return repr(value)
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal of the form ``"n"`` or ``"n/d"``.
@@ -44,7 +61,7 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise RationalFormatError(
-            f"not a rational literal (expected 'n' or 'n/d'): {text!r}"
+            f"not a rational literal (expected 'n' or 'n/d'): {_quoted(text)}"
         )
     text = text.strip()
     num, _, den = text.partition("/")
@@ -56,7 +73,7 @@ def parse_rational(text: str) -> Fraction:
             f"rational literal too long ({len(text)} characters)"
         ) from None
     if d == 0:
-        raise RationalFormatError(f"zero denominator: {text!r}")
+        raise RationalFormatError(f"zero denominator: {_quoted(text)}")
     return Fraction(n, d)
 
 
@@ -116,8 +133,9 @@ class FiniteSpace:
         return f"FiniteSpace({self.name!r}, {self.points!r})"
 
 
-def _as_fractions(weights: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(w) for w in weights)
+def _as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
+    """The one conversion into exact numbers; a ``Fraction`` is kept as it is."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def _per_point(

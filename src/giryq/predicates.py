@@ -14,7 +14,7 @@ from typing import Union
 
 from .errors import DuplicateAtomError, SpaceMismatchError, ValueOutOfRangeError
 from .kernels import Kernel
-from .measures import ZERO, Dist, FiniteSpace, _per_point
+from .measures import ZERO, Dist, FiniteSpace, _as_fractions, _per_point
 
 
 def _check_unit_interval(value: Fraction, what: str) -> None:
@@ -36,8 +36,7 @@ class Predicate:
 
     @classmethod
     def constant(cls, space: FiniteSpace, value: Fraction | int) -> "Predicate":
-        v = Fraction(value)
-        return cls(space, tuple(v for _ in range(len(space))))
+        return cls(space, (value,) * len(space))
 
     def value_at(self, label: str) -> Fraction:
         return self.values[self.space.index(label)]
@@ -99,11 +98,11 @@ class TableSimplexPredicate:
     default: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple((d, Fraction(v)) for d, v in self.entries)
-        )
-        object.__setattr__(self, "default", Fraction(self.default))
         probes = [d for d, _ in self.entries]
+        values = _as_fractions(v for _, v in self.entries)
+        object.__setattr__(self, "entries", tuple(zip(probes, values)))
+        (default,) = _as_fractions((self.default,))
+        object.__setattr__(self, "default", default)
         if len(set(probes)) != len(probes):
             raise DuplicateAtomError("probe table lists a distribution twice")
         for d, v in self.entries:

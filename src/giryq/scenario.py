@@ -6,7 +6,11 @@ point order, column order = target point order), predicates are value
 arrays in point order, and simplex-predicate tables are lists of
 (distribution, value) pairs with a mandatory default.  No object may repeat
 a key.  Parsing resolves every name reference and validates every
-invariant up front, so query evaluation cannot fail later.
+invariant up front, so query evaluation cannot fail later.  A value that a
+constructor rejects (a repeated point label, a row that does not sum to 1,
+a predicate value outside [0, 1]) is reported at its document path by
+:func:`_located`; :func:`_doc` writes a value back in document form, for
+:func:`scenario_to_dict` and for the CLI's result records alike.
 
 A query is a ``kind`` plus the fields its entry in ``QUERY_SPECS`` lists, in
 document order (optional fields in brackets)::
@@ -30,10 +34,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import (
-    DimensionMismatchError,
     GiryqError,
     RationalFormatError,
     ScenarioParseError,
@@ -155,13 +159,18 @@ def _rational(raw: Any, where: str):
         raise ScenarioParseError(f"{where}: {exc}") from None
 
 
+def _located(where: str, build: Callable, *args: Any) -> Any:
+    """``build(*args)``; a value error it raises is reported at ``where``."""
+    try:
+        return build(*args)
+    except GiryqError as exc:
+        raise ScenarioValidationError(f"{where}: {exc}") from None
+
+
 def _dist(raw: Any, space: FiniteSpace, where: str) -> Dist:
     values = _expect(raw, list, where)
     weights = tuple(_rational(v, f"{where}[{i}]") for i, v in enumerate(values))
-    try:
-        return Dist(space, weights)
-    except GiryqError as exc:
-        raise ScenarioValidationError(f"{where}: {exc}") from None
+    return _located(where, Dist, space, weights)
 
 
 def _no_extras(doc: dict, allowed: set[str], where: str) -> None:
@@ -247,10 +256,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             raise ScenarioValidationError(
                 f"{where}: {len(points)} points exceeds the cap of {MAX_SPACE_POINTS}"
             )
-        try:
-            spaces[name] = FiniteSpace(name, points)
-        except GiryqError as exc:
-            raise ScenarioValidationError(f"{where}: {exc}") from None
+        spaces[name] = _located(where, FiniteSpace, name, points)
 
     kernels: dict[str, Kernel] = {}
     for name, raw in _get(doc, "kernels", dict, "document").items():
@@ -260,10 +266,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         source = _ref(raw, "source", spaces, "space", where)
         target = _ref(raw, "target", spaces, "space", where)
         raw_rows = _get(raw, "rows", list, where)
-        try:
-            _per_point(raw_rows, source, "rows", list)
-        except DimensionMismatchError as exc:
-            raise ScenarioValidationError(f"{where}: {exc}") from None
+        _located(where, _per_point, raw_rows, source, "rows", list)
         rows = []
         for j, raw_row in enumerate(raw_rows):
             row_where = f"{where}.rows[{j}] (point {source.points[j]!r})"
@@ -280,10 +283,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             _rational(v, f"{where}.values[{j}]")
             for j, v in enumerate(_get(raw, "values", list, where))
         )
-        try:
-            predicates[name] = Predicate(space, values)
-        except GiryqError as exc:
-            raise ScenarioValidationError(f"{where}: {exc}") from None
+        predicates[name] = _located(where, Predicate, space, values)
 
     simplex_predicates: dict[str, SimplexPredicate] = {}
     for name, raw in _get(doc, "simplex_predicates", dict, "document").items():
@@ -312,12 +312,9 @@ def scenario_from_dict(doc: Any) -> Scenario:
                     )
                 )
             default = _rational(_get(raw, "default", str, where), f"{where}.default")
-            try:
-                simplex_predicates[name] = TableSimplexPredicate(
-                    space, tuple(entries), default
-                )
-            except GiryqError as exc:
-                raise ScenarioValidationError(f"{where}: {exc}") from None
+            simplex_predicates[name] = _located(
+                where, TableSimplexPredicate, space, tuple(entries), default
+            )
         else:
             raise ScenarioParseError(
                 f"{where}.kind: expected 'lifted' or 'table', got {kind!r}"
@@ -388,32 +385,34 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _dist_doc(dist: Dist) -> list[str]:
-    return [format_rational(w) for w in dist.weights]
+def _doc(value: Any) -> Any:
+    """``value`` in document form: a rational as its string, a ``Dist`` as
+    its weights, and a tuple as the list of its entries in document form."""
+    if isinstance(value, Dist):
+        value = value.weights
+    if isinstance(value, tuple):
+        return [_doc(v) for v in value]
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     doc: dict[str, Any] = {
-        "spaces": [
-            {"name": s.name, "points": list(s.points)} for s in scenario.spaces
-        ],
+        "spaces": [{"name": s.name, "points": _doc(s.points)} for s in scenario.spaces],
         "kernels": {
-            name: {
-                "source": k.source.name,
-                "target": k.target.name,
-                "rows": [_dist_doc(row) for row in k.rows],
-            }
+            name: {"source": k.source.name, "target": k.target.name, "rows": _doc(k.rows)}
             for name, k in scenario.kernels.items()
         },
         "predicates": {
-            name: {
-                "space": p.space.name,
-                "values": [format_rational(v) for v in p.values],
-            }
+            name: {"space": p.space.name, "values": _doc(p.values)}
             for name, p in scenario.predicates.items()
         },
         "simplex_predicates": {},
-        "queries": [],
+        "queries": [
+            {"kind": q.kind, **{key: _doc(value) for key, value in q.args.items()}}
+            for q in scenario.queries
+        ],
     }
     for name, h in scenario.simplex_predicates.items():
         if isinstance(h, LiftedPredicate):
@@ -430,18 +429,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             doc["simplex_predicates"][name] = {
                 "kind": "table",
                 "space": h.space.name,
-                "entries": [
-                    [_dist_doc(d), format_rational(v)] for d, v in h.entries
-                ],
-                "default": format_rational(h.default),
+                "entries": _doc(h.entries),
+                "default": _doc(h.default),
             }
-    for q in scenario.queries:
-        record: dict[str, Any] = {"kind": q.kind}
-        for key, value in q.args.items():
-            if isinstance(value, Dist):
-                value = _dist_doc(value)
-            record[key] = list(value) if isinstance(value, tuple) else value
-        doc["queries"].append(record)
     return doc
 
 

@@ -194,6 +194,8 @@ def test_laws_subcommand_reports_failures(capsys, monkeypatch):
     [
         "1/" + "1" * 5000,  # past the digit limit of int()
         "١/٢",  # Arabic-Indic digits
+        # a long non-literal is named by its length, not echoed
+        pytest.param("1" * 99_999 + "x", id="long_non_literal"),
     ],
 )
 def test_bad_rational_literal_exits_2_with_its_path(tmp_path, run_python, literal):
@@ -205,6 +207,7 @@ def test_bad_rational_literal_exits_2_with_its_path(tmp_path, run_python, litera
     err = done.stderr.decode()
     assert done.returncode == 2
     assert "predicates['g'].values[0]" in err
+    assert len(err) < 200
     assert "Traceback" not in err
     assert done.stdout == b""
 
@@ -314,6 +317,19 @@ def test_integer_longer_than_int_allows_exits_2_without_echo(run_python, flag, e
     assert done.returncode == 2, err
     assert f"argument {flag}: expected {expected}, got one 5000 characters long" in err
     assert "9999" not in err
+    assert "Traceback" not in err
+    assert done.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "flag, expected", [("--seed", "an integer"), ("--cases", "a count of 0 or more")]
+)
+def test_long_malformed_integer_exits_2_without_echo(run_python, flag, expected):
+    done = run_python("-m", "giryq.cli", "laws", flag, "9" * 3000 + "x")
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert f"argument {flag}: expected {expected}, got one 3001 characters long" in err
+    assert len(err) < 200
     assert "Traceback" not in err
     assert done.stdout == b""
 

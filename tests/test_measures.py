@@ -11,6 +11,7 @@ from giryq import (
     FinSuppMeasure,
     FiniteSpace,
     Kernel,
+    LinearProgram,
     MassNotOneError,
     NegativeWeightError,
     PointFunction,
@@ -18,6 +19,7 @@ from giryq import (
     RationalFormatError,
     SignedMeasure,
     SpaceMismatchError,
+    TableSimplexPredicate,
     format_rational,
     parse_rational,
     tv_metric,
@@ -145,6 +147,48 @@ def test_one_entry_per_point(two_points, build, noun):
     with pytest.raises(DimensionMismatchError) as info:
         build(two_points)
     assert str(info.value) == f"1 {noun} for the 2 points of space 'Y'"
+
+
+# each builder stores two given entries (mass 1, each in [0, 1]) and
+# returns the stored entries with the given ones they came from, in order
+def _dist_entries(space, given):
+    return Dist(space, given).weights, given
+
+
+def _predicate_entries(space, given):
+    return Predicate(space, given).values, given
+
+
+def _table_entries(space, given):
+    probes = (Dist.dirac(space, "y1"), Dist.dirac(space, "y2"))
+    table = TableSimplexPredicate(space, tuple(zip(probes, given)), given[0])
+    return tuple(v for _, v in table.entries) + (table.default,), given + given[:1]
+
+
+def _lp_entries(space, given):
+    lp = LinearProgram(given, (given,), given[:1])
+    return lp.objective + lp.matrix[0] + lp.rhs, given + given + given[:1]
+
+
+ENTRY_BUILDERS = pytest.mark.parametrize(
+    "build", [_dist_entries, _predicate_entries, _table_entries, _lp_entries],
+    ids=["Dist", "Predicate", "TableSimplexPredicate", "LinearProgram"],
+)
+
+
+@ENTRY_BUILDERS
+@pytest.mark.parametrize("given", [(1, 0), ("1/4", "3/4"), (F(1, 4), F(3, 4))],
+                         ids=["int", "str", "Fraction"])
+def test_entries_are_stored_as_fractions(two_points, build, given):
+    stored, source = build(two_points, given)
+    assert [type(v) for v in stored] == [F] * len(source)
+    assert list(stored) == [F(v) for v in source]
+
+
+@ENTRY_BUILDERS
+def test_a_fraction_entry_is_kept_as_it_is(two_points, build):
+    stored, source = build(two_points, (F(1, 4), F(3, 4)))
+    assert all(s is v for s, v in zip(stored, source, strict=True))
 
 
 class TestTotalVariation:

@@ -148,6 +148,40 @@ def test_predicate_value_out_of_range():
         scenario_from_dict(doc)
 
 
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+    return lambda doc: operator.setitem(functools.reduce(operator.getitem, path, doc), key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set("spaces", 0, "points", ["x1", "x1"]),
+         "spaces[0]: space 'X' has repeated point labels"),
+        (_set("kernels", "f", "rows", [["1", "0"]]),
+         "kernels['f']: 1 rows for the 2 points of space 'X'"),
+        (_set("kernels", "f", "rows", 1, ["1/2", "2/5"]),
+         "kernels['f'].rows[1] (point 'x2'): weights on space 'Y' sum to 9/10, expected 1"),
+        (_set("predicates", "g", "values", ["1/2", "3/2"]),
+         "predicates['g']: value at 'x2' lies outside [0, 1]: 3/2"),
+        (_set("simplex_predicates", "t", {"kind": "table", "space": "Y", "default": "0",
+                                          "entries": [[["1", "0"], "1"], [["1", "0"], "0"]]}),
+         "simplex_predicates['t']: probe table lists a distribution twice"),
+        (_set("queries", [{"kind": "EXISTS_LP", "kernel": "f", "predicate": "g",
+                           "dist": ["1", "-1"]}]),
+         "queries[0].dist: weight of point 'y2' is negative: -1"),
+    ],
+    ids=["space_label", "row_count", "row_mass", "predicate_value", "table_probe",
+         "query_dist"],
+)
+def test_value_errors_are_located(mutate, message):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioValidationError) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value) == message
+
+
 def test_query_dist_validated_against_target_space():
     doc = minimal_doc(
         queries=[
