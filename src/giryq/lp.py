@@ -1,31 +1,34 @@
-"""Exact-rational linear programming via two-phase simplex with Bland's rule.
+"""Exact-rational linear programming: a float simplex guide, an integer
+certificate of its basis, and an exact Bland simplex behind them.
 
 Programs are in equality form: optimize ``c . x`` subject to ``A x = b`` and
-``x >= 0``.  Bland's pivot rule (smallest eligible index enters; ratio ties
-leave by smallest basic index) guarantees termination even on degenerate
-instances, and makes the returned vertex deterministic.
-
-One simplex body serves two number types.  :func:`lp_solve` first runs it
-in ``float`` (the guide) to propose a basis, then certifies that basis in
-exact ``Fraction`` arithmetic from one rational factorization of the basis
-matrix (the approach of QSopt_ex; Applegate, Cook, Dash and Espinoza,
-"Exact solutions to linear programming problems", 2007):
+``x >= 0``.  One two-phase simplex body serves two number types, each with
+its own entering rule; the leaving row has the least ratio, ties going to
+the smallest basic index.  :func:`lp_solve` first runs it in ``float`` (the
+guide) under Dantzig's rule, the most negative reduced cost entering, and
+under Bland's rule after ``_STALL_LIMIT`` pivots in a row that leave the
+objective where it was, until one moves it.  It then certifies the guide's
+basis exactly (the approach of QSopt_ex; Applegate, Cook, Dash and
+Espinoza, "Exact solutions to linear programming problems", 2007), in
+integers: each column of ``A`` is scaled by the lcm of its denominators,
+and ``B`` and ``B^T`` are solved by fraction-free (Bareiss) elimination.
 
 * OPTIMAL is accepted only when ``B x_B = b`` gives ``x_B >= 0`` and
   ``B^T y = c_B`` gives a strictly positive reduced cost on every nonbasic
   column.  The optimum is then unique, so it is the vertex Bland's rule
-  reaches in exact arithmetic.
+  reaches in exact arithmetic, whatever rule the guide priced by.
 * INFEASIBLE is accepted only with a Farkas certificate taken from the
   phase-1 basis: ``y^T A <= 0`` and ``y^T b > 0``.
 
 Any other outcome (an entry past the float range, the pivot cap, an
 artificial column left in the basis, a singular or rejected basis, an
-unbounded program) reruns the simplex with every tableau entry a
-``Fraction``.  That exact path is the reference the tests compare against.
-Either way the optimum and the returned vertex are exact.
+unbounded program) reruns the simplex under Bland's rule, which cannot
+cycle, with every tableau entry a ``Fraction``.  That exact path is the
+reference the tests compare against.  Either way the optimum and the
+returned vertex are exact.
 
-Every weighted row sum here, in floats and in ``Fraction`` alike, is one
-call to :func:`measures.combine_rows`: the elimination step of a pivot,
+Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
+one call to :func:`measures.combine_rows`: the elimination step of a pivot,
 the reduced costs of the tableau, and ``y^T A`` in both certificates.
 """
 from __future__ import annotations
@@ -33,7 +36,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Callable, Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
 from .measures import ZERO, _as_fractions, combine_rows
@@ -84,7 +88,8 @@ class LpSolution:
     ``A ray = 0``, ``ray >= 0``, and the objective strictly improves along
     it.  ``guided`` is True when the float guide's basis passed the exact
     certificate.  ``pivots`` counts the simplex pivots behind the answer:
-    the guide's, plus the exact path's when the certificate failed.
+    the guide's, under Dantzig's rule (Bland's while it stalls), plus the
+    exact Bland path's when the certificate failed.
     """
 
     status: LpStatus
@@ -98,6 +103,10 @@ class LpSolution:
 # the guide counts float entries within this distance of zero as zero
 _TOL = 1e-9
 
+# after this many pivots in a row that leave the objective where it was,
+# the guide prices by Bland's rule, which cannot cycle, until one moves it
+_STALL_LIMIT = 100
+
 
 class _PivotCapReached(Exception):
     """The float guide made its last allowed pivot."""
@@ -108,8 +117,8 @@ class _PivotCapReached(Exception):
 
 
 def _guide_cap(m: int, n: int) -> int:
-    # Bland's rule in exact arithmetic cannot cycle, but rounding can make
-    # the float guide revisit a basis; its pivots scale with the tableau size
+    # the guide's hard stop: rounding can keep it circling a degenerate vertex
+    # under any pricing rule; its pivots scale with the tableau size
     return 4 * (m + n)
 
 
@@ -131,25 +140,40 @@ def _reduced_costs(cost: Sequence, rows: list[list], basis: list[int]) -> list:
     return combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
 
 
-def _bland_iterate(
+def _bland(reduced: list, tol: float) -> Optional[int]:
+    """Bland's entering column: the first with a negative reduced cost."""
+    return next((j for j, c in enumerate(reduced) if c < -tol), None)
+
+
+def _dantzig(reduced: list, tol: float) -> Optional[int]:
+    """Dantzig's entering column: the first most negative reduced cost."""
+    best = min(reduced, default=0)
+    return reduced.index(best) if best < -tol else None
+
+
+def _iterate(
     cost: list,
     rows: list[list],
     rhs: list,
     basis: list[int],
+    rule: Callable[[list, float], Optional[int]],
     tol: float = 0,
     pivots: int = 0,
     cap: Optional[int] = None,
 ) -> tuple[int, Optional[int]]:
     """Run simplex pivots until optimal or unbounded.
 
+    ``rule`` picks the entering column from the reduced costs, and Bland's
+    rule after ``_STALL_LIMIT`` zero-step pivots in a row, until one moves.
     Entries within ``tol`` of zero count as zero.  ``pivots`` is the count
-    made so far; reaching ``cap`` raises :class:`_PivotCapReached`.
-    Returns ``(pivot_count, unbounded_column)`` where the column is the
-    entering index that admitted no ratio test (None when optimal).
+    made so far; reaching ``cap`` raises :class:`_PivotCapReached`.  Returns
+    ``(pivot_count, unbounded_column)`` where the column is the entering
+    index that admitted no ratio test (None when optimal).
     """
+    stalled = 0
     while True:
         reduced = _reduced_costs(cost, rows, basis)
-        entering = next((j for j, c in enumerate(reduced) if c < -tol), None)
+        entering = (rule if stalled < _STALL_LIMIT else _bland)(reduced, tol)
         if entering is None:
             return pivots, None
         leaving = None
@@ -164,6 +188,7 @@ def _bland_iterate(
             return pivots, entering
         if cap is not None and pivots >= cap:
             raise _PivotCapReached(pivots)
+        stalled = stalled + 1 if rhs[leaving] <= tol else 0
         _pivot(rows, rhs, basis, leaving, entering)
         pivots += 1
 
@@ -173,10 +198,11 @@ def _two_phase(
     rows: list[list],
     rhs: list,
     one,
+    rule: Callable[[list, float], Optional[int]],
     tol: float = 0,
     cap: Optional[int] = None,
 ) -> tuple[Optional[LpStatus], list[int], int, Optional[int]]:
-    """Bland's two-phase simplex on ``rows x = rhs`` (every rhs >= 0), in place.
+    """The two-phase simplex by ``rule`` on ``rows x = rhs`` (rhs >= 0), in place.
 
     ``one`` fixes the number type: ``Fraction(1)`` with ``tol`` 0 makes
     every sign test exact; ``1.0`` with a positive ``tol`` is the guide.
@@ -196,7 +222,7 @@ def _two_phase(
         rows[i] = rows[i] + [one if j == i else zero for j in range(m)]
     basis = list(range(n, n + m))
     phase1_cost = [zero] * n + [one] * m
-    pivots, stuck = _bland_iterate(phase1_cost, rows, rhs, basis, tol, 0, cap)
+    pivots, stuck = _iterate(phase1_cost, rows, rhs, basis, rule, tol, 0, cap)
     if stuck is not None:
         return None, basis, pivots, None
     artificial_mass = sum((rhs[i] for i in range(m) if basis[i] >= n), zero)
@@ -216,7 +242,7 @@ def _two_phase(
             pivots += 1
     rows[:] = [row[:n] for row in rows]
 
-    pivots, stuck = _bland_iterate(cost, rows, rhs, basis, tol, pivots, cap)
+    pivots, stuck = _iterate(cost, rows, rhs, basis, rule, tol, pivots, cap)
     if stuck is not None:
         return LpStatus.UNBOUNDED, basis, pivots, stuck
     return LpStatus.OPTIMAL, basis, pivots, None
@@ -238,7 +264,7 @@ def _standard_form(lp: LinearProgram, num) -> tuple[list, list[list], list]:
 
 def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
     """The float guide: ``(status, basis, pivots)`` from the simplex run in
-    floats, with status None when it gave up.
+    floats under Dantzig's rule, with status None when it gave up.
     """
     try:
         cost, rows, rhs = _standard_form(lp, float)
@@ -246,105 +272,90 @@ def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
         return None, [], 0
     try:
         status, basis, pivots, _ = _two_phase(
-            cost, rows, rhs, 1.0, _TOL, _guide_cap(len(rows), len(cost))
+            cost, rows, rhs, 1.0, _dantzig, _TOL, _guide_cap(len(rows), len(cost))
         )
     except _PivotCapReached as reached:
         return None, [], reached.pivots
     return status, basis, pivots
 
 
-def _factor(matrix: list[list[Fraction]]) -> Optional[tuple[list[list[Fraction]], list[int]]]:
-    """Factor a square rational matrix as ``P B = L U``, or None if singular.
+def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """``(det, z)`` with ``matrix (z / det) = rhs`` exactly, or None when the
+    square integer ``matrix`` is singular.
 
-    Returns ``(lu, perm)``: ``lu`` holds ``U`` on and above the diagonal and
-    the unit lower factor ``L`` below it; row ``k`` of ``P B`` is row
-    ``perm[k]`` of ``B``.
+    Fraction-free (Bareiss) elimination: after step ``k`` each entry is a
+    minor of order ``k + 1`` of the row-permuted matrix, so each division is
+    exact and entries stay within the Hadamard bound.  ``det``, the last
+    pivot, is the determinant up to sign, and ``z = det x`` is integral by
+    Cramer's rule, so the back substitution divides exactly too.
     """
-    lu = [list(row) for row in matrix]
-    m = len(lu)
-    perm = list(range(m))
+    m = len(matrix)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    det = 1
     for k in range(m):
-        p = next((i for i in range(k, m) if lu[i][k] != 0), None)
+        p = next((i for i in range(k, m) if rows[i][k]), None)
         if p is None:
             return None
-        lu[k], lu[p] = lu[p], lu[k]
-        perm[k], perm[p] = perm[p], perm[k]
-        top = lu[k]
-        for row in lu[k + 1:]:
-            if row[k] == 0:
-                continue
-            f = row[k] / top[k]
-            row[k] = f
-            for j in range(k + 1, m):
-                row[j] -= f * top[j]
-    return lu, perm
-
-
-def _solve(lu: list[list[Fraction]], perm: list[int], b: Sequence[Fraction]) -> list[Fraction]:
-    """``x`` with ``B x = b`` from the factors of ``B``."""
-    m = len(lu)
-    x = [b[p] for p in perm]
-    for i in range(m):
-        x[i] -= sum((lu[i][j] * x[j] for j in range(i)), ZERO)
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * a - f * t) // det for a, t in zip(row[k + 1:], top[k + 1:])]
+        det = pivot
+    z = [0] * m
     for i in reversed(range(m)):
-        x[i] = (x[i] - sum((lu[i][j] * x[j] for j in range(i + 1, m)), ZERO)) / lu[i][i]
-    return x
+        row = rows[i]
+        z[i] = (det * row[m] - sum(row[j] * z[j] for j in range(i + 1, m))) // row[i]
+    return det, z
 
 
-def _solve_transposed(
-    lu: list[list[Fraction]], perm: list[int], c: Sequence[Fraction]
-) -> list[Fraction]:
-    """``y`` with ``B^T y = c`` from the factors of ``B`` (``B^T = U^T L^T P``)."""
-    m = len(lu)
-    w = list(c)
-    for i in range(m):
-        w[i] = (w[i] - sum((lu[j][i] * w[j] for j in range(i)), ZERO)) / lu[i][i]
-    for i in reversed(range(m)):
-        w[i] -= sum((lu[j][i] * w[j] for j in range(i + 1, m)), ZERO)
-    y = [ZERO] * m
-    for k, p in enumerate(perm):
-        y[p] = w[k]
-    return y
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(d * values, d)`` for ``d`` the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _column(lp: LinearProgram, j: int) -> list[Fraction]:
-    """Column ``j`` of the phase-1 system in the program's own row signs:
-    a real column of ``A``, or the artificial of row ``j - n``, which is
-    the unit vector signed like that row's ``b``.
-    """
+def _integer_basis(lp: LinearProgram, basis: list[int]) -> tuple[list, list, list[int]]:
+    """``(B, A, d)`` in integers, signs kept: ``A`` has column ``j`` times
+    ``d[j]``, the lcm of its denominators, and ``B`` the columns ``basis``;
+    an artificial ``j >= n`` is row ``j - n``'s unit vector signed like its
+    ``b``, scale 1.  Rows stay unscaled: a lifted program's row mixes every
+    kernel row's denominators, while its column has one."""
     n = len(lp.objective)
-    if j < n:
-        return [row[j] for row in lp.matrix]
-    return [Fraction(-1 if b < 0 else 1) if i == j - n else ZERO for i, b in enumerate(lp.rhs)]
-
-
-def _basis_factors(lp: LinearProgram, basis: list[int]):
-    """The factors of the basis matrix, whose columns are ``basis`` (see
-    :func:`_column`), or None if it is singular."""
-    columns = [_column(lp, j) for j in basis]
-    return _factor([list(row) for row in zip(*columns)])
+    # the n scales are counted out, so a program with no rows keeps its columns
+    d = [lcm(*(row[j].denominator for row in lp.matrix)) for j in range(n)]
+    rows = [[a.numerator * (dj // a.denominator) for a, dj in zip(row, d)] for row in lp.matrix]
+    matrix = [
+        [row[j] if j < n else (j - n == i) * (-1 if b < 0 else 1) for j in basis]
+        for i, (row, b) in enumerate(zip(rows, lp.rhs))
+    ]
+    return matrix, rows, d
 
 
 def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Fraction]]:
     """The basic solution of ``basis`` if it is the program's only optimum."""
-    m, n = len(lp.rhs), len(lp.objective)
-    if len(basis) != m:  # a redundant row was dropped
+    if len(basis) != len(lp.rhs):  # a redundant row was dropped
         return None
-    factors = _basis_factors(lp, basis)
-    if factors is None:
+    matrix, rows, d = _integer_basis(lp, basis)
+    b, d_b = _cleared(lp.rhs)
+    primal = _integer_solve(matrix, b)
+    if primal is None:
         return None
-    x_b = _solve(*factors, lp.rhs)
-    if any(x < 0 for x in x_b):
+    det, z = primal
+    if any(zk * det < 0 for zk in z):  # x_B = d_B z / (det d_b) must be >= 0
         return None
-    cost = lp.objective if lp.sense is Sense.MIN else [-c for c in lp.objective]
-    y = _solve_transposed(*factors, [cost[j] for j in basis])
-    reduced = combine_rows(cost, zip([-yi for yi in y], lp.matrix))
+    # with the cost times its lcm d_c, B^T y = c_B gives yz = det_y d_c y; the
+    # reduced cost c_j - A_j^T y has the sign of (c_j d_c d_j det_y - d_j A_j^T yz) det_y
+    cost = [c if lp.sense is Sense.MIN else -c for c in _cleared(lp.objective)[0]]
+    det_y, yz = _integer_solve(list(zip(*matrix)), [cost[j] * d[j] for j in basis])
+    reduced = combine_rows([c * dj * det_y for c, dj in zip(cost, d)], zip([-y for y in yz], rows))
     basic = set(basis)
-    if any(c <= 0 for j, c in enumerate(reduced) if j not in basic):
+    if any(c * det_y <= 0 for j, c in enumerate(reduced) if j not in basic):
         return None
-    point = [ZERO] * n
-    for j, x in zip(basis, x_b):
-        point[j] = x
+    point = [ZERO] * len(lp.objective)
+    for j, zk in zip(basis, z):
+        point[j] = Fraction(d[j] * zk, det * d_b)
     return point
 
 
@@ -352,14 +363,17 @@ def _certified_infeasible(lp: LinearProgram, basis: list[int]) -> bool:
     """Whether the phase-1 ``basis`` yields a Farkas certificate ``y``:
     ``y^T A <= 0`` and ``y^T b > 0``, so no ``x >= 0`` has ``A x = b``.
     """
-    factors = _basis_factors(lp, basis)
-    if factors is None:
-        return False
     n = len(lp.objective)
-    y = _solve_transposed(*factors, [Fraction(j >= n) for j in basis])
-    if sum((yi * b for yi, b in zip(y, lp.rhs)), ZERO) <= 0:
+    matrix, rows, _ = _integer_basis(lp, basis)
+    # B^T y = the phase-1 cost of the basis gives yz = det y
+    dual = _integer_solve(list(zip(*matrix)), [int(j >= n) for j in basis])
+    if dual is None:
         return False
-    return all(v <= 0 for v in combine_rows([ZERO] * n, zip(y, lp.matrix)))
+    det, yz = dual
+    b, _ = _cleared(lp.rhs)
+    if sum(y * v for y, v in zip(yz, b)) * det <= 0:
+        return False
+    return all(v * det <= 0 for v in combine_rows([0] * n, zip(yz, rows)))
 
 
 def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int, guided: bool) -> LpSolution:
@@ -388,7 +402,7 @@ def _exact(lp: LinearProgram) -> LpSolution:
     """
     n = len(lp.objective)
     cost, rows, rhs = _standard_form(lp, Fraction)
-    status, basis, pivots, stuck = _two_phase(cost, rows, rhs, Fraction(1))
+    status, basis, pivots, stuck = _two_phase(cost, rows, rhs, Fraction(1), _bland)
     if status is None:
         raise CertificateError("phase-1 objective is bounded below by zero")
     if status is LpStatus.INFEASIBLE:

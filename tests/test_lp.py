@@ -128,19 +128,23 @@ def test_degenerate_ties_terminate():
     assert solution.pivots <= comb(6, 3) + comb(3, 3) + 3
 
 
+# a textbook degenerate instance on which Dantzig's rule cycles from the
+# slack basis (columns 4-6); slacks included so the equality form matches
+# the original bounds
+CLASSIC_CYCLING = LinearProgram(
+    objective=(F(-3, 4), F(150), F(-1, 50), F(6), F(0), F(0), F(0)),
+    matrix=(
+        (F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0)),
+        (F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0)),
+        (F(0), F(0), F(1), F(0), F(0), F(0), F(1)),
+    ),
+    rhs=(F(0), F(0), F(1)),
+    sense=Sense.MIN,
+)
+
+
 def test_classic_cycling_instance_terminates():
-    # a textbook degenerate instance that cycles under naive pivoting;
-    # slacks included so the equality form matches the original bounds
-    lp = LinearProgram(
-        objective=(F(-3, 4), F(150), F(-1, 50), F(6), F(0), F(0), F(0)),
-        matrix=(
-            (F(1, 4), F(-60), F(-1, 25), F(9), F(1), F(0), F(0)),
-            (F(1, 2), F(-90), F(-1, 50), F(3), F(0), F(1), F(0)),
-            (F(0), F(0), F(1), F(0), F(0), F(0), F(1)),
-        ),
-        rhs=(F(0), F(0), F(1)),
-        sense=Sense.MIN,
-    )
+    lp = CLASSIC_CYCLING
     solution = lp_solve(lp)
     assert solution.status is LpStatus.OPTIMAL
     assert solution.pivots <= comb(10, 3) + comb(7, 3) + 3
@@ -172,6 +176,20 @@ def test_zero_rows_with_zero_rhs_are_dropped():
     solution = lp_solve(lp)
     assert solution.status is LpStatus.OPTIMAL
     assert solution.point == (F(2),)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(objective=(F(1), F(2)), matrix=(), rhs=()),
+        LinearProgram(objective=(F(1), F(-2)), matrix=(), rhs=()),
+        LinearProgram(objective=(), matrix=((),), rhs=(F(0),)),
+        LinearProgram(objective=(), matrix=((),), rhs=(F(1),)),
+    ],
+    ids=["no_rows_bounded", "no_rows_unbounded", "no_columns_rhs_0", "no_columns_rhs_1"],
+)
+def test_empty_shapes_match_the_exact_path(lp):
+    assert answer(lp_solve(lp)) == answer(lp_module._exact(lp))
 
 
 def test_enumeration_oracle_sees_the_blend_vertices():
@@ -266,15 +284,75 @@ def test_unreachable_query_is_certified_infeasible(channel, gain, two_points):
     assert solution.guided
 
 
-def test_generic_32x12_fiber_is_certified_optimal():
+def generic_32x12_program():
     rng = random.Random("guided-32x12")
     source = rand_space(rng, "X", 32, 32)
     target = rand_space(rng, "Y", 12, 12)
     kernel = rand_kernel(rng, source, target)
     query = lift(kernel)(rand_dist(rng, source))
-    lp = _lifted_program(kernel, rand_predicate(rng, source), query, Sense.MAX)
+    return _lifted_program(kernel, rand_predicate(rng, source), query, Sense.MAX)
+
+
+def test_infeasible_row_with_negative_rhs_is_certified():
+    # no x >= 0 has x = -2; the artificial of a row with b < 0 is -e, so the
+    # integer solve of B^T has a negative determinant
+    lp = LinearProgram(objective=(F(1),), matrix=((F(1),),), rhs=(F(-2),))
+    solution = lp_solve(lp)
+    assert solution.status is LpStatus.INFEASIBLE
+    assert solution.guided
+
+
+def test_generic_32x12_fiber_is_certified_optimal():
+    lp = generic_32x12_program()
     solution = lp_solve(lp)
     assert solution.status is LpStatus.OPTIMAL
+    assert solution.guided
+    assert answer(solution) == answer(lp_module._exact(lp))
+
+
+def test_stall_guard_keeps_the_answer_and_the_certificate(monkeypatch):
+    lp = generic_32x12_program()
+    expected = answer(lp_solve(lp))
+    # a stall limit of 0 prices every pivot by Bland's rule
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    solution = lp_solve(lp)
+    assert solution.guided
+    assert answer(solution) == expected
+
+
+def test_stall_guard_breaks_a_dantzig_cycle(monkeypatch):
+    lp = CLASSIC_CYCLING
+    cap = 3 * lp_module._STALL_LIMIT
+
+    def from_the_slack_basis():
+        cost, rows, rhs = lp_module._standard_form(lp, float)
+        basis = [4, 5, 6]
+        lp_module._iterate(cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0, cap)
+        return basis
+
+    assert tuple(lp_module._certified_vertex(lp, from_the_slack_basis())) == lp_solve(lp).point
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", cap + 1)
+    with pytest.raises(lp_module._PivotCapReached):
+        from_the_slack_basis()
+
+
+def test_dantzig_guide_certifies_where_blands_rule_stalls():
+    # a 64x16 fiber through a mixture of three rows: degenerate enough that
+    # Bland's rule in floats uses up the guide's pivot cap
+    rng = random.Random("bland-stall-16-7")
+    source = rand_space(rng, "X", 64, 64)
+    target = rand_space(rng, "Y", 16, 16)
+    kernel = rand_kernel(rng, source, target)
+    weights = rand_dist(rng, rand_space(rng, "S", 3, 3)).weights
+    mixed = rng.sample(range(len(source)), 3)
+    mixture = [weights[mixed.index(k)] if k in mixed else F(0) for k in range(len(source))]
+    query = lift(kernel)(Dist(source, tuple(mixture)))
+    lp = _lifted_program(kernel, rand_predicate(rng, source), query, Sense.MIN)
+    cost, rows, rhs = lp_module._standard_form(lp, float)
+    cap = lp_module._guide_cap(len(rows), len(cost))
+    with pytest.raises(lp_module._PivotCapReached):
+        lp_module._two_phase(cost, rows, rhs, 1.0, lp_module._bland, lp_module._TOL, cap)
+    solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == answer(lp_module._exact(lp))
 
@@ -369,3 +447,83 @@ def test_wrong_guide_basis_is_refused_under_python_O(run_python):
     assert done.returncode == 0, done.stderr.decode()
     expected = "OPTIMAL 14/25 (Fraction(2, 5), Fraction(3, 5), Fraction(0, 1)) False\n"
     assert done.stdout.decode() == 2 * expected
+
+
+# ---------------------------------------------------------------------------
+# the integer solve behind the certificate
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan(matrix, rhs):
+    """``(det, x)`` with ``matrix x = rhs`` in Fraction arithmetic, or None
+    when the matrix is singular: the reference for the integer solve."""
+    rows = [[F(a) for a in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    m, det = len(rows), F(1)
+    for k in range(m):
+        p = next((i for i in range(k, m) if rows[i][k]), None)
+        if p is None:
+            return None
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        det *= rows[k][k]
+        rows[k] = [a / rows[k][k] for a in rows[k]]
+        for i in range(m):
+            if i != k and rows[i][k]:
+                rows[i] = [a - rows[i][k] * t for a, t in zip(rows[i], rows[k])]
+    return det, [row[m] for row in rows]
+
+
+def agrees_with_fraction_elimination(matrix, rhs):
+    """Whether the integer solve matches :func:`gauss_jordan`, None included."""
+    reference = gauss_jordan(matrix, rhs)
+    solved = lp_module._integer_solve(matrix, rhs)
+    if reference is None or solved is None:
+        return reference is solved
+    det, z = solved
+    return abs(det) == abs(reference[0]) and [F(zk, det) for zk in z] == reference[1]
+
+
+def random_integer_system(rng):
+    m = rng.randint(1, 6)
+    entry = lambda: rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+    return [[entry() for _ in range(m)] for _ in range(m)], [entry() for _ in range(m)]
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([[0, 1], [1, 0]], [2, 3]),  # a zero leading pivot: rows swap
+        ([[1, 2], [3, 4]], [5, 6]),  # determinant -2 with no swap
+        ([[0, 2, 1], [3, 0, 0], [1, 1, 0]], [1, -1, 4]),
+        ([[1, 2], [2, 4]], [1, 2]),  # singular
+        ([[0, 0], [0, 1]], [0, 1]),  # singular with a zero column
+        ([], []),
+    ],
+    ids=["row_swap", "negative_det", "swap_3x3", "singular", "zero_column", "empty"],
+)
+def test_integer_solve_matches_fraction_elimination(matrix, rhs):
+    assert agrees_with_fraction_elimination(matrix, rhs)
+
+
+def test_integer_solve_matches_fraction_elimination_on_random_systems():
+    rng = random.Random("bareiss")
+    systems = [random_integer_system(rng) for _ in range(300)]
+    assert all(agrees_with_fraction_elimination(*system) for system in systems)
+    # the seeded draw includes singular systems, which must give None
+    assert 0 < sum(gauss_jordan(*system) is None for system in systems) < 300
+
+
+@pytest.mark.parametrize("sense", list(Sense))
+def test_columns_with_coprime_denominators_are_certified(sense):
+    # each column is one kernel row with its own prime denominator, so every
+    # column of the program gets a different scale
+    x = FiniteSpace("X", tuple(f"x{i}" for i in range(6)))
+    y = FiniteSpace("Y", ("y1", "y2", "y3"))
+    rows = [(1, 0, 1, 2), (1, 1, 1, 3), (2, 1, 2, 5), (1, 4, 2, 7), (5, 3, 3, 11), (6, 2, 5, 13)]
+    kernel = Kernel(x, y, tuple(Dist(y, (F(a, p), F(b, p), F(c, p))) for a, b, c, p in rows))
+    pred = Predicate(x, (F(1, 4), F(2, 9), F(3, 25), F(6, 49), F(10, 121), F(1, 169)))
+    query = lift(kernel)(Dist(x, (F(1, 6),) * 6))
+    lp = _lifted_program(kernel, pred, query, sense)
+    solution = lp_solve(lp)
+    assert solution.guided
+    assert answer(solution) == answer(lp_module._exact(lp))
