@@ -2,16 +2,18 @@
 certificate of its basis, and an exact Bland simplex behind them.
 
 Programs are in equality form: optimize ``c . x`` subject to ``A x = b`` and
-``x >= 0``.  One two-phase simplex body serves two number types, each with
-its own entering rule; the leaving row has the least ratio, ties going to
-the smallest basic index.  :func:`lp_solve` first runs it in ``float`` (the
-guide) under Dantzig's rule, the most negative reduced cost entering, and
-under Bland's rule after ``_STALL_LIMIT`` pivots in a row that leave the
-objective where it was, until one moves it.  It then certifies the guide's
-basis exactly (the approach of QSopt_ex; Applegate, Cook, Dash and
-Espinoza, "Exact solutions to linear programming problems", 2007), in
-integers: each column of ``A`` is scaled by the lcm of its denominators,
-and ``B`` and ``B^T`` are solved by fraction-free (Bareiss) elimination.
+``x >= 0``.  One two-phase simplex body serves two number types; the leaving
+row has the least ratio, ties going to the smallest basic index.  Phase 1
+prices by Bland's rule, the first negative reduced cost.  :func:`lp_solve`
+runs it first in ``float`` (the guide), with phase 2 under Dantzig's rule:
+the most negative reduced cost enters, or Bland's after ``_STALL_LIMIT``
+pivots in a row that leave the objective where it was.  It then certifies
+the guide's basis exactly (the approach of QSopt_ex; Applegate, Cook, Dash
+and Espinoza, 2007) in integers: each column of ``A`` is scaled by the lcm
+of its denominators, and ``B`` and ``B^T`` are solved by fraction-free
+(Bareiss) elimination.  As phase 1 is Bland's in both paths, a
+zero-objective solve, exact with no guide, repeats a guided phase 1 up
+to rounding; the benchmark's traced phase split relies on that.
 
 * OPTIMAL is accepted only when ``B x_B = b`` gives ``x_B >= 0`` and
   ``B^T y = c_B`` gives a strictly positive reduced cost on every nonbasic
@@ -88,8 +90,8 @@ class LpSolution:
     ``A ray = 0``, ``ray >= 0``, and the objective strictly improves along
     it.  ``guided`` is True when the float guide's basis passed the exact
     certificate.  ``pivots`` counts the simplex pivots behind the answer:
-    the guide's, under Dantzig's rule (Bland's while it stalls), plus the
-    exact Bland path's when the certificate failed.
+    the guide's (phase 2 under Dantzig's rule, Bland's while it stalls),
+    plus the exact Bland path's when the certificate failed.
     """
 
     status: LpStatus
@@ -202,7 +204,8 @@ def _two_phase(
     tol: float = 0,
     cap: Optional[int] = None,
 ) -> tuple[Optional[LpStatus], list[int], int, Optional[int]]:
-    """The two-phase simplex by ``rule`` on ``rows x = rhs`` (rhs >= 0), in place.
+    """The two-phase simplex on ``rows x = rhs`` (rhs >= 0), in place: phase 1
+    enters by Bland's rule, phase 2 by ``rule``.
 
     ``one`` fixes the number type: ``Fraction(1)`` with ``tol`` 0 makes
     every sign test exact; ``1.0`` with a positive ``tol`` is the guide.
@@ -222,7 +225,7 @@ def _two_phase(
         rows[i] = rows[i] + [one if j == i else zero for j in range(m)]
     basis = list(range(n, n + m))
     phase1_cost = [zero] * n + [one] * m
-    pivots, stuck = _iterate(phase1_cost, rows, rhs, basis, rule, tol, 0, cap)
+    pivots, stuck = _iterate(phase1_cost, rows, rhs, basis, _bland, tol, 0, cap)
     if stuck is not None:
         return None, basis, pivots, None
     artificial_mass = sum((rhs[i] for i in range(m) if basis[i] >= n), zero)
@@ -264,7 +267,7 @@ def _standard_form(lp: LinearProgram, num) -> tuple[list, list[list], list]:
 
 def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
     """The float guide: ``(status, basis, pivots)`` from the simplex run in
-    floats under Dantzig's rule, with status None when it gave up.
+    floats, phase 2 under Dantzig's rule, with status None when it gave up.
     """
     try:
         cost, rows, rhs = _standard_form(lp, float)
@@ -322,10 +325,11 @@ def _integer_basis(lp: LinearProgram, basis: list[int]) -> tuple[list, list, lis
     an artificial ``j >= n`` is row ``j - n``'s unit vector signed like its
     ``b``, scale 1.  Rows stay unscaled: a lifted program's row mixes every
     kernel row's denominators, while its column has one."""
-    n = len(lp.objective)
-    # the n scales are counted out, so a program with no rows keeps its columns
-    d = [lcm(*(row[j].denominator for row in lp.matrix)) for j in range(n)]
-    rows = [[a.numerator * (dj // a.denominator) for a, dj in zip(row, d)] for row in lp.matrix]
+    n, m = len(lp.objective), len(lp.rhs)
+    # both counted out, so a program with no rows or no columns keeps the other
+    cleared = [_cleared([row[j] for row in lp.matrix]) for j in range(n)]
+    d = [dj for _, dj in cleared]
+    rows = [[column[i] for column, _ in cleared] for i in range(m)]
     matrix = [
         [row[j] if j < n else (j - n == i) * (-1 if b < 0 else 1) for j in basis]
         for i, (row, b) in enumerate(zip(rows, lp.rhs))
@@ -386,13 +390,7 @@ def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int, guided: bool
     if not all(x >= 0 for x in point):
         raise CertificateError("vertex has a negative coordinate")
     value = sum((lp.objective[j] * point[j] for j in support), ZERO)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        value=value,
-        point=tuple(point),
-        pivots=pivots,
-        guided=guided,
-    )
+    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=guided)
 
 
 def _exact(lp: LinearProgram) -> LpSolution:

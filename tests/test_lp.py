@@ -179,17 +179,31 @@ def test_zero_rows_with_zero_rhs_are_dropped():
 
 
 @pytest.mark.parametrize(
-    "lp",
+    "lp, guided",
     [
-        LinearProgram(objective=(F(1), F(2)), matrix=(), rhs=()),
-        LinearProgram(objective=(F(1), F(-2)), matrix=(), rhs=()),
-        LinearProgram(objective=(), matrix=((),), rhs=(F(0),)),
-        LinearProgram(objective=(), matrix=((),), rhs=(F(1),)),
+        (LinearProgram(objective=(F(1), F(2)), matrix=(), rhs=()), True),
+        (LinearProgram(objective=(F(1), F(-2)), matrix=(), rhs=()), False),
+        # a zero reduced cost: the origin is optimal but not the only optimum
+        (LinearProgram(objective=(F(1), F(0)), matrix=(), rhs=()), False),
+        # no columns means a zero objective, which skips the guide
+        (LinearProgram(objective=(), matrix=((),), rhs=(F(0),)), False),
+        (LinearProgram(objective=(), matrix=((),), rhs=(F(1),)), False),
     ],
-    ids=["no_rows_bounded", "no_rows_unbounded", "no_columns_rhs_0", "no_columns_rhs_1"],
+    ids=[
+        "no_rows_bounded", "no_rows_unbounded", "no_rows_tied",
+        "no_columns_rhs_0", "no_columns_rhs_1",
+    ],
 )
-def test_empty_shapes_match_the_exact_path(lp):
-    assert answer(lp_solve(lp)) == answer(lp_module._exact(lp))
+def test_empty_shapes_match_the_exact_path(lp, guided):
+    solution = lp_solve(lp)
+    assert answer(solution) == answer(lp_module._exact(lp))
+    assert solution.guided is guided
+
+
+def test_no_columns_and_rhs_1_has_a_farkas_certificate():
+    # no x has 0 = 1: the artificial basis gives y = 1, and no column to check
+    lp = LinearProgram(objective=(), matrix=((),), rhs=(F(1),))
+    assert lp_module._certified_infeasible(lp, [0])
 
 
 def test_enumeration_oracle_sees_the_blend_vertices():
@@ -302,12 +316,33 @@ def test_infeasible_row_with_negative_rhs_is_certified():
     assert solution.guided
 
 
+def test_optimal_row_with_negative_rhs_is_certified():
+    # the integer solves keep the row's signs, so B and B^T are (-1) and
+    # both sign tests must go through the negative determinant
+    lp = LinearProgram(objective=(F(1), F(2)), matrix=((F(-1), F(-1)),), rhs=(F(-2),))
+    solution = lp_solve(lp)
+    assert solution.point == (F(2), F(0))
+    assert solution.guided
+
+
 def test_generic_32x12_fiber_is_certified_optimal():
     lp = generic_32x12_program()
     solution = lp_solve(lp)
     assert solution.status is LpStatus.OPTIMAL
     assert solution.guided
     assert answer(solution) == answer(lp_module._exact(lp))
+
+
+def test_guide_prices_phase_1_by_blands_rule():
+    # phase 1 is Bland's in the guide as in the exact path, so on a program
+    # that phase 1 alone solves, one with a zero objective, both pivot alike
+    lp = generic_32x12_program()
+    zero = LinearProgram((F(0),) * len(lp.objective), lp.matrix, lp.rhs, lp.sense)
+    status, basis, pivots = lp_module._propose(zero)
+    exact = lp_module._exact(zero)
+    assert status is LpStatus.OPTIMAL
+    assert pivots == exact.pivots
+    assert sorted(basis) == sorted(j for j, x in enumerate(exact.point) if x)
 
 
 def test_stall_guard_keeps_the_answer_and_the_certificate(monkeypatch):
