@@ -253,16 +253,27 @@ def _two_phase(
 
 def _standard_form(lp: LinearProgram, num) -> tuple[list, list[list], list]:
     """The program as ``min cost . x`` over rows with ``rhs >= 0``, each
-    entry converted by ``num``.  Rows are flipped on the exact sign of ``b``.
+    entry converted by ``num`` and then negated where it must be.  Rows are
+    flipped on the exact sign of ``b``.
     """
-    cost = [num(c) if lp.sense is Sense.MIN else num(-c) for c in lp.objective]
+    cost = [num(c) for c in lp.objective]
+    if lp.sense is Sense.MAX:
+        cost = [-c for c in cost]
     rows, rhs = [], []
     for row, b in zip(lp.matrix, lp.rhs):
+        row, nb = [num(a) for a in row], num(b)
         if b < 0:
-            row, b = [-a for a in row], -b
-        rows.append([num(a) for a in row])
-        rhs.append(num(b))
+            row, nb = [-a for a in row], -nb
+        rows.append(row)
+        rhs.append(nb)
     return cost, rows, rhs
+
+
+def _as_float(a: Fraction) -> float:
+    """``float(a)``, the same rounding and the same ``OverflowError`` past
+    the float range, without the dispatch of ``numbers.Rational.__float__``.
+    """
+    return a.numerator / a.denominator
 
 
 def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
@@ -270,7 +281,7 @@ def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
     floats, phase 2 under Dantzig's rule, with status None when it gave up.
     """
     try:
-        cost, rows, rhs = _standard_form(lp, float)
+        cost, rows, rhs = _standard_form(lp, _as_float)
     except OverflowError:  # an entry beyond the float range
         return None, [], 0
     try:

@@ -1,10 +1,16 @@
 import json
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from giryq import laws
+from giryq.errors import SpaceMismatchError
 from giryq.laws import SUITES, run_suite, run_suites
+from giryq.measures import Dist, FiniteSpace
 
 STREAMS = Path(__file__).resolve().parent / "law_streams_seed0_cases20.json"
 
@@ -53,3 +59,82 @@ def test_each_suite_draws_the_same_random_stream(monkeypatch):
         run_suite(name, seed=0, cases=20)
         after[name] = rngs[name].getrandbits(64)
     assert after == json.loads(STREAMS.read_text())
+
+
+def per_event_oracle(p, q):
+    # the reference: one Fraction sum per event, no scaling, no Gray code
+    diffs = [a - b for a, b in zip(p.weights, q.weights)]
+    best = Fraction(0)
+    for mask in range(1 << len(diffs)):
+        s = sum((d for i, d in enumerate(diffs) if mask >> i & 1), Fraction(0))
+        best = max(best, abs(s))
+    return best
+
+
+def coprime_dist(rng, space):
+    # weights over distinct primes, normalised: the differences' lcm is large
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    raw = [Fraction(rng.randint(0, 4), rng.choice(primes)) for _ in space.points]
+    if not any(raw):
+        raw[0] = Fraction(1)
+    total = sum(raw)
+    return Dist(space, tuple(w / total for w in raw))
+
+
+def oracle_pairs():
+    rng = random.Random("tv-oracle-pairs")
+    for size in range(1, 13):
+        space = laws.rand_space(rng, "E", min_size=size, max_size=size)
+        yield laws.rand_dist(rng, space), laws.rand_dist(rng, space)
+        yield coprime_dist(rng, space), coprime_dist(rng, space)
+        p = coprime_dist(rng, space)
+        yield p, p
+
+
+def test_metric_oracle_equals_per_event_enumeration(monkeypatch):
+    # the oracle answers without the code it checks
+    def refuse(*args):
+        raise AssertionError("the oracle must not call the metric or the norm")
+
+    monkeypatch.setattr(laws, "tv_metric", refuse)
+    monkeypatch.setattr(laws, "tv_norm", refuse)
+    pairs = list(oracle_pairs())
+    assert max(lcm(*(a.denominator for a in p.weights + q.weights))
+               for p, q in pairs) > 10**6
+    for p, q in pairs:
+        assert laws.tv_oracle(p, q) == per_event_oracle(p, q)
+
+
+def test_metric_oracle_visits_every_event_once(monkeypatch):
+    # every subset sum comes out once, and the oracle takes all 2^n of them
+    steps = [5, -3, 7, 0, -11]
+    assert sorted(laws._event_sums(steps)) == sorted(
+        sum(c) for k in range(len(steps) + 1) for c in combinations(steps, k)
+    )
+    event_sums = laws._event_sums
+    taken = []
+
+    def counted(steps):
+        for s in event_sums(steps):
+            taken.append(s)
+            yield s
+
+    monkeypatch.setattr(laws, "_event_sums", counted)
+    for p, q in oracle_pairs():
+        taken.clear()
+        laws.tv_oracle(p, q)
+        assert len(taken) == 1 << len(p.space)
+
+
+def test_continuity_reports_a_wrong_metric(monkeypatch):
+    # the full L1 distance: twice the metric, a plausible slip
+    monkeypatch.setattr(laws, "tv_metric", lambda p, q: laws.tv_norm(p - q))
+    failures = run_suite("continuity", seed=0, cases=20).failures
+    assert "oracle case 0: metric disagrees with enumeration" in failures
+
+
+def test_metric_oracle_rejects_distributions_on_different_spaces():
+    two = FiniteSpace("Two", ("y1", "y2"))
+    three = FiniteSpace("Three", ("x1", "x2", "x3"))
+    with pytest.raises(SpaceMismatchError):
+        laws.tv_oracle(Dist.dirac(two, "y1"), Dist.dirac(three, "x1"))
