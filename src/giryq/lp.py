@@ -2,15 +2,17 @@
 certificate of its basis, and an exact Bland simplex behind them.
 
 Programs are in equality form: optimize ``c . x`` subject to ``A x = b`` and
-``x >= 0``.  One two-phase simplex body serves two number types; the leaving
-row has the least ratio, ties going to the smallest basic index.  Phase 1
+``x >= 0``.  One simplex body serves two number types; the leaving row has
+the least ratio, ties going to the smallest basic index, and the objective
+row of the tableau is carried through each pivot as one more row.  Phase 1
 prices by Bland's rule, the first negative reduced cost.  :func:`lp_solve`
 runs it first in ``float`` (the guide), with phase 2 under Dantzig's rule:
-the most negative reduced cost enters, or Bland's after ``_STALL_LIMIT``
-pivots in a row that leave the objective where it was.  It then certifies
-the guide's basis exactly (the approach of QSopt_ex; Applegate, Cook, Dash
-and Espinoza, 2007) in integers: each column of ``A`` is scaled by the lcm
-of its denominators, and ``B`` and ``B^T`` are solved by fraction-free
+the most negative reduced cost enters, or Bland's once a run of pivots that
+leave the objective where it was comes back to a set of basic columns it
+has already visited, until one moves it.  It then certifies the guide's
+basis exactly (the approach of QSopt_ex; Applegate, Cook, Dash and
+Espinoza, 2007) in integers: each column of ``A`` is scaled by the lcm of
+its denominators, and ``B`` and ``B^T`` are solved by fraction-free
 (Bareiss) elimination.  As phase 1 is Bland's in both paths, a
 zero-objective solve, exact with no guide, repeats a guided phase 1 up
 to rounding; the benchmark's traced phase split relies on that.
@@ -29,15 +31,27 @@ cycle, with every tableau entry a ``Fraction``.  That exact path is the
 reference the tests compare against.  Either way the optimum and the
 returned vertex are exact.
 
+Phase 1 reads only ``A`` and ``b``, never the objective or the sense.  So
+everything derived from them alone is computed once per constraint system,
+on first use, and kept in the :class:`Constraints` that each
+:class:`LinearProgram` carries: the guide's phase-1 start (its float
+standard form, and the tableau after the artificial columns are driven
+out), the exact path's phase-1 start (built only when a solve falls back),
+and the certificate's column scaling of ``A`` and ``b``.  A start is
+immutable, and phase 2 works on a copy of it.  Programs built with the same
+``Constraints`` share all of it; :mod:`giryq.quantifiers` keeps one per
+fiber for the last 32 fibers it solved over.
+
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
-the reduced costs of the tableau, and ``y^T A`` in both certificates.
+the objective row of the tableau, and ``y^T A`` in both certificates.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
@@ -58,12 +72,19 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """An equality-form program: optimize ``objective . x`` with ``A x = rhs``, ``x >= 0``."""
+    """An equality-form program: optimize ``objective . x`` with ``A x = rhs``, ``x >= 0``.
+
+    ``constraints`` holds what a solve derives from ``A`` and ``rhs``
+    alone; programs built with one share that work.  It must describe this
+    program's ``A`` and ``rhs``.  A program built without one gets a fresh
+    one.  Equality and ``repr`` ignore it.
+    """
 
     objective: tuple[Fraction, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     sense: Sense = Sense.MIN
+    constraints: Optional[Constraints] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", _as_fractions(self.objective))
@@ -79,6 +100,12 @@ class LinearProgram:
                 raise DimensionMismatchError(
                     f"constraint row {i} has {len(row)} coefficients, expected {n}"
                 )
+        if self.constraints is None:
+            object.__setattr__(self, "constraints", Constraints(n, self.matrix, self.rhs))
+        elif (self.constraints.n, self.constraints.matrix, self.constraints.rhs) != (
+            n, self.matrix, self.rhs
+        ):
+            raise ValueError("the constraints describe another system A x = b")
 
 
 @dataclass(frozen=True)
@@ -90,8 +117,11 @@ class LpSolution:
     ``A ray = 0``, ``ray >= 0``, and the objective strictly improves along
     it.  ``guided`` is True when the float guide's basis passed the exact
     certificate.  ``pivots`` counts the simplex pivots behind the answer:
-    the guide's (phase 2 under Dantzig's rule, Bland's while it stalls),
-    plus the exact Bland path's when the certificate failed.
+    the guide's (phase 2 under Dantzig's rule, Bland's while it cycles),
+    plus the exact Bland path's when the certificate failed.  Each count
+    includes its path's phase-1 pivots, even when that phase 1 was solved
+    once and shared with other programs over the same constraints, so the
+    count does not depend on what was solved before.
     """
 
     status: LpStatus
@@ -104,10 +134,6 @@ class LpSolution:
 
 # the guide counts float entries within this distance of zero as zero
 _TOL = 1e-9
-
-# after this many pivots in a row that leave the objective where it was,
-# the guide prices by Bland's rule, which cannot cycle, until one moves it
-_STALL_LIMIT = 100
 
 
 class _PivotCapReached(Exception):
@@ -124,8 +150,11 @@ def _guide_cap(m: int, n: int) -> int:
     return 4 * (m + n)
 
 
-def _pivot(rows: list[list], rhs: list, basis: list[int], r: int, e: int) -> None:
-    """Make column ``e`` basic in row ``r`` by Gaussian elimination."""
+def _pivot(rows: list[Sequence], rhs: list, basis: list[int], r: int, e: int) -> None:
+    """Make column ``e`` basic in row ``r`` by Gaussian elimination.
+
+    Each changed row is replaced by a new list, never written in place.
+    """
     piv = rows[r][e]
     rows[r] = [a / piv for a in rows[r]]
     rhs[r] /= piv
@@ -137,7 +166,7 @@ def _pivot(rows: list[list], rhs: list, basis: list[int], r: int, e: int) -> Non
     basis[r] = e
 
 
-def _reduced_costs(cost: Sequence, rows: list[list], basis: list[int]) -> list:
+def _reduced_costs(cost: Sequence, rows: list[Sequence], basis: list[int]) -> list:
     """``cost - c_B^T rows``: the objective row of the tableau."""
     return combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
 
@@ -154,8 +183,8 @@ def _dantzig(reduced: list, tol: float) -> Optional[int]:
 
 
 def _iterate(
-    cost: list,
-    rows: list[list],
+    cost: Sequence,
+    rows: list[Sequence],
     rhs: list,
     basis: list[int],
     rule: Callable[[list, float], Optional[int]],
@@ -165,17 +194,21 @@ def _iterate(
 ) -> tuple[int, Optional[int]]:
     """Run simplex pivots until optimal or unbounded.
 
-    ``rule`` picks the entering column from the reduced costs, and Bland's
-    rule after ``_STALL_LIMIT`` zero-step pivots in a row, until one moves.
+    The objective row is computed once and then updated with each pivot.
+    ``rule`` picks the entering column from it.  Within a run of pivots
+    that leave the objective where it was, Bland's rule takes over once a
+    set of basic columns repeats, until a pivot moves the objective.
     Entries within ``tol`` of zero count as zero.  ``pivots`` is the count
     made so far; reaching ``cap`` raises :class:`_PivotCapReached`.  Returns
     ``(pivot_count, unbounded_column)`` where the column is the entering
     index that admitted no ratio test (None when optimal).
     """
-    stalled = 0
+    reduced = _reduced_costs(cost, rows, basis)
+    price = rule
+    # the bases visited since the objective last moved; Bland's rule needs none
+    run = None if rule is _bland else {frozenset(basis)}
     while True:
-        reduced = _reduced_costs(cost, rows, basis)
-        entering = (rule if stalled < _STALL_LIMIT else _bland)(reduced, tol)
+        entering = price(reduced, tol)
         if entering is None:
             return pivots, None
         leaving = None
@@ -190,47 +223,66 @@ def _iterate(
             return pivots, entering
         if cap is not None and pivots >= cap:
             raise _PivotCapReached(pivots)
-        stalled = stalled + 1 if rhs[leaving] <= tol else 0
+        moved = rhs[leaving] > tol
         _pivot(rows, rhs, basis, leaving, entering)
+        reduced = combine_rows(reduced, [(-reduced[entering], rows[leaving])])
         pivots += 1
+        if run is not None:
+            if moved:
+                run.clear()
+                price = rule
+            visited = frozenset(basis)
+            if visited in run:
+                price = _bland
+            run.add(visited)
 
 
-def _two_phase(
-    cost: list,
-    rows: list[list],
-    rhs: list,
-    one,
-    rule: Callable[[list, float], Optional[int]],
-    tol: float = 0,
-    cap: Optional[int] = None,
-) -> tuple[Optional[LpStatus], list[int], int, Optional[int]]:
-    """The two-phase simplex on ``rows x = rhs`` (rhs >= 0), in place: phase 1
-    enters by Bland's rule, phase 2 by ``rule``.
+@dataclass(frozen=True)
+class _Start:
+    """The outcome of phase 1 on one system ``A x = b``: read, never written.
+
+    ``status`` is OPTIMAL when phase 1 found a feasible basis: ``rows`` and
+    ``rhs`` are then the tableau over the ``n`` real columns, with leftover
+    artificial columns driven out and redundant rows dropped.  It is
+    INFEASIBLE when the artificial mass stays positive; ``basis`` is then
+    the phase-1 basis, whose artificial columns are ``n..n+m-1``.  It is
+    None when phase 1 gave up, and ``gave_up`` says why: ``"overflow"`` (an
+    entry past the float range), ``"cap"`` (the guide's pivot cap) or
+    ``"stuck"`` (no descent step, which exact arithmetic rules out).
+    ``pivots`` counts phase 1 and the drive-out.
+    """
+
+    status: Optional[LpStatus]
+    rows: tuple[tuple, ...] = ()
+    rhs: tuple = ()
+    basis: tuple[int, ...] = ()
+    pivots: int = 0
+    gave_up: Optional[str] = None
+
+
+def _phase1(
+    rows: list[list], rhs: list, n: int, one, tol: float = 0, cap: Optional[int] = None
+) -> _Start:
+    """Phase 1 on ``rows x = rhs`` (rhs >= 0) over ``n`` columns, in place:
+    minimize the total artificial mass under Bland's rule.
 
     ``one`` fixes the number type: ``Fraction(1)`` with ``tol`` 0 makes
     every sign test exact; ``1.0`` with a positive ``tol`` is the guide.
-    Phase 1 minimizes the total artificial mass to decide feasibility;
-    phase 2 optimizes ``cost`` from the feasible basis found.  Returns
-    ``(status, basis, pivots, column)``.  INFEASIBLE leaves the phase-1
-    basis, whose artificial columns are ``n..n+m-1``.  OPTIMAL and UNBOUNDED
-    leave ``rows``/``rhs`` as the final tableau over the ``n`` real columns,
-    less any redundant row; ``column`` is the unbounded entering column.
-    The status is None when phase 1 found no descent step to take, which
-    exact arithmetic rules out.
+    Reaching ``cap`` raises :class:`_PivotCapReached`.
     """
-    n, m = len(cost), len(rows)
+    m = len(rows)
     zero = one - one
-    # phase 1: artificial columns n..n+m-1 with unit cost form the start basis
+    # artificial columns n..n+m-1 with unit cost form the start basis
     for i in range(m):
         rows[i] = rows[i] + [one if j == i else zero for j in range(m)]
     basis = list(range(n, n + m))
     phase1_cost = [zero] * n + [one] * m
     pivots, stuck = _iterate(phase1_cost, rows, rhs, basis, _bland, tol, 0, cap)
     if stuck is not None:
-        return None, basis, pivots, None
+        return _Start(None, pivots=pivots, gave_up="stuck")
     artificial_mass = sum((rhs[i] for i in range(m) if basis[i] >= n), zero)
     if artificial_mass > tol:
-        return LpStatus.INFEASIBLE, basis, pivots, None
+        return _Start(LpStatus.INFEASIBLE, basis=tuple(basis), pivots=pivots)
 
     # drive leftover artificials (value zero) out of the basis; a row with
     # no real coefficient left is redundant and is dropped
@@ -243,30 +295,54 @@ def _two_phase(
         else:
             _pivot(rows, rhs, basis, r, entering)
             pivots += 1
-    rows[:] = [row[:n] for row in rows]
-
-    pivots, stuck = _iterate(cost, rows, rhs, basis, rule, tol, pivots, cap)
-    if stuck is not None:
-        return LpStatus.UNBOUNDED, basis, pivots, stuck
-    return LpStatus.OPTIMAL, basis, pivots, None
+    return _Start(
+        LpStatus.OPTIMAL, tuple(tuple(row[:n]) for row in rows), tuple(rhs), tuple(basis), pivots
+    )
 
 
-def _standard_form(lp: LinearProgram, num) -> tuple[list, list[list], list]:
-    """The program as ``min cost . x`` over rows with ``rhs >= 0``, each
-    entry converted by ``num`` and then negated where it must be.  Rows are
-    flipped on the exact sign of ``b``.
+def _phase2(
+    start: _Start,
+    cost: Sequence,
+    rule: Callable[[list, float], Optional[int]],
+    tol: float = 0,
+    cap: Optional[int] = None,
+) -> tuple[LpStatus, list[Sequence], list, list[int], int, Optional[int]]:
+    """Phase 2 from a feasible ``start``: minimize ``cost``, entering by ``rule``.
+
+    It pivots a copy of the start's tableau; ``start`` itself is never
+    changed, so one start serves any number of objectives.  Returns
+    ``(status, rows, rhs, basis, pivots, column)``: the final tableau,
+    pivots counted from the start's, and the entering column that admitted
+    no ratio test when UNBOUNDED.  Reaching ``cap`` raises
+    :class:`_PivotCapReached`.
     """
-    cost = [num(c) for c in lp.objective]
-    if lp.sense is Sense.MAX:
-        cost = [-c for c in cost]
-    rows, rhs = [], []
-    for row, b in zip(lp.matrix, lp.rhs):
+    # _pivot replaces a row it changes and never writes into one, so the
+    # start's row tuples can be shared by the copy
+    rows, rhs, basis = list(start.rows), list(start.rhs), list(start.basis)
+    pivots, stuck = _iterate(cost, rows, rhs, basis, rule, tol, start.pivots, cap)
+    status = LpStatus.OPTIMAL if stuck is None else LpStatus.UNBOUNDED
+    return status, rows, rhs, basis, pivots, stuck
+
+
+def _standard_form(matrix: Sequence[Sequence], rhs: Sequence, num) -> tuple[list[list], list]:
+    """The rows of ``A x = b`` with ``b >= 0``, each entry converted by
+    ``num`` and then negated where it must be.  Rows are flipped on the
+    exact sign of ``b``.
+    """
+    rows, out = [], []
+    for row, b in zip(matrix, rhs):
         row, nb = [num(a) for a in row], num(b)
         if b < 0:
             row, nb = [-a for a in row], -nb
         rows.append(row)
-        rhs.append(nb)
-    return cost, rows, rhs
+        out.append(nb)
+    return rows, out
+
+
+def _min_cost(lp: LinearProgram, num) -> list:
+    """The objective as a cost to minimize, each entry converted by ``num``."""
+    cost = [num(c) for c in lp.objective]
+    return cost if lp.sense is Sense.MIN else [-c for c in cost]
 
 
 def _as_float(a: Fraction) -> float:
@@ -276,17 +352,76 @@ def _as_float(a: Fraction) -> float:
     return a.numerator / a.denominator
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(d * values, d)`` for ``d`` the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+class Constraints:
+    """What solving derives from ``A x = b`` alone, each part computed on
+    first use and then kept.
+
+    ``n`` is the number of columns, ``matrix`` and ``rhs`` are ``A`` and
+    ``b`` as exact rationals.  Every part is immutable, so any number of
+    programs over this system, in either sense and with any objective, can
+    share it.
+    """
+
+    def __init__(
+        self, n: int, matrix: tuple[tuple[Fraction, ...], ...], rhs: tuple[Fraction, ...]
+    ) -> None:
+        self.n, self.matrix, self.rhs = n, matrix, rhs
+
+    @cached_property
+    def guide_start(self) -> _Start:
+        """Phase 1 in floats, within the guide's pivot cap."""
+        try:
+            rows, rhs = _standard_form(self.matrix, self.rhs, _as_float)
+        except OverflowError:  # an entry beyond the float range
+            return _Start(None, gave_up="overflow")
+        try:
+            return _phase1(rows, rhs, self.n, 1.0, _TOL, _guide_cap(len(rows), self.n))
+        except _PivotCapReached as reached:
+            return _Start(None, pivots=reached.pivots, gave_up="cap")
+
+    @cached_property
+    def exact_start(self) -> _Start:
+        """Phase 1 with every entry a ``Fraction``."""
+        rows, rhs = _standard_form(self.matrix, self.rhs, Fraction)
+        return _phase1(rows, rhs, self.n, Fraction(1))
+
+    @cached_property
+    def integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``(rows, d)``: ``A`` in integers with column ``j`` times ``d[j]``,
+        the lcm of its denominators.  Rows stay unscaled: a lifted program's
+        row mixes every kernel row's denominators, while its column has one.
+        """
+        # both counted out, so a program with no rows or no columns keeps the other
+        cleared = [_cleared([row[j] for row in self.matrix]) for j in range(self.n)]
+        rows = tuple(tuple(column[i] for column, _ in cleared) for i in range(len(self.rhs)))
+        return rows, tuple(dj for _, dj in cleared)
+
+    @cached_property
+    def integer_rhs(self) -> tuple[list[int], int]:
+        """``b`` cleared of denominators: ``(d_b * b, d_b)``."""
+        return _cleared(self.rhs)
+
+
 def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
     """The float guide: ``(status, basis, pivots)`` from the simplex run in
     floats, phase 2 under Dantzig's rule, with status None when it gave up.
     """
     try:
-        cost, rows, rhs = _standard_form(lp, _as_float)
+        cost = _min_cost(lp, _as_float)
     except OverflowError:  # an entry beyond the float range
         return None, [], 0
+    start = lp.constraints.guide_start
+    if start.status is not LpStatus.OPTIMAL:
+        return start.status, list(start.basis), start.pivots
     try:
-        status, basis, pivots, _ = _two_phase(
-            cost, rows, rhs, 1.0, _dantzig, _TOL, _guide_cap(len(rows), len(cost))
+        status, _, _, basis, pivots, _ = _phase2(
+            start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost))
         )
     except _PivotCapReached as reached:
         return None, [], reached.pivots
@@ -324,36 +459,25 @@ def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, 
     return det, z
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``(d * values, d)`` for ``d`` the lcm of the denominators."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _integer_basis(lp: LinearProgram, basis: list[int]) -> tuple[list, list, list[int]]:
-    """``(B, A, d)`` in integers, signs kept: ``A`` has column ``j`` times
-    ``d[j]``, the lcm of its denominators, and ``B`` the columns ``basis``;
-    an artificial ``j >= n`` is row ``j - n``'s unit vector signed like its
-    ``b``, scale 1.  Rows stay unscaled: a lifted program's row mixes every
-    kernel row's denominators, while its column has one."""
-    n, m = len(lp.objective), len(lp.rhs)
-    # both counted out, so a program with no rows or no columns keeps the other
-    cleared = [_cleared([row[j] for row in lp.matrix]) for j in range(n)]
-    d = [dj for _, dj in cleared]
-    rows = [[column[i] for column, _ in cleared] for i in range(m)]
-    matrix = [
+def _integer_basis(lp: LinearProgram, basis: list[int]) -> list[list[int]]:
+    """``B`` in integers, signs kept: the columns ``basis`` of
+    :attr:`Constraints.integer_columns`; an artificial ``j >= n`` is row
+    ``j - n``'s unit vector signed like its ``b``, scale 1."""
+    n = len(lp.objective)
+    rows, _ = lp.constraints.integer_columns
+    return [
         [row[j] if j < n else (j - n == i) * (-1 if b < 0 else 1) for j in basis]
         for i, (row, b) in enumerate(zip(rows, lp.rhs))
     ]
-    return matrix, rows, d
 
 
 def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Fraction]]:
     """The basic solution of ``basis`` if it is the program's only optimum."""
     if len(basis) != len(lp.rhs):  # a redundant row was dropped
         return None
-    matrix, rows, d = _integer_basis(lp, basis)
-    b, d_b = _cleared(lp.rhs)
+    matrix = _integer_basis(lp, basis)
+    rows, d = lp.constraints.integer_columns
+    b, d_b = lp.constraints.integer_rhs
     primal = _integer_solve(matrix, b)
     if primal is None:
         return None
@@ -379,13 +503,14 @@ def _certified_infeasible(lp: LinearProgram, basis: list[int]) -> bool:
     ``y^T A <= 0`` and ``y^T b > 0``, so no ``x >= 0`` has ``A x = b``.
     """
     n = len(lp.objective)
-    matrix, rows, _ = _integer_basis(lp, basis)
+    matrix = _integer_basis(lp, basis)
+    rows, _ = lp.constraints.integer_columns
     # B^T y = the phase-1 cost of the basis gives yz = det y
     dual = _integer_solve(list(zip(*matrix)), [int(j >= n) for j in basis])
     if dual is None:
         return False
     det, yz = dual
-    b, _ = _cleared(lp.rhs)
+    b, _ = lp.constraints.integer_rhs
     if sum(y * v for y, v in zip(yz, b)) * det <= 0:
         return False
     return all(v * det <= 0 for v in combine_rows([0] * n, zip(yz, rows)))
@@ -410,12 +535,12 @@ def _exact(lp: LinearProgram) -> LpSolution:
     under Bland's ordering.
     """
     n = len(lp.objective)
-    cost, rows, rhs = _standard_form(lp, Fraction)
-    status, basis, pivots, stuck = _two_phase(cost, rows, rhs, Fraction(1), _bland)
-    if status is None:
+    start = lp.constraints.exact_start
+    if start.status is None:
         raise CertificateError("phase-1 objective is bounded below by zero")
-    if status is LpStatus.INFEASIBLE:
-        return LpSolution(status=LpStatus.INFEASIBLE, pivots=pivots)
+    if start.status is LpStatus.INFEASIBLE:
+        return LpSolution(status=LpStatus.INFEASIBLE, pivots=start.pivots)
+    status, rows, rhs, basis, pivots, stuck = _phase2(start, _min_cost(lp, Fraction), _bland)
     if status is LpStatus.UNBOUNDED:
         ray = [ZERO] * n
         ray[stuck] = Fraction(1)
@@ -434,7 +559,8 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     The float guide proposes a basis and the exact certificate accepts or
     rejects it; on rejection the exact path answers.  Both give the same
     status, value and vertex: the first optimal basic solution under
-    Bland's ordering.
+    Bland's ordering.  Phase 1 of either path is shared through
+    ``lp.constraints`` with every program built over the same ones.
     """
     # under a zero objective every reduced cost is zero, so the certificate
     # would refuse any basis that leaves a column out: skip the guide

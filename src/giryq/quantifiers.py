@@ -20,6 +20,13 @@ The regime picks the fiber:
   and it is certified exactly (it maps onto the query and its expectation
   is the value) before it is returned.
 
+The LP regime's programs over one fiber differ only in sense and
+predicate, and simplex phase 1 reads neither.  The fiber's constraints
+(:class:`~giryq.lp.Constraints`) are kept for the last 32 distinct
+``(kernel, query)`` pairs, so both quantifiers over one fiber, for any
+predicate, solve phase 1 once and share it.  Each answer is the one a
+fresh solve gives, pivot count included.
+
 The named ``exists_*``/``forall_*`` functions are one-line entries into
 the core.  ``exists_composite``/``forall_composite`` evaluate a two-kernel
 chain by staged nesting through finitely supported intermediate measures,
@@ -32,11 +39,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateError, ProbeSetIncompleteError, SpaceMismatchError
 from .kernels import Kernel, image_measure, lift, mixture
-from .lp import LinearProgram, LpStatus, Sense, lp_solve
+from .lp import Constraints, LinearProgram, LpStatus, Sense, lp_solve
 from .measures import ONE, ZERO, Dist, FiniteSpace
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
 
@@ -91,17 +99,29 @@ def _result(best: Optional[tuple], sense: Sense, regime: Regime) -> QuantifierRe
     return QuantifierResult(*best, regime, True)
 
 
-def _lifted_program(kernel: Kernel, pred: Predicate, query: Dist, sense: Sense) -> LinearProgram:
-    # one equality per target point: the mixture of rows must hit the query.
-    # total mass 1 is implied because every matrix column sums to 1.
+@lru_cache(maxsize=32)
+def _lifted_constraints(kernel: Kernel, query: Dist) -> Constraints:
+    """The fiber of ``query`` as constraints: one equality per target point,
+    the mixture of rows must hit the query.  Total mass 1 is implied
+    because every matrix column sums to 1.
+
+    Kept for the last 32 ``(kernel, query)`` pairs, so programs over one
+    fiber, in either sense and for any predicate, share their phase 1.
+    """
     matrix = tuple(
         tuple(row.weights[j] for row in kernel.rows) for j in range(len(kernel.target))
     )
+    return Constraints(len(kernel.source), matrix, query.weights)
+
+
+def _lifted_program(kernel: Kernel, pred: Predicate, query: Dist, sense: Sense) -> LinearProgram:
+    constraints = _lifted_constraints(kernel, query)
     return LinearProgram(
         objective=tuple(pred.values),
-        matrix=matrix,
-        rhs=tuple(query.weights),
+        matrix=constraints.matrix,
+        rhs=constraints.rhs,
         sense=sense,
+        constraints=constraints,
     )
 
 

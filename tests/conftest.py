@@ -7,8 +7,18 @@ from pathlib import Path
 import pytest
 
 from giryq import Dist, FiniteSpace, Kernel, Predicate
+from giryq.quantifiers import _lifted_constraints
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def fresh_fiber_memo():
+    """Each test starts with no fiber kept, so a phase 1 solved under a
+    monkeypatched ``_guide_cap`` or ``_propose`` cannot serve a later test."""
+    _lifted_constraints.cache_clear()
+    yield
+    _lifted_constraints.cache_clear()
 
 
 @pytest.fixture

@@ -348,8 +348,8 @@ def test_guide_prices_phase_1_by_blands_rule():
 def test_stall_guard_keeps_the_answer_and_the_certificate(monkeypatch):
     lp = generic_32x12_program()
     expected = answer(lp_solve(lp))
-    # a stall limit of 0 prices every pivot by Bland's rule
-    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 0)
+    # the guard's rule on every pivot: phase 2 priced by Bland's rule
+    monkeypatch.setattr(lp_module, "_dantzig", lp_module._bland)
     solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == expected
@@ -357,18 +357,38 @@ def test_stall_guard_keeps_the_answer_and_the_certificate(monkeypatch):
 
 def test_stall_guard_breaks_a_dantzig_cycle(monkeypatch):
     lp = CLASSIC_CYCLING
-    cap = 3 * lp_module._STALL_LIMIT
+    cap = lp_module._guide_cap(3, 7)
 
     def from_the_slack_basis():
-        cost, rows, rhs = lp_module._standard_form(lp, float)
-        basis = [4, 5, 6]
+        rows, rhs = lp_module._standard_form(lp.matrix, lp.rhs, float)
+        cost, basis = lp_module._min_cost(lp, float), [4, 5, 6]
         lp_module._iterate(cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0, cap)
         return basis
 
     assert tuple(lp_module._certified_vertex(lp, from_the_slack_basis())) == lp_solve(lp).point
-    monkeypatch.setattr(lp_module, "_STALL_LIMIT", cap + 1)
+    # with Bland's rule replaced by Dantzig's, the guard has nothing to hand over to
+    monkeypatch.setattr(lp_module, "_bland", lp_module._dantzig)
     with pytest.raises(lp_module._PivotCapReached):
         from_the_slack_basis()
+
+
+def test_stall_guard_hands_over_when_a_basis_repeats():
+    # Dantzig's rule prices each basis of the cycle once; the return to the
+    # slack basis, six zero-step pivots on, is priced by Bland's rule
+    lp = CLASSIC_CYCLING
+    rows, rhs = lp_module._standard_form(lp.matrix, lp.rhs, float)
+    cost, basis = lp_module._min_cost(lp, float), [4, 5, 6]
+    priced = []
+
+    def dantzig(reduced, tol):
+        priced.append(frozenset(basis))
+        return lp_module._dantzig(reduced, tol)
+
+    lp_module._iterate(cost, rows, rhs, basis, dantzig, lp_module._TOL, 0, 40)
+    assert len(set(priced[:6])) == 6
+    assert priced.count(frozenset({4, 5, 6})) == 1
+    # once a pivot moves the objective, Dantzig's rule prices again
+    assert len(priced) > 6
 
 
 def test_dantzig_guide_certifies_where_blands_rule_stalls():
@@ -383,10 +403,12 @@ def test_dantzig_guide_certifies_where_blands_rule_stalls():
     mixture = [weights[mixed.index(k)] if k in mixed else F(0) for k in range(len(source))]
     query = lift(kernel)(Dist(source, tuple(mixture)))
     lp = _lifted_program(kernel, rand_predicate(rng, source), query, Sense.MIN)
-    cost, rows, rhs = lp_module._standard_form(lp, float)
-    cap = lp_module._guide_cap(len(rows), len(cost))
+    start = lp.constraints.guide_start
+    assert start.status is LpStatus.OPTIMAL
+    cost = lp_module._min_cost(lp, float)
+    cap = lp_module._guide_cap(len(lp.rhs), len(cost))
     with pytest.raises(lp_module._PivotCapReached):
-        lp_module._two_phase(cost, rows, rhs, 1.0, lp_module._bland, lp_module._TOL, cap)
+        lp_module._phase2(start, cost, lp_module._bland, lp_module._TOL, cap)
     solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == answer(lp_module._exact(lp))
@@ -430,6 +452,58 @@ def test_pivot_cap_hands_over_to_the_exact_path(monkeypatch):
     assert not solution.guided
     assert answer(solution) == answer(exact)
     assert solution.pivots == 1 + exact.pivots
+
+
+# ---------------------------------------------------------------------------
+# one phase 1 per constraint system, shared by every program over it
+# ---------------------------------------------------------------------------
+
+
+def sharing(lp, objectives):
+    """Programs over ``lp``'s constraints, one per objective and sense."""
+    return [
+        LinearProgram(c, lp.matrix, lp.rhs, sense, constraints=lp.constraints)
+        for c in objectives
+        for sense in (Sense.MAX, Sense.MIN, Sense.MAX)
+    ]
+
+
+def assert_shared_solves_match_fresh_ones(programs):
+    for lp in programs:
+        fresh = LinearProgram(lp.objective, lp.matrix, lp.rhs, lp.sense)
+        assert lp_solve(lp) == lp_solve(fresh)
+        assert answer(lp_solve(lp)) == answer(lp_module._exact(fresh))
+
+
+def test_infeasible_start_is_reused(channel, gain, two_points):
+    lp = _lifted_program(channel, gain, Dist(two_points, (F(0), F(1))), Sense.MAX)
+    programs = sharing(lp, [lp.objective, (F(1), F(0), F(1, 3))])
+    assert_shared_solves_match_fresh_ones(programs)
+    assert lp.constraints.guide_start.status is LpStatus.INFEASIBLE
+    assert all(lp_solve(p).guided for p in programs)
+
+
+def test_start_that_reached_the_cap_is_reused(monkeypatch):
+    monkeypatch.setattr(lp_module, "_guide_cap", lambda m, n: 1)
+    lp = blend_program(Sense.MAX)
+    programs = sharing(lp, [lp.objective, (F(1), F(0), F(2))])
+    assert_shared_solves_match_fresh_ones(programs)
+    assert lp.constraints.guide_start.gave_up == "cap"
+    for p in programs:
+        assert lp_solve(p).pivots == 1 + lp_module._exact(p).pivots
+
+
+def test_start_past_the_float_range_is_reused():
+    lp = LinearProgram(objective=(F(1), F(2)), matrix=((F(10**400), F(1)),), rhs=(F(1),))
+    assert_shared_solves_match_fresh_ones(sharing(lp, [lp.objective, (F(3), F(-1))]))
+    assert lp.constraints.guide_start.gave_up == "overflow"
+    assert "exact_start" in vars(lp.constraints)
+
+
+def test_constraints_of_another_system_are_refused():
+    lp = blend_program(Sense.MIN)
+    with pytest.raises(ValueError, match="another system"):
+        LinearProgram(lp.objective, lp.matrix, (F(1, 2), F(1, 2)), constraints=lp.constraints)
 
 
 # float guide proposals that the exact certificate must refuse, each on a

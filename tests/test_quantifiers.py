@@ -13,6 +13,7 @@ from giryq import (
     FiniteSpace,
     Kernel,
     LiftedPredicate,
+    LinearProgram,
     LpStatus,
     PointBounds,
     PointFunction,
@@ -33,8 +34,12 @@ from giryq import (
     forall_lifted,
     identity_kernel,
     lift,
+    lp_solve,
 )
+from giryq import lp as lp_module
 from giryq.laws import rand_dist, rand_kernel, rand_predicate, rand_space
+from giryq.lp import Sense
+from giryq.quantifiers import _lifted_constraints, _lifted_program
 
 
 class TestFiberRegime:
@@ -349,6 +354,97 @@ class TestComposite:
         sx = inner.source
         with pytest.raises(SpaceMismatchError, match="^cannot chain: inner lands in 'Y'"):
             exists_composite(inner, identity_kernel(sx), pred, Dist.dirac(sx, "x1"))
+
+
+def fresh(lp):
+    """The same program with constraints of its own: nothing shared."""
+    return LinearProgram(lp.objective, lp.matrix, lp.rhs, lp.sense)
+
+
+def twin_channel():
+    # x2 and x3 share a row and a predicate value: the optimum is not unique,
+    # so the certificate refuses and the exact path answers
+    x = FiniteSpace("X", ("x1", "x2", "x3"))
+    y = FiniteSpace("Y", ("y1", "y2"))
+    rows = (Dist(y, (F(1), F(0))), Dist(y, (F(0), F(1))), Dist(y, (F(0), F(1))))
+    preds = (Predicate(x, (F(1, 2), F(1, 3), F(1, 3))), Predicate(x, (F(1), F(1, 5), F(1, 5))))
+    return Kernel(x, y, rows), preds, Dist(y, (F(1, 2), F(1, 2)))
+
+
+class TestSharedFiber:
+    """Programs over one fiber share the phase 1 that reads only the fiber."""
+
+    SENSES = (Sense.MAX, Sense.MIN, Sense.MAX)
+
+    def generic_fiber(self):
+        rng = random.Random("shared-fiber")
+        source = rand_space(rng, "X", 12, 12)
+        kernel = rand_kernel(rng, source, rand_space(rng, "Y", 5, 5))
+        preds = (rand_predicate(rng, source), rand_predicate(rng, source))
+        return kernel, preds, lift(kernel)(rand_dist(rng, source))
+
+    @pytest.mark.parametrize("fiber", ["generic", "twin", "unreachable"])
+    def test_senses_and_predicates_match_fresh_solves(self, fiber, channel, gain, two_points):
+        if fiber == "generic":
+            kernel, preds, query = self.generic_fiber()
+        elif fiber == "twin":
+            kernel, preds, query = twin_channel()
+        else:
+            kernel, query = channel, Dist(two_points, (F(0), F(1)))
+            preds = (gain, Predicate(gain.space, (F(1), F(0), F(1, 3))))
+        programs = [_lifted_program(kernel, p, query, s) for p in preds for s in self.SENSES]
+        constraints = programs[0].constraints
+        assert all(lp.constraints is constraints for lp in programs)
+        for lp in programs:
+            # field by field: status, value, point, ray, pivots and guided
+            assert lp_solve(lp) == lp_solve(fresh(lp))
+        start = constraints.guide_start
+        assert constraints.guide_start is start
+        # every answer counts the shared phase 1 again
+        assert start.pivots > 0
+        assert all(lp_solve(lp).pivots >= start.pivots for lp in programs)
+        if fiber == "twin":
+            assert "exact_start" in vars(constraints)
+        # phase 2 pivots a copy: the start is what a fresh phase 1 gives
+        assert start == fresh(programs[0]).constraints.guide_start
+
+    def test_quantifiers_over_one_fiber_match_fresh_solves(self):
+        kernel, (p, q), query = self.generic_fiber()
+        answers = [
+            quantifier(kernel, pred, query)
+            for pred in (p, q)
+            for quantifier in (exists_lifted, forall_lifted, exists_lifted)
+        ]
+        assert _lifted_constraints.cache_info().hits == 5
+        for answer, (pred, sense) in zip(
+            answers, [(pred, s) for pred in (p, q) for s in self.SENSES]
+        ):
+            solution = lp_solve(fresh(_lifted_program(kernel, pred, query, sense)))
+            assert (answer.value, answer.witness.weights) == (solution.value, solution.point)
+
+    def test_equal_fibers_share_constraints(self, channel, gain):
+        query = Dist(channel.target, (F(7, 10), F(3, 10)))
+        again = Dist(channel.target, (F(7, 10), F(3, 10)))
+        first = _lifted_program(channel, gain, query, Sense.MAX)
+        assert _lifted_program(channel, gain, again, Sense.MIN).constraints is first.constraints
+
+    def test_random_fibers_match_the_exact_path(self):
+        rng = random.Random("shared-fiber-exact")
+        for _ in range(30):
+            source = rand_space(rng, "X", 1, 8)
+            kernel = rand_kernel(rng, source, rand_space(rng, "Y", 1, 4))
+            if rng.random() < 0.7:
+                query = lift(kernel)(rand_dist(rng, source))
+            else:
+                query = rand_dist(rng, kernel.target)
+            for _ in range(4):
+                pred, sense = rand_predicate(rng, source), rng.choice(list(Sense))
+                lp = _lifted_program(kernel, pred, query, sense)
+                solution = lp_solve(lp)
+                exact = lp_module._exact(fresh(lp))
+                assert (solution.status, solution.value, solution.point) == (
+                    exact.status, exact.value, exact.point
+                )
 
 
 def _moved_vertex(lp, solution):
