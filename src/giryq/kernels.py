@@ -163,6 +163,15 @@ def pushforward(fn: PointFunction, dist: Dist) -> Dist:
     return lift(deterministic_kernel(fn))(dist)
 
 
+def _check_source(kernel: Kernel, dist: Dist) -> None:
+    """Refuse a distribution that does not live on the kernel's source."""
+    if dist.space != kernel.source:
+        raise SpaceMismatchError(
+            f"distribution lives on {dist.space.name!r}, "
+            f"kernel starts at {kernel.source.name!r}"
+        )
+
+
 def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
     """Image of ``dist`` under the row map ``x -> kernel.row(x)``.
 
@@ -172,11 +181,7 @@ def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
     the order in which they first appear.  Its :func:`mixture` is
     ``lift(kernel)(dist)``.
     """
-    if dist.space != kernel.source:
-        raise SpaceMismatchError(
-            f"distribution lives on {dist.space.name!r}, "
-            f"kernel starts at {kernel.source.name!r}"
-        )
+    _check_source(kernel, dist)
     classes, representatives = kernel.row_partition
     merged: dict[int, Fraction] = {}
     for c, w in zip(classes, dist.weights):
@@ -211,11 +216,7 @@ def lift(kernel: Kernel) -> Callable[[Dist], Dist]:
     """
 
     def apply(dist: Dist) -> Dist:
-        if dist.space != kernel.source:
-            raise SpaceMismatchError(
-                f"distribution lives on {dist.space.name!r}, "
-                f"kernel starts at {kernel.source.name!r}"
-            )
+        _check_source(kernel, dist)
         return _mix(kernel.target, zip(dist.weights, kernel.rows))
 
     return apply

@@ -6,11 +6,10 @@ Programs are in equality form: optimize ``c . x`` subject to ``A x = b`` and
 the least ratio, ties going to the smallest basic index, and the objective
 row of the tableau is carried through each pivot as one more row.  Phase 1
 prices by Bland's rule, the first negative reduced cost.  :func:`lp_solve`
-runs it first in ``float`` (the guide), with phase 2 under Dantzig's rule:
-the most negative reduced cost enters, or Bland's once a run of pivots that
-leave the objective where it was comes back to a set of basic columns it
-has already visited, until one moves it.  It then certifies the guide's
-basis exactly (the approach of QSopt_ex; Applegate, Cook, Dash and
+runs it first in ``float`` (the guide), with phase 2 under Dantzig's rule,
+the most negative reduced cost; a pivot cap stops a guide that rounding or
+a degenerate cycle keeps from ending.  It then certifies the guide's basis
+exactly (the approach of QSopt_ex; Applegate, Cook, Dash and
 Espinoza, 2007) in integers: each column of ``A`` is scaled by the lcm of
 its denominators, and ``B`` and ``B^T`` are solved by fraction-free
 (Bareiss) elimination.  As phase 1 is Bland's in both paths, a
@@ -32,19 +31,21 @@ reference the tests compare against.  Either way the optimum and the
 returned vertex are exact.
 
 Phase 1 reads only ``A`` and ``b``, never the objective or the sense.  So
-everything derived from them alone is computed once per constraint system,
-on first use, and kept in the :class:`Constraints` that each
-:class:`LinearProgram` carries: the guide's phase-1 start (its float
-standard form, and the tableau after the artificial columns are driven
-out), the exact path's phase-1 start (built only when a solve falls back),
-and the certificate's column scaling of ``A`` and ``b``.  A start is
-immutable, and phase 2 works on a copy of it.  Programs built with the same
-``Constraints`` share all of it; :mod:`giryq.quantifiers` keeps one per
-fiber for the last 32 fibers it solved over.
+everything derived from them alone is computed once per constraint system
+and kept in the :class:`Constraints` that each :class:`LinearProgram`
+carries: ``A`` and ``b`` converted and checked, the standard form with each
+row whose ``b`` is negative flipped, and, on first use, the guide's phase-1
+start (the tableau after the artificial columns are driven out), the exact
+path's (built only when a solve falls back) and the certificate's integer
+scaling.  All three read the standard form, so an artificial column is a
+plain unit vector.  Phase 2 works on a copy of a start.  Programs built
+with the same ``Constraints`` share all of it; :mod:`giryq.quantifiers`
+keeps one per fiber for the last 32 fibers.
 
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
-the objective row of the tableau, and ``y^T A`` in both certificates.
+the objective row of the tableau, and the reduced costs of the one dual
+solve that both certificates share.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
 from .measures import ZERO, _as_fractions, combine_rows
@@ -74,10 +75,10 @@ class LpStatus(enum.Enum):
 class LinearProgram:
     """An equality-form program: optimize ``objective . x`` with ``A x = rhs``, ``x >= 0``.
 
-    ``constraints`` holds what a solve derives from ``A`` and ``rhs``
-    alone; programs built with one share that work.  It must describe this
-    program's ``A`` and ``rhs``.  A program built without one gets a fresh
-    one.  Equality and ``repr`` ignore it.
+    ``constraints`` holds ``A`` and ``rhs``, converted and checked, and what
+    a solve derives from them alone; programs built with one share that work
+    and its tuples.  It must describe the ``matrix`` and ``rhs`` given.  A
+    program built without one gets a fresh one.  Equality and ``repr`` ignore it.
     """
 
     objective: tuple[Fraction, ...]
@@ -88,24 +89,15 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", _as_fractions(self.objective))
-        object.__setattr__(self, "matrix", tuple(map(_as_fractions, self.matrix)))
-        object.__setattr__(self, "rhs", _as_fractions(self.rhs))
         n = len(self.objective)
-        if len(self.matrix) != len(self.rhs):
-            raise DimensionMismatchError(
-                f"{len(self.matrix)} constraint rows but {len(self.rhs)} right-hand sides"
-            )
-        for i, row in enumerate(self.matrix):
-            if len(row) != n:
-                raise DimensionMismatchError(
-                    f"constraint row {i} has {len(row)} coefficients, expected {n}"
-                )
         if self.constraints is None:
             object.__setattr__(self, "constraints", Constraints(n, self.matrix, self.rhs))
         elif (self.constraints.n, self.constraints.matrix, self.constraints.rhs) != (
-            n, self.matrix, self.rhs
+            n, tuple(map(tuple, self.matrix)), tuple(self.rhs)
         ):
             raise ValueError("the constraints describe another system A x = b")
+        object.__setattr__(self, "matrix", self.constraints.matrix)
+        object.__setattr__(self, "rhs", self.constraints.rhs)
 
 
 @dataclass(frozen=True)
@@ -117,11 +109,11 @@ class LpSolution:
     ``A ray = 0``, ``ray >= 0``, and the objective strictly improves along
     it.  ``guided`` is True when the float guide's basis passed the exact
     certificate.  ``pivots`` counts the simplex pivots behind the answer:
-    the guide's (phase 2 under Dantzig's rule, Bland's while it cycles),
-    plus the exact Bland path's when the certificate failed.  Each count
-    includes its path's phase-1 pivots, even when that phase 1 was solved
-    once and shared with other programs over the same constraints, so the
-    count does not depend on what was solved before.
+    the guide's (phase 2 under Dantzig's rule), plus the exact Bland path's
+    when the certificate failed.  Each count includes its path's phase-1
+    pivots, even when that phase 1 was solved once and shared with other
+    programs over the same constraints, so the count does not depend on
+    what was solved before.
     """
 
     status: LpStatus
@@ -166,11 +158,6 @@ def _pivot(rows: list[Sequence], rhs: list, basis: list[int], r: int, e: int) ->
     basis[r] = e
 
 
-def _reduced_costs(cost: Sequence, rows: list[Sequence], basis: list[int]) -> list:
-    """``cost - c_B^T rows``: the objective row of the tableau."""
-    return combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
-
-
 def _bland(reduced: list, tol: float) -> Optional[int]:
     """Bland's entering column: the first with a negative reduced cost."""
     return next((j for j, c in enumerate(reduced) if c < -tol), None)
@@ -194,21 +181,16 @@ def _iterate(
 ) -> tuple[int, Optional[int]]:
     """Run simplex pivots until optimal or unbounded.
 
-    The objective row is computed once and then updated with each pivot.
-    ``rule`` picks the entering column from it.  Within a run of pivots
-    that leave the objective where it was, Bland's rule takes over once a
-    set of basic columns repeats, until a pivot moves the objective.
+    The objective row ``cost - c_B^T rows`` is computed once and then
+    updated with each pivot; ``rule`` picks the entering column from it.
     Entries within ``tol`` of zero count as zero.  ``pivots`` is the count
     made so far; reaching ``cap`` raises :class:`_PivotCapReached`.  Returns
     ``(pivot_count, unbounded_column)`` where the column is the entering
     index that admitted no ratio test (None when optimal).
     """
-    reduced = _reduced_costs(cost, rows, basis)
-    price = rule
-    # the bases visited since the objective last moved; Bland's rule needs none
-    run = None if rule is _bland else {frozenset(basis)}
+    reduced = combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
     while True:
-        entering = price(reduced, tol)
+        entering = rule(reduced, tol)
         if entering is None:
             return pivots, None
         leaving = None
@@ -223,18 +205,9 @@ def _iterate(
             return pivots, entering
         if cap is not None and pivots >= cap:
             raise _PivotCapReached(pivots)
-        moved = rhs[leaving] > tol
         _pivot(rows, rhs, basis, leaving, entering)
         reduced = combine_rows(reduced, [(-reduced[entering], rows[leaving])])
         pivots += 1
-        if run is not None:
-            if moved:
-                run.clear()
-                price = rule
-            visited = frozenset(basis)
-            if visited in run:
-                price = _bland
-            run.add(visited)
 
 
 @dataclass(frozen=True)
@@ -324,21 +297,6 @@ def _phase2(
     return status, rows, rhs, basis, pivots, stuck
 
 
-def _standard_form(matrix: Sequence[Sequence], rhs: Sequence, num) -> tuple[list[list], list]:
-    """The rows of ``A x = b`` with ``b >= 0``, each entry converted by
-    ``num`` and then negated where it must be.  Rows are flipped on the
-    exact sign of ``b``.
-    """
-    rows, out = [], []
-    for row, b in zip(matrix, rhs):
-        row, nb = [num(a) for a in row], num(b)
-        if b < 0:
-            row, nb = [-a for a in row], -nb
-        rows.append(row)
-        out.append(nb)
-    return rows, out
-
-
 def _min_cost(lp: LinearProgram, num) -> list:
     """The objective as a cost to minimize, each entry converted by ``num``."""
     cost = [num(c) for c in lp.objective]
@@ -359,25 +317,40 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 class Constraints:
-    """What solving derives from ``A x = b`` alone, each part computed on
-    first use and then kept.
+    """The system ``A x = b`` of a program, converted and checked once, and
+    what solving derives from it alone.
 
     ``n`` is the number of columns, ``matrix`` and ``rhs`` are ``A`` and
-    ``b`` as exact rationals.  Every part is immutable, so any number of
-    programs over this system, in either sense and with any objective, can
-    share it.
+    ``b`` as exact rationals, and ``standard_form`` is ``(rows, rhs)`` with
+    each row whose ``b`` is negative negated; that flips the sign of the
+    row's dual value and nothing else, so the certificate decides as it
+    would on ``A``.  The other parts are computed on first use and kept;
+    all are immutable, so programs of any sense and objective share them.
     """
 
-    def __init__(
-        self, n: int, matrix: tuple[tuple[Fraction, ...], ...], rhs: tuple[Fraction, ...]
-    ) -> None:
+    def __init__(self, n: int, matrix: Iterable[Iterable], rhs: Iterable) -> None:
+        matrix, rhs = tuple(map(_as_fractions, matrix)), _as_fractions(rhs)
+        if len(matrix) != len(rhs):
+            raise DimensionMismatchError(
+                f"{len(matrix)} constraint rows but {len(rhs)} right-hand sides"
+            )
+        for i, row in enumerate(matrix):
+            if len(row) != n:
+                raise DimensionMismatchError(
+                    f"constraint row {i} has {len(row)} coefficients, expected {n}"
+                )
         self.n, self.matrix, self.rhs = n, matrix, rhs
+        self.standard_form = (
+            tuple(tuple(-a for a in row) if b < 0 else row for row, b in zip(matrix, rhs)),
+            tuple(-b if b < 0 else b for b in rhs),
+        )
 
     @cached_property
     def guide_start(self) -> _Start:
         """Phase 1 in floats, within the guide's pivot cap."""
+        rows, rhs = self.standard_form
         try:
-            rows, rhs = _standard_form(self.matrix, self.rhs, _as_float)
+            rows, rhs = [[_as_float(a) for a in row] for row in rows], [_as_float(b) for b in rhs]
         except OverflowError:  # an entry beyond the float range
             return _Start(None, gave_up="overflow")
         try:
@@ -388,24 +361,21 @@ class Constraints:
     @cached_property
     def exact_start(self) -> _Start:
         """Phase 1 with every entry a ``Fraction``."""
-        rows, rhs = _standard_form(self.matrix, self.rhs, Fraction)
-        return _phase1(rows, rhs, self.n, Fraction(1))
+        rows, rhs = self.standard_form
+        return _phase1(list(map(list, rows)), list(rhs), self.n, Fraction(1))
 
     @cached_property
-    def integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """``(rows, d)``: ``A`` in integers with column ``j`` times ``d[j]``,
-        the lcm of its denominators.  Rows stay unscaled: a lifted program's
-        row mixes every kernel row's denominators, while its column has one.
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list, int]:
+        """``(rows, d, b, d_b)``: the standard form in integers, column ``j``
+        of ``A`` times ``d[j]`` and ``b`` times ``d_b``, each the lcm of its
+        denominators.  Rows stay unscaled: a lifted program's row mixes every
+        kernel row's denominators, while its column has one.
         """
+        matrix, rhs = self.standard_form
         # both counted out, so a program with no rows or no columns keeps the other
-        cleared = [_cleared([row[j] for row in self.matrix]) for j in range(self.n)]
-        rows = tuple(tuple(column[i] for column, _ in cleared) for i in range(len(self.rhs)))
-        return rows, tuple(dj for _, dj in cleared)
-
-    @cached_property
-    def integer_rhs(self) -> tuple[list[int], int]:
-        """``b`` cleared of denominators: ``(d_b * b, d_b)``."""
-        return _cleared(self.rhs)
+        cleared = [_cleared([row[j] for row in matrix]) for j in range(self.n)]
+        rows = tuple(tuple(column[i] for column, _ in cleared) for i in range(len(matrix)))
+        return (rows, tuple(dj for _, dj in cleared), *_cleared(rhs))
 
 
 def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
@@ -460,15 +430,31 @@ def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, 
 
 
 def _integer_basis(lp: LinearProgram, basis: list[int]) -> list[list[int]]:
-    """``B`` in integers, signs kept: the columns ``basis`` of
-    :attr:`Constraints.integer_columns`; an artificial ``j >= n`` is row
-    ``j - n``'s unit vector signed like its ``b``, scale 1."""
+    """``B`` in integers: the columns ``basis`` of :attr:`Constraints.integer_form`,
+    where an artificial ``j >= n`` is row ``j - n``'s unit vector."""
     n = len(lp.objective)
-    rows, _ = lp.constraints.integer_columns
-    return [
-        [row[j] if j < n else (j - n == i) * (-1 if b < 0 else 1) for j in basis]
-        for i, (row, b) in enumerate(zip(rows, lp.rhs))
-    ]
+    rows, *_ = lp.constraints.integer_form
+    return [[row[j] if j < n else int(j - n == i) for j in basis] for i, row in enumerate(rows)]
+
+
+def _dual(
+    lp: LinearProgram, matrix: list[list[int]], basis: list[int], cost: Sequence[int]
+) -> Optional[tuple[int, list[int], list[int]]]:
+    """Solve ``B^T y = c_B`` in integers and price every real column.
+
+    ``matrix`` is ``B`` from :func:`_integer_basis`; ``cost`` is ``d_c > 0``
+    times the cost of each real column, then of each artificial one.
+    Returns ``(det, yz, reduced)``, or None when ``B`` is singular, with
+    ``yz = det d_c y`` and ``reduced[j] = d_c d_j det (c_j - A_j^T y)``.
+    """
+    rows, d, *_ = lp.constraints.integer_form
+    n = len(d)
+    dual = _integer_solve(list(zip(*matrix)), [cost[j] * (d[j] if j < n else 1) for j in basis])
+    if dual is None:
+        return None
+    det, yz = dual
+    reduced = combine_rows([c * dj * det for c, dj in zip(cost, d)], zip([-y for y in yz], rows))
+    return det, yz, reduced
 
 
 def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Fraction]]:
@@ -476,19 +462,16 @@ def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Frac
     if len(basis) != len(lp.rhs):  # a redundant row was dropped
         return None
     matrix = _integer_basis(lp, basis)
-    rows, d = lp.constraints.integer_columns
-    b, d_b = lp.constraints.integer_rhs
+    _, d, b, d_b = lp.constraints.integer_form
     primal = _integer_solve(matrix, b)
     if primal is None:
         return None
     det, z = primal
     if any(zk * det < 0 for zk in z):  # x_B = d_B z / (det d_b) must be >= 0
         return None
-    # with the cost times its lcm d_c, B^T y = c_B gives yz = det_y d_c y; the
-    # reduced cost c_j - A_j^T y has the sign of (c_j d_c d_j det_y - d_j A_j^T yz) det_y
     cost = [c if lp.sense is Sense.MIN else -c for c in _cleared(lp.objective)[0]]
-    det_y, yz = _integer_solve(list(zip(*matrix)), [cost[j] * d[j] for j in basis])
-    reduced = combine_rows([c * dj * det_y for c, dj in zip(cost, d)], zip([-y for y in yz], rows))
+    # B is not singular, so neither is B^T
+    det_y, _, reduced = _dual(lp, matrix, basis, cost)
     basic = set(basis)
     if any(c * det_y <= 0 for j, c in enumerate(reduced) if j not in basic):
         return None
@@ -499,21 +482,18 @@ def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Frac
 
 
 def _certified_infeasible(lp: LinearProgram, basis: list[int]) -> bool:
-    """Whether the phase-1 ``basis`` yields a Farkas certificate ``y``:
-    ``y^T A <= 0`` and ``y^T b > 0``, so no ``x >= 0`` has ``A x = b``.
-    """
-    n = len(lp.objective)
-    matrix = _integer_basis(lp, basis)
-    rows, _ = lp.constraints.integer_columns
-    # B^T y = the phase-1 cost of the basis gives yz = det y
-    dual = _integer_solve(list(zip(*matrix)), [int(j >= n) for j in basis])
+    """Whether the phase-1 ``basis`` yields a Farkas certificate: a phase-1
+    dual ``y`` with every real column's reduced cost ``>= 0`` (``y^T A <= 0``)
+    and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``."""
+    phase1_cost = [0] * len(lp.objective) + [1] * len(lp.rhs)
+    dual = _dual(lp, _integer_basis(lp, basis), basis, phase1_cost)
     if dual is None:
         return False
-    det, yz = dual
-    b, _ = lp.constraints.integer_rhs
+    det, yz, reduced = dual
+    *_, b, _ = lp.constraints.integer_form
     if sum(y * v for y, v in zip(yz, b)) * det <= 0:
         return False
-    return all(v * det <= 0 for v in combine_rows([0] * n, zip(yz, rows)))
+    return all(c * det >= 0 for c in reduced)
 
 
 def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int, guided: bool) -> LpSolution:

@@ -1,6 +1,7 @@
 import random
 import textwrap
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -308,8 +309,7 @@ def generic_32x12_program():
 
 
 def test_infeasible_row_with_negative_rhs_is_certified():
-    # no x >= 0 has x = -2; the artificial of a row with b < 0 is -e, so the
-    # integer solve of B^T has a negative determinant
+    # no x >= 0 has x = -2; the standard form flips the row to -x = 2
     lp = LinearProgram(objective=(F(1),), matrix=((F(1),),), rhs=(F(-2),))
     solution = lp_solve(lp)
     assert solution.status is LpStatus.INFEASIBLE
@@ -317,8 +317,8 @@ def test_infeasible_row_with_negative_rhs_is_certified():
 
 
 def test_optimal_row_with_negative_rhs_is_certified():
-    # the integer solves keep the row's signs, so B and B^T are (-1) and
-    # both sign tests must go through the negative determinant
+    # the standard form flips the row, so B and B^T are (1); the dual of the
+    # flipped row has the opposite sign, and the reduced costs are unchanged
     lp = LinearProgram(objective=(F(1), F(2)), matrix=((F(-1), F(-1)),), rhs=(F(-2),))
     solution = lp_solve(lp)
     assert solution.point == (F(2), F(0))
@@ -345,50 +345,32 @@ def test_guide_prices_phase_1_by_blands_rule():
     assert sorted(basis) == sorted(j for j, x in enumerate(exact.point) if x)
 
 
-def test_stall_guard_keeps_the_answer_and_the_certificate(monkeypatch):
+def test_bland_priced_phase_2_keeps_the_answer_and_the_certificate(monkeypatch):
     lp = generic_32x12_program()
     expected = answer(lp_solve(lp))
-    # the guard's rule on every pivot: phase 2 priced by Bland's rule
     monkeypatch.setattr(lp_module, "_dantzig", lp_module._bland)
     solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == expected
 
 
-def test_stall_guard_breaks_a_dantzig_cycle(monkeypatch):
+def test_dantzig_cycle_reaches_the_cap_and_blands_vertex_stands():
+    # Dantzig's rule started by hand at the slack basis cycles until the
+    # guide's cap; lp_solve's guide starts from phase 1 and is certified at
+    # the vertex of the exact Bland path
     lp = CLASSIC_CYCLING
-    cap = lp_module._guide_cap(3, 7)
-
-    def from_the_slack_basis():
-        rows, rhs = lp_module._standard_form(lp.matrix, lp.rhs, float)
-        cost, basis = lp_module._min_cost(lp, float), [4, 5, 6]
-        lp_module._iterate(cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0, cap)
-        return basis
-
-    assert tuple(lp_module._certified_vertex(lp, from_the_slack_basis())) == lp_solve(lp).point
-    # with Bland's rule replaced by Dantzig's, the guard has nothing to hand over to
-    monkeypatch.setattr(lp_module, "_bland", lp_module._dantzig)
-    with pytest.raises(lp_module._PivotCapReached):
-        from_the_slack_basis()
-
-
-def test_stall_guard_hands_over_when_a_basis_repeats():
-    # Dantzig's rule prices each basis of the cycle once; the return to the
-    # slack basis, six zero-step pivots on, is priced by Bland's rule
-    lp = CLASSIC_CYCLING
-    rows, rhs = lp_module._standard_form(lp.matrix, lp.rhs, float)
+    rows, rhs = lp.constraints.standard_form
+    rows, rhs = [[float(a) for a in row] for row in rows], [float(b) for b in rhs]
     cost, basis = lp_module._min_cost(lp, float), [4, 5, 6]
-    priced = []
-
-    def dantzig(reduced, tol):
-        priced.append(frozenset(basis))
-        return lp_module._dantzig(reduced, tol)
-
-    lp_module._iterate(cost, rows, rhs, basis, dantzig, lp_module._TOL, 0, 40)
-    assert len(set(priced[:6])) == 6
-    assert priced.count(frozenset({4, 5, 6})) == 1
-    # once a pivot moves the objective, Dantzig's rule prices again
-    assert len(priced) > 6
+    with pytest.raises(lp_module._PivotCapReached):
+        lp_module._iterate(
+            cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0,
+            lp_module._guide_cap(3, 7),
+        )
+    solution = lp_solve(lp)
+    assert solution.guided
+    assert answer(solution) == answer(lp_module._exact(lp))
+    assert solution.point == (F(1, 25), F(0), F(1), F(0), F(3, 100), F(0), F(0))
 
 
 def test_dantzig_guide_certifies_where_blands_rule_stalls():
@@ -636,3 +618,82 @@ def test_columns_with_coprime_denominators_are_certified(sense):
     solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == answer(lp_module._exact(lp))
+
+
+# ---------------------------------------------------------------------------
+# both certificates against a Fraction reference over A's own rows
+# ---------------------------------------------------------------------------
+
+
+def reference_column(lp, j):
+    """Column ``j`` of ``A``, or for ``j >= n`` the artificial column of row
+    ``j - n``: its unit vector signed like its ``b``, so that the row's
+    artificial starts at the value ``|b|``."""
+    n = len(lp.objective)
+    if j < n:
+        return [row[j] for row in lp.matrix]
+    return [F(-1 if b < 0 else 1) if i == j - n else F(0) for i, b in enumerate(lp.rhs)]
+
+
+def reference_dual(lp, basis, cost):
+    """``(y, reduced)``: ``B^T y = c_B`` by :func:`gauss_jordan`, and the
+    reduced cost of every real column; None when ``B`` is singular."""
+    solved = gauss_jordan([reference_column(lp, j) for j in basis], [cost[j] for j in basis])
+    if solved is None:
+        return None
+    _, y = solved
+    columns = (reference_column(lp, j) for j in range(len(lp.objective)))
+    return y, [c - sum(a * v for a, v in zip(col, y)) for c, col in zip(cost, columns)]
+
+
+def reference_vertex(lp, basis):
+    """The basic solution of ``basis`` if ``x_B >= 0`` and every nonbasic
+    reduced cost is strictly positive, else None."""
+    solved = gauss_jordan([[row[j] for j in basis] for row in lp.matrix], lp.rhs)
+    if solved is None or any(x < 0 for x in solved[1]):
+        return None
+    cost = [c if lp.sense is Sense.MIN else -c for c in lp.objective]
+    _, reduced = reference_dual(lp, basis, cost)
+    if any(r <= 0 for j, r in enumerate(reduced) if j not in basis):
+        return None
+    point = [F(0)] * len(lp.objective)
+    for j, x in zip(basis, solved[1]):
+        point[j] = x
+    return tuple(point)
+
+
+def reference_farkas(lp, basis):
+    """Whether the phase-1 dual of ``basis`` has ``y^T A <= 0`` and ``y^T b > 0``."""
+    dual = reference_dual(lp, basis, [F(0)] * len(lp.objective) + [F(1)] * len(lp.rhs))
+    if dual is None:
+        return False
+    y, reduced = dual
+    return sum(v * b for v, b in zip(y, lp.rhs)) > 0 and all(r >= 0 for r in reduced)
+
+
+def test_certificates_accept_exactly_the_bases_the_reference_accepts():
+    # every basis of m columns, in a shuffled order: phase-2 bases of real
+    # columns and phase-1 bases holding artificial ones, on programs whose
+    # rows often have b < 0
+    rng = random.Random("one-dual")
+    accepted = {"vertex": 0, "farkas": 0, "vertex_flipped": 0, "farkas_flipped": 0}
+    for _ in range(60):
+        lp = rand_lp(rng)
+        n, m = len(lp.objective), len(lp.rhs)
+        flipped = any(b < 0 for b in lp.rhs)
+        exact = lp_module._exact(lp)
+        for basis in combinations(range(n + m), m):
+            basis = rng.sample(basis, m)
+            if max(basis) < n:
+                vertex = reference_vertex(lp, basis)
+                certified = lp_module._certified_vertex(lp, basis)
+                assert (None if certified is None else tuple(certified)) == vertex, (lp, basis)
+                if vertex is not None:
+                    assert exact.point == vertex
+                    accepted["vertex"] += 1
+                    accepted["vertex_flipped"] += flipped
+            farkas = reference_farkas(lp, basis)
+            assert lp_module._certified_infeasible(lp, basis) is farkas, (lp, basis)
+            accepted["farkas"] += farkas
+            accepted["farkas_flipped"] += farkas and flipped
+    assert all(accepted.values()), accepted
