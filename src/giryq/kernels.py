@@ -34,7 +34,9 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import NotDeterministicError, SpaceMismatchError
-from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, combine_rows
+from .measures import (
+    ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, _same_space, combine_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,9 @@ class Kernel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", _per_point(self.rows, self.source, "rows", tuple))
         for label, row in zip(self.source.points, self.rows):
-            if row.space != self.target:
-                raise SpaceMismatchError(
-                    f"row of {label!r} lives on {row.space.name!r}, "
-                    f"expected {self.target.name!r}"
-                )
+            if row.space != self.target:  # the label is formatted only on failure
+                _same_space(f"row of {label!r} lives on", row.space,
+                            "the kernel lands in", self.target)
 
     def row(self, label: str) -> Dist:
         """The distribution this kernel assigns to a source point."""
@@ -119,11 +119,7 @@ def compose(outer: Kernel, inner: Kernel) -> Kernel:
     matrix product.  Equal rows of ``inner`` are mixed once and share the
     result.
     """
-    if inner.target != outer.source:
-        raise SpaceMismatchError(
-            f"cannot compose: inner lands in {inner.target.name!r}, "
-            f"outer starts at {outer.source.name!r}"
-        )
+    _same_space("inner lands in", inner.target, "outer starts at", outer.source)
     classes, representatives = inner.row_partition
     mixed = [_mix(outer.target, zip(r.weights, outer.rows)) for r in representatives]
     return Kernel(inner.source, outer.target, tuple(mixed[c] for c in classes))
@@ -163,15 +159,6 @@ def pushforward(fn: PointFunction, dist: Dist) -> Dist:
     return lift(deterministic_kernel(fn))(dist)
 
 
-def _check_source(kernel: Kernel, dist: Dist) -> None:
-    """Refuse a distribution that does not live on the kernel's source."""
-    if dist.space != kernel.source:
-        raise SpaceMismatchError(
-            f"distribution lives on {dist.space.name!r}, "
-            f"kernel starts at {kernel.source.name!r}"
-        )
-
-
 def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
     """Image of ``dist`` under the row map ``x -> kernel.row(x)``.
 
@@ -181,7 +168,7 @@ def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
     the order in which they first appear.  Its :func:`mixture` is
     ``lift(kernel)(dist)``.
     """
-    _check_source(kernel, dist)
+    _same_space("distribution lives on", dist.space, "the kernel starts at", kernel.source)
     classes, representatives = kernel.row_partition
     merged: dict[int, Fraction] = {}
     for c, w in zip(classes, dist.weights):
@@ -198,13 +185,9 @@ def mixture(measure: FinSuppMeasure) -> Dist:
     """
     if not all(isinstance(atom, Dist) for atom in measure.atoms):
         raise SpaceMismatchError("every atom must be a distribution")
-    spaces = {atom.space for atom in measure.atoms}
-    if len(spaces) != 1:
-        raise SpaceMismatchError(
-            "atoms live on different spaces: "
-            + ", ".join(sorted(s.name for s in spaces))
-        )
-    (space,) = spaces
+    space = measure.atoms[0].space
+    for atom in measure.atoms:
+        _same_space("atom lives on", atom.space, "the first atom lives on", space)
     return _mix(space, zip(measure.weights, measure.atoms))
 
 
@@ -216,7 +199,7 @@ def lift(kernel: Kernel) -> Callable[[Dist], Dist]:
     """
 
     def apply(dist: Dist) -> Dist:
-        _check_source(kernel, dist)
+        _same_space("distribution lives on", dist.space, "the kernel starts at", kernel.source)
         return _mix(kernel.target, zip(dist.weights, kernel.rows))
 
     return apply

@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import SpaceMismatchError
 from .kernels import (
     Kernel,
     PointFunction,
@@ -33,7 +32,7 @@ from .kernels import (
     mixture,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, Sense, _cleared, lp_solve
-from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, tv_metric, tv_norm
+from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, _same_space, tv_metric, tv_norm
 from .predicates import LiftedPredicate, Predicate, entails, expectation, substitute
 from .quantifiers import (
     Regime,
@@ -138,11 +137,7 @@ def tv_oracle(p: Dist, q: Dist) -> Fraction:
     their denominators.  Nothing here uses :func:`tv_metric`'s positive
     part or the half of :func:`tv_norm`.
     """
-    if p.space != q.space:
-        raise SpaceMismatchError(
-            f"distributions live on different spaces: "
-            f"{p.space.name!r} vs {q.space.name!r}"
-        )
+    _same_space("first distribution lives on", p.space, "the second lives on", q.space)
     steps, scale = _cleared([a - b for a, b in zip(p.weights, q.weights)])
     return Fraction(max(map(abs, _event_sums(steps))), scale)
 

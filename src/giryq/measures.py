@@ -2,7 +2,15 @@
 
 Every type with one entry per point (distributions, signed measures,
 predicates, kernels, point functions) checks its length in
-:func:`_per_point`.  Numbers cross into exact arithmetic once, in
+:func:`_per_point`.  The one typing rule of the Kleisli category, "these
+two spaces agree", is checked in :func:`_same_space`: the kernels, the
+predicates, the quantifiers, the law oracles and the scenario parser all
+call it, and every refusal reads like ``inner lands in 'Y' but outer
+starts at 'Z'``.  The probability axioms (every weight >= 0, total
+exactly 1) are checked in :func:`_probability`, for :class:`Dist` and
+:class:`FinSuppMeasure` alike.
+
+Numbers cross into exact arithmetic once, in
 :func:`_as_fractions`: an ``int`` or a string such as ``"3/10"`` becomes a
 ``Fraction``, and a value that already is one is kept as it is, so a
 literal that :func:`parse_rational` read is not converted again.
@@ -138,6 +146,26 @@ def _as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
+def _same_space(lives: str, got: FiniteSpace, other: str, want: FiniteSpace) -> None:
+    """Refuse ``got`` unless it is ``want``, as ``{lives} 'A' but {other} 'B'``."""
+    if got is not want and got != want:  # one space object is the common case
+        raise SpaceMismatchError(f"{lives} {got.name!r} but {other} {want.name!r}")
+
+
+def _probability(
+    labels: Iterable, weights: Sequence[Fraction], noun: str, space: FiniteSpace | None = None
+) -> None:
+    """Every weight is >= 0 and they sum to exactly 1; a failure names the
+    first negative ``noun`` by its label, or the ``space`` if one is given."""
+    for label, w in zip(labels, weights):
+        if w < 0:
+            raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {w}")
+    total = sum(weights, ZERO)
+    if total != 1:
+        on = "" if space is None else f" on space {space.name!r}"
+        raise MassNotOneError(f"weights{on} sum to {total}, expected 1")
+
+
 def _per_point(
     values: Iterable, space: FiniteSpace, noun: str, convert: Callable = _as_fractions
 ) -> tuple:
@@ -164,16 +192,7 @@ class Dist:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _per_point(self.weights, self.space, "weights"))
-        for label, w in zip(self.space.points, self.weights):
-            if w < 0:
-                raise NegativeWeightError(
-                    f"weight of point {label!r} is negative: {w}"
-                )
-        total = sum(self.weights, ZERO)
-        if total != 1:
-            raise MassNotOneError(
-                f"weights on space {self.space.name!r} sum to {total}, expected 1"
-            )
+        _probability(self.space.points, self.weights, "point", self.space)
 
     @cached_property
     def _hash(self) -> int:
@@ -191,11 +210,7 @@ class Dist:
         return cls(space, tuple(ONE if j == i else ZERO for j in range(len(space))))
 
     def __sub__(self, other: "Dist") -> "SignedMeasure":
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"cannot subtract a distribution on {other.space.name!r} "
-                f"from one on {self.space.name!r}"
-            )
+        _same_space("left operand lives on", self.space, "the right lives on", other.space)
         return SignedMeasure(
             self.space,
             tuple(a - b for a, b in zip(self.weights, other.weights)),
@@ -231,11 +246,7 @@ def tv_metric(r: Dist, q: Dist) -> Fraction:
     The maximum is attained at the set of points where ``r`` exceeds ``q``,
     so a single pass suffices; it also equals half of ``tv_norm(r - q)``.
     """
-    if r.space != q.space:
-        raise SpaceMismatchError(
-            f"distributions live on different spaces: "
-            f"{r.space.name!r} vs {q.space.name!r}"
-        )
+    _same_space("first distribution lives on", r.space, "the second lives on", q.space)
     return sum(
         (rw - qw for rw, qw in zip(r.weights, q.weights) if rw > qw), ZERO
     )
@@ -267,12 +278,7 @@ class FinSuppMeasure:
             )
         if len(set(atoms)) != len(atoms):
             raise DuplicateAtomError("atoms are not pairwise distinct")
-        for a, w in zip(atoms, fw):
-            if w < 0:
-                raise NegativeWeightError(f"weight of atom {a!r} is negative: {w}")
-        total = sum(fw, ZERO)
-        if total != 1:
-            raise MassNotOneError(f"weights sum to {total}, expected 1")
+        _probability(atoms, fw, "atom")
         kept = tuple((a, w) for a, w in zip(atoms, fw) if w > 0)
         self.atoms = tuple(a for a, _ in kept)
         self.weights = tuple(w for _, w in kept)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DuplicateAtomError, SpaceMismatchError, ValueOutOfRangeError
+from .errors import DuplicateAtomError, ValueOutOfRangeError
 from .kernels import Kernel
-from .measures import ZERO, Dist, FiniteSpace, _as_fractions, _per_point
+from .measures import ZERO, Dist, FiniteSpace, _as_fractions, _per_point, _same_space
 
 
 def _check_unit_interval(value: Fraction, what: str) -> None:
@@ -47,21 +47,13 @@ def entails(lower: Predicate, upper: Predicate) -> bool:
 
     Read as "``upper`` is at least as true as ``lower``".
     """
-    if lower.space != upper.space:
-        raise SpaceMismatchError(
-            f"predicates live on different spaces: "
-            f"{lower.space.name!r} vs {upper.space.name!r}"
-        )
+    _same_space("lower predicate lives on", lower.space, "the upper lives on", upper.space)
     return all(a <= b for a, b in zip(lower.values, upper.values))
 
 
 def expectation(pred: Predicate, dist: Dist) -> Fraction:
     """Expected truth value of a predicate under a distribution."""
-    if pred.space != dist.space:
-        raise SpaceMismatchError(
-            f"predicate on {pred.space.name!r}, "
-            f"distribution on {dist.space.name!r}"
-        )
+    _same_space("predicate lives on", pred.space, "the distribution lives on", dist.space)
     return sum((w * v for w, v in zip(dist.weights, pred.values)), ZERO)
 
 
@@ -106,10 +98,8 @@ class TableSimplexPredicate:
         if len(set(probes)) != len(probes):
             raise DuplicateAtomError("probe table lists a distribution twice")
         for d, v in self.entries:
-            if d.space != self.space:
-                raise SpaceMismatchError(
-                    f"probe {d} lives on {d.space.name!r}, expected {self.space.name!r}"
-                )
+            if d.space != self.space:  # the probe is formatted only on failure
+                _same_space(f"probe {d} lives on", d.space, "the table lives on", self.space)
             _check_unit_interval(v, f"table value at {d}")
         _check_unit_interval(self.default, "table default")
 
@@ -129,9 +119,5 @@ def substitute(h: SimplexPredicate, kernel: Kernel) -> Predicate:
     The result evaluates ``h`` at each row distribution of the kernel:
     ``x -> h(kernel(x))``.
     """
-    if h.space != kernel.target:
-        raise SpaceMismatchError(
-            f"simplex predicate on {h.space.name!r}, "
-            f"kernel lands in {kernel.target.name!r}"
-        )
+    _same_space("simplex predicate lives on", h.space, "the kernel lands in", kernel.target)
     return Predicate(kernel.source, tuple(h(row) for row in kernel.rows))

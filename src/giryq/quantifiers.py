@@ -42,10 +42,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
-from .errors import CertificateError, ProbeSetIncompleteError, SpaceMismatchError
+from .errors import CertificateError, ProbeSetIncompleteError
 from .kernels import Kernel, image_measure, lift, mixture
 from .lp import Constraints, LinearProgram, LpStatus, Sense, lp_solve
-from .measures import ONE, ZERO, Dist, FiniteSpace
+from .measures import ONE, ZERO, Dist, _same_space
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
 
 
@@ -68,19 +68,6 @@ class QuantifierResult:
     witness: Union[str, Dist, None]
     regime: Regime
     feasible: bool
-
-
-def _check_ends(
-    pred: Predicate, query: Dist, source: FiniteSpace, target: FiniteSpace, what: str
-) -> None:
-    if pred.space != source:
-        raise SpaceMismatchError(
-            f"predicate on {pred.space.name!r}, {what} starts at {source.name!r}"
-        )
-    if query.space != target:
-        raise SpaceMismatchError(
-            f"query on {query.space.name!r}, {what} lands in {target.name!r}"
-        )
 
 
 # value over an empty fiber: an existential over nothing is 0, a universal 1
@@ -136,7 +123,8 @@ def quantify(
     polytope and checks the certificate exactly.  An empty fiber yields
     the sense's extension value with ``feasible`` False.
     """
-    _check_ends(pred, query, kernel.source, kernel.target, "kernel")
+    _same_space("predicate lives on", pred.space, "the kernel starts at", kernel.source)
+    _same_space("query lives on", query.space, "the kernel lands in", kernel.target)
     if regime is Regime.COUNTABLE:
         best: Optional[tuple[Fraction, str]] = None
         for x, row, value in zip(kernel.source.points, kernel.rows, pred.values):
@@ -361,12 +349,9 @@ def _composite_stages(
 def _composite(
     inner: Kernel, outer: Kernel, pred: Predicate, query: Dist, sense: Sense
 ) -> QuantifierResult:
-    _check_ends(pred, query, inner.source, outer.target, "chain")
-    if inner.target != outer.source:
-        raise SpaceMismatchError(
-            f"cannot chain: inner lands in {inner.target.name!r}, "
-            f"outer starts at {outer.source.name!r}"
-        )
+    _same_space("predicate lives on", pred.space, "the chain starts at", inner.source)
+    _same_space("query lives on", query.space, "the chain lands in", outer.target)
+    _same_space("inner lands in", inner.target, "outer starts at", outer.source)
     stage3 = _composite_stages(inner, outer, pred, sense)
     return _result(stage3.get(query), sense, Regime.COUNTABLE)
 

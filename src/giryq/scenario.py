@@ -46,7 +46,7 @@ from .errors import (
 )
 from .kernels import Kernel
 from .laws import SUITES
-from .measures import Dist, FiniteSpace, _per_point, format_rational, parse_rational
+from .measures import Dist, FiniteSpace, _per_point, _same_space, format_rational, parse_rational
 from .predicates import (
     LiftedPredicate,
     Predicate,
@@ -188,19 +188,13 @@ def _ref(doc: dict, key: str, table: dict, noun: str, where: str) -> Any:
 
 def _check_spaces(refs: dict[str, Any], where: str) -> None:
     """Inner lands where outer starts; the predicate, where the kernel or chain does."""
-    checks = []
     if "inner" in refs:
-        checks.append(("inner lands in", refs["inner"].target,
-                       "outer starts at", refs["outer"].source))
+        _located(where, _same_space, "inner lands in", refs["inner"].target,
+                 "outer starts at", refs["outer"].source)
     for key, start in (("kernel", "the kernel"), ("inner", "the chain")):
         if key in refs and "predicate" in refs:
-            checks.append(("predicate lives on", refs["predicate"].space,
-                           f"{start} starts at", refs[key].source))
-    for lives, got, starts, want in checks:
-        if got != want:
-            raise ScenarioValidationError(
-                f"{where}: {lives} {got.name!r} but {starts} {want.name!r}"
-            )
+            _located(where, _same_space, "predicate lives on", refs["predicate"].space,
+                     f"{start} starts at", refs[key].source)
 
 
 def _quantifier(value: Any, where: str) -> str:
@@ -218,9 +212,11 @@ def _suites(value: Any, where: str) -> tuple[str, ...]:
     )
     if not suites:  # an empty list would run nothing and report a pass
         raise ScenarioValidationError(f"{where}: empty list (leave it out to run every suite)")
-    for s in suites:
+    for j, s in enumerate(suites):
         if s not in SUITES:
             raise ScenarioValidationError(f"{where}: unknown law suite {s!r}")
+        if s in suites[:j]:  # it would run twice, at one seed, and print two equal lines
+            raise ScenarioValidationError(f"{where}: suite {s!r} listed twice")
     return suites
 
 

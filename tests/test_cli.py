@@ -271,6 +271,22 @@ def test_empty_suite_list_exits_2_with_its_path(tmp_path, run_python):
     assert done.stdout == b""
 
 
+def test_repeated_suite_exits_2_with_its_path(tmp_path, capsys):
+    doc = {
+        "spaces": [],
+        "kernels": {},
+        "predicates": {},
+        "simplex_predicates": {},
+        "queries": [{"kind": "CHECK_LAWS", "suites": ["galois", "monad_laws", "galois"]}],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: queries[0].suites: suite 'galois' listed twice\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -381,3 +397,25 @@ def test_no_assert_statements_in_the_library(source):
     tree = ast.parse(source.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def _raises_space_mismatch(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "SpaceMismatchError")
+
+
+def test_space_agreement_is_refused_in_one_place():
+    # every "these two spaces agree" check goes through measures._same_space;
+    # mixture's own refusal is of an atom that is no distribution at all
+    calls, raised_in = 0, []
+    for source in SOURCES:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        calls += sum(map(_raises_space_mismatch, ast.walk(tree)))
+        raised_in += [
+            (source.name, func.name)
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if _raises_space_mismatch(node)
+        ]
+    # a raise at module level, or in a nested function (counted twice), fails here
+    assert calls == len(raised_in) == 2
+    assert sorted(raised_in) == [("kernels.py", "mixture"), ("measures.py", "_same_space")]

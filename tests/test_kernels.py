@@ -96,7 +96,9 @@ def test_identity_function_embeds_to_identity_kernel(three_points):
 def test_row_on_the_wrong_space_is_rejected(two_points):
     other = FiniteSpace("Z", ("y1", "y2"))
     rows = (Dist.dirac(two_points, "y1"), Dist.dirac(other, "y1"))
-    with pytest.raises(SpaceMismatchError, match="^row of 'y2' lives on 'Z', expected 'Y'$"):
+    with pytest.raises(
+        SpaceMismatchError, match="^row of 'y2' lives on 'Z' but the kernel lands in 'Y'$"
+    ):
         Kernel(two_points, two_points, rows)
 
 

@@ -25,8 +25,11 @@ from giryq import (
     tv_metric,
     tv_norm,
 )
+from giryq.kernels import compose, image_measure, lift, mixture
 from giryq.laws import tv_oracle
 from giryq.measures import combine_rows
+from giryq.predicates import LiftedPredicate, entails, expectation, substitute
+from giryq.quantifiers import exists_composite, exists_lifted, forall_fiber
 
 from strategies import dist_pairs, dist_triples
 
@@ -318,3 +321,64 @@ class TestCombineRows:
             dense = [a + w * v for a, v in zip(dense, row)]
         assert combine_rows(start, pairs) == dense
         assert start == before
+
+
+# three spaces that differ in name and points alone, so each call below
+# fails the space-agreement check and nothing else
+SX, SY, SZ = (FiniteSpace(n, (n.lower() + "1", n.lower() + "2")) for n in "XYZ")
+DX, DY, DZ = (Dist.dirac(space, space.points[0]) for space in (SX, SY, SZ))
+PX, PY = Predicate.constant(SX, 1), Predicate.constant(SY, 1)
+K_XY = Kernel(SX, SY, (DY, DY))
+K_YZ = Kernel(SY, SZ, (DZ, DZ))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Kernel(SX, SY, (DY, DZ)),
+                     "row of 'x2' lives on 'Z' but the kernel lands in 'Y'", id="Kernel"),
+        pytest.param(lambda: compose(K_XY, K_XY),
+                     "inner lands in 'Y' but outer starts at 'X'", id="compose"),
+        pytest.param(lambda: lift(K_XY)(DY),
+                     "distribution lives on 'Y' but the kernel starts at 'X'", id="lift"),
+        pytest.param(lambda: image_measure(K_XY, DY),
+                     "distribution lives on 'Y' but the kernel starts at 'X'",
+                     id="image_measure"),
+        pytest.param(lambda: mixture(FinSuppMeasure((DY, DZ), (F(1, 2), F(1, 2)))),
+                     "atom lives on 'Z' but the first atom lives on 'Y'", id="mixture"),
+        pytest.param(lambda: DY - DZ,
+                     "left operand lives on 'Y' but the right lives on 'Z'", id="Dist.__sub__"),
+        pytest.param(lambda: tv_metric(DY, DZ),
+                     "first distribution lives on 'Y' but the second lives on 'Z'",
+                     id="tv_metric"),
+        pytest.param(lambda: tv_oracle(DY, DZ),
+                     "first distribution lives on 'Y' but the second lives on 'Z'",
+                     id="tv_oracle"),
+        pytest.param(lambda: entails(PX, PY),
+                     "lower predicate lives on 'X' but the upper lives on 'Y'", id="entails"),
+        pytest.param(lambda: expectation(PX, DY),
+                     "predicate lives on 'X' but the distribution lives on 'Y'",
+                     id="expectation"),
+        pytest.param(lambda: TableSimplexPredicate(SY, ((DZ, F(1)),), F(0)),
+                     "probe (1, 0) lives on 'Z' but the table lives on 'Y'",
+                     id="TableSimplexPredicate"),
+        pytest.param(lambda: substitute(LiftedPredicate(PX), K_XY),
+                     "simplex predicate lives on 'X' but the kernel lands in 'Y'",
+                     id="substitute"),
+        pytest.param(lambda: exists_lifted(K_XY, PY, DY),
+                     "predicate lives on 'Y' but the kernel starts at 'X'",
+                     id="quantifier_predicate"),
+        pytest.param(lambda: forall_fiber(K_XY, PX, DX),
+                     "query lives on 'X' but the kernel lands in 'Y'", id="quantifier_query"),
+        pytest.param(lambda: exists_composite(K_XY, K_YZ, PY, DZ),
+                     "predicate lives on 'Y' but the chain starts at 'X'", id="chain_predicate"),
+        pytest.param(lambda: exists_composite(K_XY, K_YZ, PX, DY),
+                     "query lives on 'Y' but the chain lands in 'Z'", id="chain_query"),
+        pytest.param(lambda: exists_composite(K_XY, K_XY, PX, DY),
+                     "inner lands in 'Y' but outer starts at 'X'", id="chain_kernels"),
+    ],
+)
+def test_every_space_check_names_both_spaces(call, message):
+    with pytest.raises(SpaceMismatchError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -352,7 +352,9 @@ class TestComposite:
             exists_composite(inner, outer, pred, Dist.dirac(inner.target, "y1"))
         # the predicate and the query fit, but the kernels do not meet
         sx = inner.source
-        with pytest.raises(SpaceMismatchError, match="^cannot chain: inner lands in 'Y'"):
+        with pytest.raises(
+            SpaceMismatchError, match="^inner lands in 'Y' but outer starts at 'X'$"
+        ):
             exists_composite(inner, identity_kernel(sx), pred, Dist.dirac(sx, "x1"))
 
 

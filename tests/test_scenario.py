@@ -198,7 +198,10 @@ def test_predicate_space_must_match_kernel_source():
     doc["queries"] = [
         {"kind": "EXISTS_LP", "kernel": "f", "predicate": "h", "dist": ["1", "0"]}
     ]
-    with pytest.raises(ScenarioValidationError, match="starts at"):
+    with pytest.raises(
+        ScenarioValidationError,
+        match=r"^queries\[0\]: predicate lives on 'Y' but the kernel starts at 'X'$",
+    ):
         scenario_from_dict(doc)
 
 
@@ -226,6 +229,13 @@ def test_check_laws_suites_validated():
     doc = minimal_doc(queries=[{"kind": "CHECK_LAWS", "suites": ["nope"]}])
     with pytest.raises(ScenarioValidationError, match="nope"):
         scenario_from_dict(doc)
+
+
+def test_check_laws_suite_listed_twice_is_rejected():
+    doc = minimal_doc(queries=[{"kind": "CHECK_LAWS", "suites": ["galois", "galois"]}])
+    with pytest.raises(ScenarioValidationError) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value) == "queries[0].suites: suite 'galois' listed twice"
 
 
 def test_space_past_the_cap_exits_2_with_its_path(tmp_path, capsys):
@@ -264,7 +274,10 @@ def test_compose_query_chain_validation():
             "dist": ["1", "0"],
         }
     ]
-    with pytest.raises(ScenarioValidationError, match="outer"):
+    with pytest.raises(
+        ScenarioValidationError,
+        match=r"^queries\[0\]: inner lands in 'Y' but outer starts at 'X'$",
+    ):
         scenario_from_dict(doc)
 
 
@@ -275,7 +288,10 @@ def test_compose_predicate_must_live_where_the_chain_starts():
     doc["queries"] = [
         {"kind": "COMPOSE", "inner": "f", "outer": "back", "predicate": "h", "dist": ["1", "0"]}
     ]
-    with pytest.raises(ScenarioValidationError, match="the chain starts at 'X'"):
+    with pytest.raises(
+        ScenarioValidationError,
+        match=r"^queries\[0\]: predicate lives on 'Y' but the chain starts at 'X'$",
+    ):
         scenario_from_dict(doc)
 
 
