@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 when standard output closes before all of
 the output is written (say, piped into ``head``), 2 when the scenario or
-an argument fails to parse or validate, 3 when a law suite reports a
-failure.  Every reported value is an exact rational string; the decimal
-column is display-only and never feeds back into any computation.
+an argument fails to parse or validate, or a flag is unknown, 3 when a
+law suite reports a failure.  Every reported value is an exact rational
+string; the decimal column is display-only and never feeds back into any
+computation.
 """
 from __future__ import annotations
 
@@ -15,11 +16,12 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Optional
 
 from . import laws
 from .errors import ScenarioError
-from .kernels import Kernel, compose, extract_point_function, is_deterministic
+from .kernels import compose, extract_point_function, is_deterministic
 from .measures import _quoted, format_rational, tv_metric
 from .predicates import expectation
 from .quantifiers import (
@@ -59,15 +61,20 @@ def _quantifier_record(kind: str, inputs: dict, result: QuantifierResult) -> dic
                    result.regime.value)
 
 
-def evaluate_query(
-    scenario: Scenario, query: Query, seed: int, cases: int,
-    composed: Optional[dict[tuple[str, str], Kernel]] = None,
-) -> dict:
+@lru_cache(maxsize=32)
+def _composed(outer, inner):
+    """``compose(outer, inner)`` for COMPOSE's direct check, kept for the
+    last 32 kernel pairs, so queries on one pair compose it once.
+    ``compose`` is looked up at call time, so a rebound one is called."""
+    return compose(outer, inner)
+
+
+def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> dict:
     """Evaluate one query to its result record (a JSON-ready dict).
 
-    ``composed`` holds ``compose(outer, inner)`` by ``(outer, inner)``
-    kernel name for COMPOSE's direct check; queries that share it compose
-    each pair once.  The staged route never reads it.
+    COMPOSE evaluates its quantifier staged, through the intermediate
+    measures, and checks it against the same quantifier along
+    ``compose(outer, inner)``.
     """
     kind, args = query.kind, query.args
     if kind == "CHECK_LAWS":
@@ -98,11 +105,7 @@ def evaluate_query(
             else (forall_composite, forall_fiber)
         )
         result = staged_fn(inner, outer, pred, args["dist"])
-        composed = {} if composed is None else composed
-        pair = (args["outer"], args["inner"])
-        if pair not in composed:
-            composed[pair] = compose(outer, inner)
-        direct = direct_fn(composed[pair], pred, args["dist"])
+        direct = direct_fn(_composed(outer, inner), pred, args["dist"])
         record = _quantifier_record(kind, inputs, result)
         record["agrees_with_direct"] = (
             result.value == direct.value and result.feasible == direct.feasible
@@ -128,20 +131,18 @@ def evaluate_query(
 def evaluate_scenario(
     scenario: Scenario, seed: int = 0, cases: int = laws.DEFAULT_CASES, parallel: bool = False
 ) -> list[dict]:
-    """Evaluate all queries in order; `parallel` keeps the output order.
+    """Evaluate all queries in order, each by :func:`evaluate_query`.
 
-    The queries of one call share one table of composed kernels.
+    ``parallel`` runs them on a thread pool and keeps the output order.
+    The pool is bound by the GIL and slower than the serial run; no CLI
+    option reaches it.
     """
-    composed: dict[tuple[str, str], Kernel] = {}
     if parallel and len(scenario.queries) > 1:
         with ThreadPoolExecutor(max_workers=min(8, len(scenario.queries))) as pool:
             return list(
-                pool.map(
-                    lambda q: evaluate_query(scenario, q, seed, cases, composed),
-                    scenario.queries,
-                )
+                pool.map(lambda q: evaluate_query(scenario, q, seed, cases), scenario.queries)
             )
-    return [evaluate_query(scenario, q, seed, cases, composed) for q in scenario.queries]
+    return [evaluate_query(scenario, q, seed, cases) for q in scenario.queries]
 
 
 def _format_inputs(inputs: dict) -> str:
@@ -189,9 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 2
-    records = evaluate_scenario(
-        scenario, seed=args.seed, cases=args.cases, parallel=args.parallel
-    )
+    records = evaluate_scenario(scenario, seed=args.seed, cases=args.cases)
     if args.format == "json":
         print(json.dumps(records, indent=2))
     else:
@@ -245,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="random instances per law suite",
     )
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument(
-        "--parallel",
-        action="store_true",
-        help="evaluate independent queries concurrently (output order preserved)",
-    )
     run.set_defaults(handler=_cmd_run)
 
     lawsp = sub.add_parser("laws", help="run the full law suite without a scenario")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import NotDeterministicError, SpaceMismatchError
+from .errors import NotDeterministicError
 from .measures import (
     ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, _same_space, combine_rows,
 )
@@ -183,12 +183,12 @@ def mixture(measure: FinSuppMeasure) -> Dist:
     All atoms must be distributions on one common space; the weight at a
     point is the measure-weighted average of the atoms' weights there.
     """
-    if not all(isinstance(atom, Dist) for atom in measure.atoms):
-        raise SpaceMismatchError("every atom must be a distribution")
-    space = measure.atoms[0].space
+    first = measure.atoms[0]
     for atom in measure.atoms:
-        _same_space("atom lives on", atom.space, "the first atom lives on", space)
-    return _mix(space, zip(measure.weights, measure.atoms))
+        if not isinstance(atom, Dist):
+            raise TypeError(f"atom {atom!r} is not a distribution")
+        _same_space("atom lives on", atom.space, "the first atom lives on", first.space)
+    return _mix(first.space, zip(measure.weights, measure.atoms))
 
 
 def lift(kernel: Kernel) -> Callable[[Dist], Dist]:

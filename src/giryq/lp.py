@@ -469,7 +469,7 @@ def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Frac
     det, z = primal
     if any(zk * det < 0 for zk in z):  # x_B = d_B z / (det d_b) must be >= 0
         return None
-    cost = [c if lp.sense is Sense.MIN else -c for c in _cleared(lp.objective)[0]]
+    cost = _cleared(_min_cost(lp, lambda c: c))[0]
     # B is not singular, so neither is B^T
     det_y, _, reduced = _dual(lp, matrix, basis, cost)
     basic = set(basis)

@@ -7,18 +7,23 @@ from pathlib import Path
 import pytest
 
 from giryq import Dist, FiniteSpace, Kernel, Predicate
+from giryq.cli import _composed
 from giryq.quantifiers import _lifted_constraints
 
 REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
-def fresh_fiber_memo():
-    """Each test starts with no fiber kept, so a phase 1 solved under a
-    monkeypatched ``_guide_cap`` or ``_propose`` cannot serve a later test."""
-    _lifted_constraints.cache_clear()
+def fresh_memos():
+    """Each test starts with no fiber and no composed kernel kept, so a
+    phase 1 solved under a monkeypatched ``_guide_cap`` or ``_propose``
+    cannot serve a later test, and every test sees its own ``compose``
+    calls."""
+    for memo in (_lifted_constraints, _composed):
+        memo.cache_clear()
     yield
-    _lifted_constraints.cache_clear()
+    for memo in (_lifted_constraints, _composed):
+        memo.cache_clear()
 
 
 @pytest.fixture

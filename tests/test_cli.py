@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from giryq import cli, laws
-from giryq.cli import evaluate_query, evaluate_scenario, main
+from giryq.cli import evaluate_query, evaluate_scenario, main, render_text
 from giryq.scenario import Query, load_scenario, scenario_from_dict
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "scenarios" / "noisy_channel.json")
@@ -48,11 +48,18 @@ def test_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_parallel_matches_sequential(capsys):
-    main(["run", FIXTURE])
-    sequential = capsys.readouterr().out
-    main(["run", FIXTURE, "--parallel"])
-    assert capsys.readouterr().out == sequential
+def test_parallel_matches_sequential():
+    scenario = load_scenario(FIXTURE)
+    assert evaluate_scenario(scenario, parallel=True) == evaluate_scenario(scenario)
+
+
+def test_parallel_flag_is_refused(run_python):
+    done = run_python("-m", "giryq.cli", "run", FIXTURE, "--parallel")
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert "error: unrecognized arguments: --parallel" in err
+    assert "Traceback" not in err
+    assert done.stdout == b""
 
 
 def _compose(inner, outer, quantifier, dist):
@@ -89,10 +96,6 @@ CHAIN_DOC = {
 
 
 def test_compose_queries_compose_each_kernel_pair_once(monkeypatch):
-    scenario = scenario_from_dict(CHAIN_DOC)
-    alone = [evaluate_query(scenario, q, seed=0, cases=0) for q in scenario.queries]
-    assert all(record["agrees_with_direct"] for record in alone)
-    assert [record["feasible"] for record in alone] == [True] * 5 + [False]
     composed = []
     compose = cli.compose
 
@@ -101,7 +104,12 @@ def test_compose_queries_compose_each_kernel_pair_once(monkeypatch):
         return compose(outer, inner)
 
     monkeypatch.setattr(cli, "compose", recording_compose)
+    scenario = scenario_from_dict(CHAIN_DOC)
+    alone = [evaluate_query(scenario, q, seed=0, cases=0) for q in scenario.queries]
+    assert all(record["agrees_with_direct"] for record in alone)
+    assert [record["feasible"] for record in alone] == [True] * 5 + [False]
     assert evaluate_scenario(scenario) == alone
+    # across single queries and a whole scenario, each pair is composed once
     kernels = scenario.kernels
     assert composed == [(kernels["g"], kernels["f"]), (kernels["g"], kernels["h"])]
 
@@ -112,8 +120,9 @@ def test_compose_queries_run_the_same_in_parallel(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
     sequential = capsys.readouterr().out
     assert sequential.count("agrees with direct evaluation: yes") == 6
-    assert main(["run", str(path), "--parallel"]) == 0
-    assert capsys.readouterr().out == sequential
+    cli._composed.cache_clear()  # so the pool's threads compose the pairs
+    parallel = evaluate_scenario(scenario_from_dict(CHAIN_DOC), parallel=True)
+    assert render_text(parallel) == sequential
 
 
 def test_missing_file_exits_2(capsys):
@@ -405,8 +414,7 @@ def _raises_space_mismatch(node):
 
 
 def test_space_agreement_is_refused_in_one_place():
-    # every "these two spaces agree" check goes through measures._same_space;
-    # mixture's own refusal is of an atom that is no distribution at all
+    # every "these two spaces agree" check goes through measures._same_space
     calls, raised_in = 0, []
     for source in SOURCES:
         tree = ast.parse(source.read_text(encoding="utf-8"))
@@ -417,5 +425,5 @@ def test_space_agreement_is_refused_in_one_place():
             for node in ast.walk(func) if _raises_space_mismatch(node)
         ]
     # a raise at module level, or in a nested function (counted twice), fails here
-    assert calls == len(raised_in) == 2
-    assert sorted(raised_in) == [("kernels.py", "mixture"), ("measures.py", "_same_space")]
+    assert calls == len(raised_in) == 1
+    assert raised_in == [("measures.py", "_same_space")]

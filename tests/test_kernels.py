@@ -156,9 +156,12 @@ class TestMixture:
         with pytest.raises(SpaceMismatchError):
             mixture(m)
 
-    def test_non_dist_atoms_rejected(self):
-        with pytest.raises(SpaceMismatchError):
+    def test_non_dist_atoms_rejected(self, two_points):
+        # an atom with no space is refused by its type, not as a space mismatch
+        with pytest.raises(TypeError, match=r"^atom 'label' is not a distribution$"):
             mixture(FinSuppMeasure(("label",), (F(1),)))
+        with pytest.raises(TypeError, match=r"^atom 'label' is not a distribution$"):
+            mixture(FinSuppMeasure((Dist.dirac(two_points, "y1"), "label"), (F(1, 2), F(1, 2))))
 
 
 class TestLift:
