@@ -14,12 +14,10 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Optional
 
-from . import laws
 from .errors import ScenarioError
 from .kernels import compose, extract_point_function, is_deterministic
 from .measures import _quoted, format_rational, tv_metric
@@ -33,7 +31,7 @@ from .quantifiers import (
     forall_fiber,
     forall_lifted,
 )
-from .scenario import Query, Scenario, _doc, load_scenario
+from .scenario import DEFAULT_CASES, Query, Scenario, _doc, load_scenario
 
 _QUANTIFIER_OPS = {
     "EXISTS_COUNTABLE": exists_fiber,
@@ -78,6 +76,8 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
     """
     kind, args = query.kind, query.args
     if kind == "CHECK_LAWS":
+        from . import laws  # loaded only by a command that runs the suites
+
         suites = args.get("suites")
         reports = laws.run_suites(suites, seed=seed, cases=cases)
         passed = all(r.passed for r in reports)
@@ -129,7 +129,7 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
 
 
 def evaluate_scenario(
-    scenario: Scenario, seed: int = 0, cases: int = laws.DEFAULT_CASES, parallel: bool = False
+    scenario: Scenario, seed: int = 0, cases: int = DEFAULT_CASES, parallel: bool = False
 ) -> list[dict]:
     """Evaluate all queries in order, each by :func:`evaluate_query`.
 
@@ -138,6 +138,8 @@ def evaluate_scenario(
     option reaches it.
     """
     if parallel and len(scenario.queries) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(8, len(scenario.queries))) as pool:
             return list(
                 pool.map(lambda q: evaluate_query(scenario, q, seed, cases), scenario.queries)
@@ -202,6 +204,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
+    from . import laws
+
     reports = laws.run_suites(seed=args.seed, cases=args.cases)
     for report in reports:
         print(report.line())
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="path to a scenario JSON document")
     run.add_argument("--seed", type=_seed, default=0, help="seed for law suites")
     run.add_argument(
-        "--cases", type=_case_count, default=laws.DEFAULT_CASES,
+        "--cases", type=_case_count, default=DEFAULT_CASES,
         help="random instances per law suite",
     )
     run.add_argument("--format", choices=("text", "json"), default="text")
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lawsp = sub.add_parser("laws", help="run the full law suite without a scenario")
     lawsp.add_argument("--seed", type=_seed, default=0)
-    lawsp.add_argument("--cases", type=_case_count, default=laws.DEFAULT_CASES)
+    lawsp.add_argument("--cases", type=_case_count, default=DEFAULT_CASES)
     lawsp.set_defaults(handler=_cmd_laws)
     return parser
 

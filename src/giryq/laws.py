@@ -31,8 +31,17 @@ from .kernels import (
     lift,
     mixture,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, Sense, _cleared, lp_solve
-from .measures import ZERO, Dist, FinSuppMeasure, FiniteSpace, _same_space, tv_metric, tv_norm
+from .lp import LinearProgram, LpSolution, LpStatus, Sense, lp_solve
+from .measures import (
+    ZERO,
+    Dist,
+    FinSuppMeasure,
+    FiniteSpace,
+    _cleared,
+    _same_space,
+    tv_metric,
+    tv_norm,
+)
 from .predicates import LiftedPredicate, Predicate, entails, expectation, substitute
 from .quantifiers import (
     Regime,
@@ -47,9 +56,7 @@ from .quantifiers import (
     forall_fiber,
     forall_lifted,
 )
-
-# random instances per suite when the caller names no count
-DEFAULT_CASES = 200
+from .scenario import DEFAULT_CASES
 
 # ---------------------------------------------------------------------------
 # random instance generators (exact rationals only)

@@ -53,11 +53,10 @@ import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
-from .measures import ZERO, _as_fractions, combine_rows
+from .measures import ZERO, _as_fractions, _cleared, combine_rows
 
 
 class Sense(enum.Enum):
@@ -308,12 +307,6 @@ def _as_float(a: Fraction) -> float:
     the float range, without the dispatch of ``numbers.Rational.__float__``.
     """
     return a.numerator / a.denominator
-
-
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``(d * values, d)`` for ``d`` the lcm of the denominators."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 class Constraints:

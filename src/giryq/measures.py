@@ -8,7 +8,11 @@ predicates, the quantifiers, the law oracles and the scenario parser all
 call it, and every refusal reads like ``inner lands in 'Y' but outer
 starts at 'Z'``.  The probability axioms (every weight >= 0, total
 exactly 1) are checked in :func:`_probability`, for :class:`Dist` and
-:class:`FinSuppMeasure` alike.
+:class:`FinSuppMeasure` alike, and in integers: a weight's sign is its
+numerator's, and the numerators scaled to the lcm of the denominators
+(:func:`_cleared`, the one home of that scaling, which the LP certificate
+and the metric oracle also use) must add up to that lcm.  Only a refusal
+builds the ``Fraction`` total that its message prints.
 
 Numbers cross into exact arithmetic once, in
 :func:`_as_fractions`: an ``int`` or a string such as ``"3/10"`` becomes a
@@ -34,6 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -152,18 +157,26 @@ def _same_space(lives: str, got: FiniteSpace, other: str, want: FiniteSpace) -> 
         raise SpaceMismatchError(f"{lives} {got.name!r} but {other} {want.name!r}")
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(d * values, d)`` for ``d`` the lcm of the denominators."""
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
+
+
 def _probability(
     labels: Iterable, weights: Sequence[Fraction], noun: str, space: FiniteSpace | None = None
 ) -> None:
     """Every weight is >= 0 and they sum to exactly 1; a failure names the
     first negative ``noun`` by its label, or the ``space`` if one is given."""
     for label, w in zip(labels, weights):
-        if w < 0:
+        if w.numerator < 0:
             raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {w}")
-    total = sum(weights, ZERO)
-    if total != 1:
+    scaled, d = _cleared(weights)
+    total = sum(scaled)
+    if total != d:
         on = "" if space is None else f" on space {space.name!r}"
-        raise MassNotOneError(f"weights{on} sum to {total}, expected 1")
+        raise MassNotOneError(f"weights{on} sum to {Fraction(total, d)}, expected 1")
 
 
 def _per_point(

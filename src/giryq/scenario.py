@@ -12,6 +12,14 @@ a predicate value outside [0, 1]) is reported at its document path by
 :func:`_located`; :func:`_doc` writes a value back in document form, for
 :func:`scenario_to_dict` and for the CLI's result records alike.
 
+Sparse and deterministic kernels repeat a few literals many times (``"0"``
+above all), so :func:`_rational` reads each distinct string once, through a
+bounded memo of :func:`parse_rational`, and equal literals share one
+immutable ``Fraction``.  A refused literal is never kept, so it is refused
+again, at its own document path, wherever it appears.  A list of literals
+writes out the path ``where[i]`` of an entry only when that entry is
+refused.
+
 A query is a ``kind`` plus the fields its entry in ``QUERY_SPECS`` lists, in
 document order (optional fields in brackets)::
 
@@ -35,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Optional
 
 from .errors import (
@@ -45,7 +54,6 @@ from .errors import (
     ScenarioValidationError,
 )
 from .kernels import Kernel
-from .laws import SUITES
 from .measures import Dist, FiniteSpace, _per_point, _same_space, format_rational, parse_rational
 from .predicates import (
     LiftedPredicate,
@@ -56,6 +64,13 @@ from .predicates import (
 
 # the most points a space may declare; fiber scans and lifted LPs grow with it
 MAX_SPACE_POINTS = 64
+
+# random instances per law suite when the command line names no count; a
+# CHECK_LAWS query and ``giryq laws`` read it without importing the suites
+DEFAULT_CASES = 200
+
+# the most distinct rational literals that :func:`_rational` keeps parsed
+_LITERAL_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -152,11 +167,24 @@ def _get(doc: dict, key: str, kind: type, where: str) -> Any:
     return _expect(doc[key], kind, f"{where}.{key}")
 
 
+_literal = lru_cache(maxsize=_LITERAL_MEMO)(parse_rational)
+
+
 def _rational(raw: Any, where: str):
     try:
-        return parse_rational(_expect(raw, str, where))
+        return _literal(_expect(raw, str, where))
     except RationalFormatError as exc:
         raise ScenarioParseError(f"{where}: {exc}") from None
+
+
+def _rationals(values: list, where: str) -> tuple:
+    """Each entry of ``values`` read by :func:`_rational` at ``where[i]``;
+    that location is written out only for a refused entry."""
+    try:
+        return tuple([_literal(_expect(v, str, where)) for v in values])
+    except GiryqError:
+        # read again entry by entry, so the refusal names the first bad one
+        return tuple(_rational(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 def _located(where: str, build: Callable, *args: Any) -> Any:
@@ -168,9 +196,7 @@ def _located(where: str, build: Callable, *args: Any) -> Any:
 
 
 def _dist(raw: Any, space: FiniteSpace, where: str) -> Dist:
-    values = _expect(raw, list, where)
-    weights = tuple(_rational(v, f"{where}[{i}]") for i, v in enumerate(values))
-    return _located(where, Dist, space, weights)
+    return _located(where, Dist, space, _rationals(_expect(raw, list, where), where))
 
 
 def _no_extras(doc: dict, allowed: set[str], where: str) -> None:
@@ -206,6 +232,8 @@ def _quantifier(value: Any, where: str) -> str:
 
 
 def _suites(value: Any, where: str) -> tuple[str, ...]:
+    from .laws import SUITES  # loaded only for a CHECK_LAWS query that lists suites
+
     suites = tuple(
         _expect(s, str, f"{where}[{j}]")
         for j, s in enumerate(_expect(value, list, where))
@@ -275,10 +303,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         _expect(raw, dict, where)
         _no_extras(raw, {"space", "values"}, where)
         space = _ref(raw, "space", spaces, "space", where)
-        values = tuple(
-            _rational(v, f"{where}.values[{j}]")
-            for j, v in enumerate(_get(raw, "values", list, where))
-        )
+        values = _rationals(_get(raw, "values", list, where), f"{where}.values")
         predicates[name] = _located(where, Predicate, space, values)
 
     simplex_predicates: dict[str, SimplexPredicate] = {}

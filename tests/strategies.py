@@ -64,3 +64,19 @@ def kernel_chains(draw, max_size=4):
         draw(kernels(sb, sc)),
         draw(kernels(sc, sd)),
     )
+
+
+@st.composite
+def weight_lists(draw, max_size=6):
+    """Rational weights of either sign; about half of the lists sum to
+    exactly 1, some of those with a negative last weight."""
+    weights = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(min_value=-3, max_value=12),
+                      st.integers(min_value=1, max_value=12)),
+            max_size=max_size,
+        )
+    )
+    if weights and draw(st.booleans()):
+        weights[-1] = 1 - sum(weights[:-1])
+    return tuple(weights)

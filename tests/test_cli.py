@@ -280,6 +280,31 @@ def test_empty_suite_list_exits_2_with_its_path(tmp_path, run_python):
     assert done.stdout == b""
 
 
+@pytest.mark.parametrize(
+    "suites, message",
+    [
+        (["monad_laws", "nope"], "unknown law suite 'nope'"),
+        (["galois", "monad_laws", "galois"], "suite 'galois' listed twice"),
+    ],
+    ids=["unknown", "repeated"],
+)
+def test_bad_suite_list_exits_2_in_a_fresh_process(tmp_path, run_python, suites, message):
+    # a fresh interpreter has not loaded the suites before it reads the list
+    doc = {
+        "spaces": [],
+        "kernels": {},
+        "predicates": {},
+        "simplex_predicates": {},
+        "queries": [{"kind": "CHECK_LAWS", "suites": suites}],
+    }
+    path = tmp_path / "bad_suites.json"
+    path.write_text(json.dumps(doc))
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"error: queries[0].suites: {message}\n"
+    assert done.stdout == b""
+
+
 def test_repeated_suite_exits_2_with_its_path(tmp_path, capsys):
     doc = {
         "spaces": [],

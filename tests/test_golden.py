@@ -41,6 +41,29 @@ def test_output_is_the_same_under_python_O(run_python, golden):
     assert done.stdout == (GOLDEN / golden).read_bytes()
 
 
+# runs the CLI on its arguments, then names on stderr which of the modules
+# that only some commands need were imported
+_REPORT_IMPORTS = (
+    "import sys\n"
+    "from giryq.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted({'giryq.laws', 'concurrent.futures'} & set(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "golden, imported",
+    [("run_noisy_channel.txt", ""), ("run_chain_and_laws.txt", "giryq.laws"),
+     ("laws_seed0_cases20.txt", "giryq.laws")],
+)
+def test_only_a_command_that_runs_the_suites_imports_them(run_python, golden, imported):
+    done = run_python("-c", _REPORT_IMPORTS, *CASES[golden])
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr.decode() == imported + "\n"
+    assert done.stdout == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_serialized_corpus_matches_golden(name):
     scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))

@@ -10,6 +10,7 @@ from giryq import (
     DimensionMismatchError,
     FinSuppMeasure,
     FiniteSpace,
+    GiryqError,
     Kernel,
     LinearProgram,
     MassNotOneError,
@@ -31,7 +32,7 @@ from giryq.measures import combine_rows
 from giryq.predicates import LiftedPredicate, entails, expectation, substitute
 from giryq.quantifiers import exists_composite, exists_lifted, forall_fiber
 
-from strategies import dist_pairs, dist_triples
+from strategies import dist_pairs, dist_triples, weight_lists
 
 
 class TestRationalLiterals:
@@ -67,8 +68,9 @@ class TestRationalLiterals:
             parse_rational("1/" + "1" * 5000)
 
     def test_rejects_non_string(self):
-        with pytest.raises(RationalFormatError):
-            parse_rational(0.5)
+        for value in (0.5, 123, True, None, ["1"]):
+            with pytest.raises(RationalFormatError):
+                parse_rational(value)
 
     @pytest.mark.parametrize("value", [F(3, 10), F(1), F(-7, 2), F(0)])
     def test_round_trip(self, value):
@@ -295,6 +297,81 @@ class TestFinSuppMeasure:
         m = FinSuppMeasure(("a", "b", "c"), (F(1, 2), F(1, 4), F(1, 4)))
         collapsed = m.map(lambda atom: "x" if atom in ("a", "b") else "y")
         assert collapsed == FinSuppMeasure(("x", "y"), (F(3, 4), F(1, 4)))
+
+
+def _fraction_sum_check(labels, weights, noun, space=None):
+    """The mass check as it reads in the definition: ``Fraction``
+    comparison and one ``Fraction`` addition per weight."""
+    for label, w in zip(labels, weights):
+        if w < 0:
+            raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {w}")
+    total = sum(weights, F(0))
+    if total != 1:
+        on = "" if space is None else f" on space {space.name!r}"
+        raise MassNotOneError(f"weights{on} sum to {total}, expected 1")
+
+
+def _refusal(build, *args):
+    """``(error class, message)`` of what ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except GiryqError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _points(n):
+    return FiniteSpace("Y", tuple(f"y{i + 1}" for i in range(n)))
+
+
+class TestIntegerMassCheck:
+    """The mass check sums in integers; it accepts and refuses exactly what
+    the ``Fraction`` sum does, with the same error and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_lists())
+    def test_dist_agrees_with_the_fraction_sum(self, weights):
+        space = _points(len(weights))
+        expected = _refusal(_fraction_sum_check, space.points, weights, "point", space)
+        assert _refusal(Dist, space, weights) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_lists())
+    def test_finsupp_measure_agrees_with_the_fraction_sum(self, weights):
+        atoms = tuple(f"a{i}" for i in range(len(weights)))
+        expected = _refusal(_fraction_sum_check, atoms, weights, "atom")
+        assert _refusal(FinSuppMeasure, atoms, weights) == expected
+
+    @pytest.mark.parametrize(
+        "weights, refusal",
+        [
+            ((F(1, 2), F(-1, 4), F(3, 4)),
+             (NegativeWeightError, "weight of point 'y2' is negative: -1/4")),
+            # 3/4 + 3/4 scales to 6 over 4; the message prints it in lowest terms
+            ((F(3, 4), F(3, 4), F(0)),
+             (MassNotOneError, "weights on space 'Y' sum to 3/2, expected 1")),
+            ((F(1, 3), F(1, 2), F(1, 15)),
+             (MassNotOneError, "weights on space 'Y' sum to 9/10, expected 1")),
+            ((), (MassNotOneError, "weights on space 'Y' sum to 0, expected 1")),
+            ((F(1, 6), F(1, 3), F(1, 2)), None),
+        ],
+        ids=["negative", "three_halves", "nine_tenths", "empty", "one"],
+    )
+    def test_dist_refusals_read_as_before(self, weights, refusal):
+        assert _refusal(Dist, _points(len(weights)), weights) == refusal
+
+    @pytest.mark.parametrize(
+        "weights, refusal",
+        [
+            ((F(3, 2), F(-1, 2)), (NegativeWeightError, "weight of atom 'a2' is negative: -1/2")),
+            ((F(3, 4), F(3, 4)), (MassNotOneError, "weights sum to 3/2, expected 1")),
+            ((), (MassNotOneError, "weights sum to 0, expected 1")),
+        ],
+        ids=["negative", "three_halves", "empty"],
+    )
+    def test_finsupp_refusals_read_as_before(self, weights, refusal):
+        atoms = tuple(f"a{i + 1}" for i in range(len(weights)))
+        assert _refusal(FinSuppMeasure, atoms, weights) == refusal
 
 
 @st.composite

@@ -81,6 +81,58 @@ def test_decimal_rationals_are_rejected():
         scenario_from_dict(doc)
 
 
+_NOT_A_LITERAL = "not a rational literal (expected 'n' or 'n/d'): '0.5'"
+
+
+def test_a_repeated_bad_literal_is_refused_at_its_first_path_each_time():
+    doc = minimal_doc()
+    doc["kernels"]["f"]["rows"][1] = ["1/2", "0.5"]
+    doc["predicates"]["g"]["values"] = ["0.5", "0.5"]
+    for _ in range(2):  # a refused literal is not kept, so the second parse reads it again
+        with pytest.raises(ScenarioParseError) as caught:
+            scenario_from_dict(copy.deepcopy(doc))
+        assert str(caught.value) == f"kernels['f'].rows[1] (point 'x2')[1]: {_NOT_A_LITERAL}"
+    doc["kernels"]["f"]["rows"][1] = ["1/2", "1/2"]
+    with pytest.raises(ScenarioParseError) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value) == f"predicates['g'].values[0]: {_NOT_A_LITERAL}"
+
+
+@pytest.mark.parametrize(
+    "literal, got", [(1, "int"), (True, "bool"), (["1"], "list"), (None, "NoneType")]
+)
+@pytest.mark.parametrize(
+    "place, where",
+    [
+        (lambda doc: doc["kernels"]["f"]["rows"][1], "kernels['f'].rows[1] (point 'x2')[1]"),
+        (lambda doc: doc["predicates"]["g"]["values"], "predicates['g'].values[1]"),
+        (lambda doc: doc["queries"][0]["dist"], "queries[0].dist[1]"),
+    ],
+    ids=["kernel_row", "predicate_values", "query_dist"],
+)
+def test_a_literal_that_is_not_a_string_is_refused_at_its_path(literal, got, place, where):
+    doc = minimal_doc(
+        queries=[{"kind": "EXISTS_LP", "kernel": "f", "predicate": "g", "dist": ["1", "0"]}]
+    )
+    place(doc)[1] = literal
+    with pytest.raises(ScenarioParseError) as caught:
+        scenario_from_dict(doc)
+    assert str(caught.value) == f"{where}: expected str, got {got}"
+
+
+def test_an_object_with_a_repeated_key_in_place_of_a_literal_is_refused_at_its_path():
+    text = json.dumps(minimal_doc()).replace('"1/2", "1"]', '"1/2", {"a": "1", "a": "1"}]')
+    with pytest.raises(ScenarioValidationError) as caught:
+        parse_scenario(text)
+    assert str(caught.value) == "predicates['g'].values[1]: duplicate key 'a'"
+
+
+def test_equal_literals_share_one_fraction():
+    scenario = scenario_from_dict(minimal_doc())
+    half, other_half = scenario.kernels["f"].rows[1].weights
+    assert half is other_half is scenario.predicates["g"].values[0]
+
+
 def test_non_stochastic_row_names_the_row():
     doc = minimal_doc()
     doc["kernels"]["f"]["rows"][1] = ["1/2", "2/5"]
