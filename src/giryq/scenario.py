@@ -16,9 +16,7 @@ Sparse and deterministic kernels repeat a few literals many times (``"0"``
 above all), so :func:`_rational` reads each distinct string once, through a
 bounded memo of :func:`parse_rational`, and equal literals share one
 immutable ``Fraction``.  A refused literal is never kept, so it is refused
-again, at its own document path, wherever it appears.  A list of literals
-writes out the path ``where[i]`` of an entry only when that entry is
-refused.
+again, at its own document path, wherever it appears.
 
 A query is a ``kind`` plus the fields its entry in ``QUERY_SPECS`` lists, in
 document order (optional fields in brackets)::
@@ -177,16 +175,6 @@ def _rational(raw: Any, where: str):
         raise ScenarioParseError(f"{where}: {exc}") from None
 
 
-def _rationals(values: list, where: str) -> tuple:
-    """Each entry of ``values`` read by :func:`_rational` at ``where[i]``;
-    that location is written out only for a refused entry."""
-    try:
-        return tuple([_literal(_expect(v, str, where)) for v in values])
-    except GiryqError:
-        # read again entry by entry, so the refusal names the first bad one
-        return tuple(_rational(v, f"{where}[{i}]") for i, v in enumerate(values))
-
-
 def _located(where: str, build: Callable, *args: Any) -> Any:
     """``build(*args)``; a value error it raises is reported at ``where``."""
     try:
@@ -196,7 +184,9 @@ def _located(where: str, build: Callable, *args: Any) -> Any:
 
 
 def _dist(raw: Any, space: FiniteSpace, where: str) -> Dist:
-    return _located(where, Dist, space, _rationals(_expect(raw, list, where), where))
+    values = _expect(raw, list, where)
+    weights = tuple(_rational(v, f"{where}[{i}]") for i, v in enumerate(values))
+    return _located(where, Dist, space, weights)
 
 
 def _no_extras(doc: dict, allowed: set[str], where: str) -> None:
@@ -303,7 +293,10 @@ def scenario_from_dict(doc: Any) -> Scenario:
         _expect(raw, dict, where)
         _no_extras(raw, {"space", "values"}, where)
         space = _ref(raw, "space", spaces, "space", where)
-        values = _rationals(_get(raw, "values", list, where), f"{where}.values")
+        values = tuple(
+            _rational(v, f"{where}.values[{j}]")
+            for j, v in enumerate(_get(raw, "values", list, where))
+        )
         predicates[name] = _located(where, Predicate, space, values)
 
     simplex_predicates: dict[str, SimplexPredicate] = {}
