@@ -2,24 +2,31 @@
 
 A predicate assigns a truth value in [0, 1] to each point of a finite
 space.  Entailment is the pointwise order.  Predicates on the simplex of
-distributions come in exactly two representable fragments: the expectation
-lift of a base predicate, and a finite probe table with an explicit
-default.
+distributions come in three kinds.  Two have a document form: the
+expectation lift of a base predicate, and a finite probe table with an
+explicit default.  The third is a quantifier along a kernel,
+:class:`~giryq.quantifiers.QuantifiedPredicate`, which has none and lives
+with the quantifiers.  :func:`substitute` takes any of the three: it reads
+only ``.space`` and evaluation at a distribution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import DuplicateAtomError, ValueOutOfRangeError
 from .kernels import Kernel
 from .measures import ZERO, Dist, FiniteSpace, _as_fractions, _per_point, _same_space
 
+if TYPE_CHECKING:  # quantifiers imports this module
+    from .quantifiers import QuantifiedPredicate
 
-def _check_unit_interval(value: Fraction, what: str) -> None:
+
+def _check_unit_interval(value: Fraction, what: str, *args: object) -> None:
+    """Refuse a value outside [0, 1]; ``what.format(*args)`` names it, built only on failure."""
     if value < 0 or value > 1:
-        raise ValueOutOfRangeError(f"{what} lies outside [0, 1]: {value}")
+        raise ValueOutOfRangeError(f"{what.format(*args)} lies outside [0, 1]: {value}")
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,7 @@ class Predicate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _per_point(self.values, self.space, "values"))
         for label, v in zip(self.space.points, self.values):
-            _check_unit_interval(v, f"value at {label!r}")
+            _check_unit_interval(v, "value at {!r}", label)
 
     @classmethod
     def constant(cls, space: FiniteSpace, value: Fraction | int) -> "Predicate":
@@ -100,7 +107,7 @@ class TableSimplexPredicate:
         for d, v in self.entries:
             if d.space != self.space:  # the probe is formatted only on failure
                 _same_space(f"probe {d} lives on", d.space, "the table lives on", self.space)
-            _check_unit_interval(v, f"table value at {d}")
+            _check_unit_interval(v, "table value at {}", d)
         _check_unit_interval(self.default, "table default")
 
     def __call__(self, dist: Dist) -> Fraction:
@@ -110,14 +117,18 @@ class TableSimplexPredicate:
         return self.default
 
 
+# the simplex predicates a scenario document can write down
 SimplexPredicate = Union[LiftedPredicate, TableSimplexPredicate]
 
 
-def substitute(h: SimplexPredicate, kernel: Kernel) -> Predicate:
+def substitute(h: SimplexPredicate | QuantifiedPredicate, kernel: Kernel) -> Predicate:
     """Pull a simplex predicate back along a kernel.
 
     The result evaluates ``h`` at each row distribution of the kernel:
-    ``x -> h(kernel(x))``.
+    ``x -> h(kernel(x))``.  For a
+    :class:`~giryq.quantifiers.QuantifiedPredicate` along ``kernel`` that
+    is the quantifier at each row image, the bound that the unit and
+    counit laws compare with the predicate.
     """
     _same_space("simplex predicate lives on", h.space, "the kernel lands in", kernel.target)
     return Predicate(kernel.source, tuple(h(row) for row in kernel.rows))

@@ -31,8 +31,13 @@ The named ``exists_*``/``forall_*`` functions are one-line entries into
 the core.  ``exists_composite``/``forall_composite`` evaluate a two-kernel
 chain by staged nesting through finitely supported intermediate measures,
 merging with the same comparison and empty-fiber values.
-``check_adjunction_bounds`` and ``check_galois`` verify the
-order-theoretic laws these conventions are designed to satisfy.
+
+Read as a function of the query, a quantifier is a predicate on the
+simplex over the kernel's target, :class:`QuantifiedPredicate`, and its
+laws are the adjunction with :func:`~giryq.predicates.substitute`:
+``check_adjunction_bounds`` checks the unit ``p <= substitute(exists p,
+K)`` and the counit ``substitute(forall p, K) <= p``, and
+``check_galois`` both Galois equivalences over a probe set.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Union
 from .errors import CertificateError, ProbeSetIncompleteError
 from .kernels import Kernel, image_measure, lift, mixture
 from .lp import Constraints, LinearProgram, LpStatus, Sense, lp_solve
-from .measures import ONE, ZERO, Dist, _same_space
+from .measures import ONE, ZERO, Dist, FiniteSpace, _same_space
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
 
 
@@ -189,70 +194,43 @@ def forall_at(
 
 
 @dataclass(frozen=True)
-class PointBounds:
-    """Quantifier bounds at the image of one source point."""
+class QuantifiedPredicate:
+    """A quantifier along ``kernel`` as a predicate on the simplex over its target.
 
-    point: str
-    predicate_value: Fraction
-    exists_value: Fraction
-    forall_value: Fraction
-
-    @property
-    def unit_ok(self) -> bool:
-        return self.predicate_value <= self.exists_value
-
-    @property
-    def counit_ok(self) -> bool:
-        return self.forall_value <= self.predicate_value
-
-
-@dataclass(frozen=True)
-class AdjunctionReport:
-    """Per-point unit/counit inequalities for one kernel and predicate.
-
-    At every source point x the existential at the image of x must
-    dominate the predicate, and the universal must be dominated by it.
+    Evaluated at a distribution ``q`` it is ``quantify(kernel, pred, q,
+    sense, regime).value``: the existential for MAX, the universal for MIN,
+    and the extension value at a ``q`` outside the image.
     """
 
+    kernel: Kernel
+    pred: Predicate
+    sense: Sense
     regime: Regime
-    rows: tuple[PointBounds, ...]
 
     @property
-    def ok(self) -> bool:
-        return all(r.unit_ok and r.counit_ok for r in self.rows)
+    def space(self) -> FiniteSpace:
+        return self.kernel.target
 
-    def failures(self) -> list[str]:
-        out = []
-        for r in self.rows:
-            if not r.unit_ok:
-                out.append(
-                    f"{r.point}: predicate {r.predicate_value} exceeds "
-                    f"existential bound {r.exists_value}"
-                )
-            if not r.counit_ok:
-                out.append(
-                    f"{r.point}: universal bound {r.forall_value} exceeds "
-                    f"predicate {r.predicate_value}"
-                )
-        return out
+    def __call__(self, query: Dist) -> Fraction:
+        return quantify(self.kernel, self.pred, query, self.sense, self.regime).value
 
 
-def check_adjunction_bounds(
-    kernel: Kernel, pred: Predicate, regime: Regime
-) -> AdjunctionReport:
-    """Evaluate both quantifiers at the image of every source point and
-    report the sandwich ``forall <= predicate <= exists`` pointwise.
+def check_adjunction_bounds(kernel: Kernel, pred: Predicate, regime: Regime) -> list[str]:
+    """Check the unit ``pred <= substitute(exists pred, kernel)`` and the
+    counit ``substitute(forall pred, kernel) <= pred`` pointwise.
+
+    Returns one line per violated bound, the unit's first at each point;
+    an empty list means both laws hold.
     """
-    rows = tuple(
-        PointBounds(
-            point=x,
-            predicate_value=value,
-            exists_value=exists_at(kernel, pred, query, regime).value,
-            forall_value=forall_at(kernel, pred, query, regime).value,
-        )
-        for x, query, value in zip(kernel.source.points, kernel.rows, pred.values)
-    )
-    return AdjunctionReport(regime=regime, rows=rows)
+    upper = substitute(QuantifiedPredicate(kernel, pred, Sense.MAX, regime), kernel)
+    lower = substitute(QuantifiedPredicate(kernel, pred, Sense.MIN, regime), kernel)
+    failures = []
+    for x, p, e, a in zip(kernel.source.points, pred.values, upper.values, lower.values):
+        if p > e:
+            failures.append(f"{x}: predicate {p} exceeds existential bound {e}")
+        if a > p:
+            failures.append(f"{x}: universal bound {a} exceeds predicate {p}")
+    return failures
 
 
 @dataclass(frozen=True)
@@ -300,15 +278,13 @@ def check_galois(
         if row not in probes:
             raise ProbeSetIncompleteError(f"probe set misses the image of {x!r}: {row}")
     pullback = substitute(h, kernel)
+    exists = QuantifiedPredicate(kernel, pred, Sense.MAX, Regime.COUNTABLE)
+    forall = QuantifiedPredicate(kernel, pred, Sense.MIN, Regime.COUNTABLE)
     return GaloisReport(
         exists_premise=entails(pred, pullback),
-        exists_conclusion=all(
-            exists_fiber(kernel, pred, q).value <= h(q) for q in probes
-        ),
+        exists_conclusion=all(exists(q) <= h(q) for q in probes),
         forall_premise=entails(pullback, pred),
-        forall_conclusion=all(
-            h(q) <= forall_fiber(kernel, pred, q).value for q in probes
-        ),
+        forall_conclusion=all(h(q) <= forall(q) for q in probes),
     )
 
 

@@ -159,10 +159,13 @@ class TestTablePredicate:
 
     def test_values_validated(self, two_points):
         probe = Dist(two_points, (F(1), F(0)))
-        with pytest.raises(ValueOutOfRangeError):
+        with pytest.raises(ValueOutOfRangeError) as info:
             TableSimplexPredicate(two_points, ((probe, F(2)),), F(0))
-        with pytest.raises(ValueOutOfRangeError):
+        # the message names the offending probe by its weights
+        assert str(info.value) == "table value at (1, 0) lies outside [0, 1]: 2"
+        with pytest.raises(ValueOutOfRangeError) as info:
             TableSimplexPredicate(two_points, ((probe, F(1)),), F(3, 2))
+        assert str(info.value) == "table default lies outside [0, 1]: 3/2"
 
     def test_probes_must_live_on_the_space(self, two_points, three_points):
         probe = Dist.dirac(three_points, "x1")

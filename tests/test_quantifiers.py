@@ -7,7 +7,6 @@ import pytest
 
 from giryq import quantifiers
 from giryq import (
-    AdjunctionReport,
     CertificateError,
     Dist,
     FiniteSpace,
@@ -15,16 +14,17 @@ from giryq import (
     LiftedPredicate,
     LinearProgram,
     LpStatus,
-    PointBounds,
     PointFunction,
     Predicate,
     ProbeSetIncompleteError,
+    QuantifiedPredicate,
     Regime,
     SpaceMismatchError,
     check_adjunction_bounds,
     check_galois,
     compose,
     deterministic_kernel,
+    entails,
     exists_composite,
     exists_fiber,
     exists_lifted,
@@ -35,6 +35,8 @@ from giryq import (
     identity_kernel,
     lift,
     lp_solve,
+    quantify,
+    substitute,
 )
 from giryq import lp as lp_module
 from giryq.laws import rand_dist, rand_kernel, rand_predicate, rand_space
@@ -165,33 +167,66 @@ class TestLiftedRegime:
             )
 
 
+def _bounds(kernel, pred, regime):
+    """The existential and universal bounds at each row image, as predicates."""
+    return tuple(
+        substitute(QuantifiedPredicate(kernel, pred, sense, regime), kernel)
+        for sense in (Sense.MAX, Sense.MIN)
+    )
+
+
+class TestQuantifiedPredicate:
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_is_the_quantifier_at_every_row_image(self, channel, gain, sense, regime):
+        h = QuantifiedPredicate(channel, gain, sense, regime)
+        assert h.space == channel.target
+        for row in channel.rows:
+            assert h(row) == quantify(channel, gain, row, sense, regime).value
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_off_image_query_takes_the_extension_value(
+        self, channel, gain, two_points, regime
+    ):
+        # outside the convex hull of the rows, so off the image in both regimes
+        off = Dist(two_points, (F(1, 10), F(9, 10)))
+        assert QuantifiedPredicate(channel, gain, Sense.MAX, regime)(off) == 0
+        assert QuantifiedPredicate(channel, gain, Sense.MIN, regime)(off) == 1
+
+    def test_substitution_along_another_target_is_refused(self, channel, gain, three_points):
+        h = QuantifiedPredicate(channel, gain, Sense.MAX, Regime.COUNTABLE)
+        with pytest.raises(SpaceMismatchError):
+            substitute(h, identity_kernel(three_points))
+
+
 class TestAdjunctionBounds:
     def test_channel_bounds_in_the_lifted_regime(self, channel, gain):
-        report = check_adjunction_bounds(channel, gain, Regime.LP)
-        assert report.ok
-        by_point = {row.point: row for row in report.rows}
+        assert check_adjunction_bounds(channel, gain, Regime.LP) == []
+        upper, lower = _bounds(channel, gain, Regime.LP)
+        assert entails(gain, upper) and entails(lower, gain)
         # the third row reaches its image only through its own point mass
-        assert by_point["x3"].exists_value == F(9, 10)
-        assert by_point["x3"].forall_value == F(9, 10)
-        assert by_point["x3"].exists_value - by_point["x3"].predicate_value == 0
+        assert upper.value_at("x3") == lower.value_at("x3") == gain.value_at("x3") == F(9, 10)
 
     def test_channel_bounds_in_the_fiber_regime(self, channel, gain):
-        report = check_adjunction_bounds(channel, gain, Regime.COUNTABLE)
-        assert report.ok
-        assert report.failures() == []
+        assert check_adjunction_bounds(channel, gain, Regime.COUNTABLE) == []
 
-    def test_failures_name_each_violated_bound(self):
-        report = AdjunctionReport(
-            Regime.COUNTABLE,
-            (
-                PointBounds("x1", F(1, 2), exists_value=F(1, 4), forall_value=F(1, 3)),
-                PointBounds("x2", F(1, 2), exists_value=F(3, 4), forall_value=F(2, 3)),
-            ),
-        )
-        assert not report.ok
-        assert report.failures() == [
+    def test_failures_name_each_violated_bound(self, channel, gain, monkeypatch):
+        real = quantifiers.quantify
+
+        def broken(kernel, pred, query, sense, regime):
+            result = real(kernel, pred, query, sense, regime)
+            # the existential drops below the predicate at the image of x1,
+            # and the universal rises above it at the image of x2
+            if sense is Sense.MAX and query == kernel.row("x1"):
+                return dataclasses.replace(result, value=F(1, 4))
+            if sense is Sense.MIN and query == kernel.row("x2"):
+                return dataclasses.replace(result, value=F(2, 3))
+            return result
+
+        monkeypatch.setattr(quantifiers, "quantify", broken)
+        assert check_adjunction_bounds(channel, gain, Regime.COUNTABLE) == [
             "x1: predicate 1/2 exceeds existential bound 1/4",
-            "x2: universal bound 2/3 exceeds predicate 1/2",
+            "x2: universal bound 2/3 exceeds predicate 3/5",
         ]
 
     def test_injective_embedding_gives_equalities(self, three_points):
@@ -200,18 +235,14 @@ class TestAdjunctionBounds:
         kernel = deterministic_kernel(fn)
         pred = Predicate(three_points, (F(1, 7), F(2, 7), F(3, 7)))
         for regime in (Regime.COUNTABLE, Regime.LP):
-            report = check_adjunction_bounds(kernel, pred, regime)
-            assert report.ok
-            for row in report.rows:
-                assert row.exists_value == row.predicate_value == row.forall_value
+            assert check_adjunction_bounds(kernel, pred, regime) == []
+            assert _bounds(kernel, pred, regime) == (pred, pred)
 
     def test_constant_predicate_collapses_both_bounds(self, channel, three_points):
         pred = Predicate.constant(three_points, F(2, 5))
         for regime in (Regime.COUNTABLE, Regime.LP):
-            report = check_adjunction_bounds(channel, pred, regime)
-            assert report.ok
-            for row in report.rows:
-                assert row.exists_value == row.forall_value == F(2, 5)
+            assert check_adjunction_bounds(channel, pred, regime) == []
+            assert _bounds(channel, pred, regime) == (pred, pred)
 
 
 class TestGalois:
