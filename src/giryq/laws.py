@@ -511,7 +511,12 @@ def _suite_metric_axioms(rng: random.Random, cases: int) -> list[str]:
             [p, q] if p != q else [p],
             [Fraction(blend, 4), Fraction(4 - blend, 4)] if p != q else [Fraction(1)],
         )
-        mixture(mixed)  # Dist raises MassNotOneError if this drifts off mass one
+        blended = tuple(
+            Fraction(blend, 4) * a + Fraction(4 - blend, 4) * b
+            for a, b in zip(p.weights, q.weights)
+        )
+        if mixture(mixed).weights != blended:
+            failures.append(f"case {i}: mixture is not the pointwise blend")
     return failures
 
 

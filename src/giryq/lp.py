@@ -23,12 +23,13 @@ to rounding; the benchmark's traced phase split relies on that.
 * INFEASIBLE is accepted only with a Farkas certificate taken from the
   phase-1 basis: ``y^T A <= 0`` and ``y^T b > 0``.
 
-Any other outcome (an entry past the float range, the pivot cap, an
-artificial column left in the basis, a singular or rejected basis, an
-unbounded program) reruns the simplex under Bland's rule, which cannot
-cycle, with every tableau entry a ``Fraction``.  That exact path is the
-reference the tests compare against.  Either way the optimum and the
-returned vertex are exact.
+Any other outcome reruns the simplex under Bland's rule, which cannot
+cycle, with every tableau entry a ``Fraction``: the guide giving up (a zero
+objective, an entry past the float range, the pivot cap), which every
+simplex stage reports as the status None of its :class:`_Tableau`; an
+artificial column left in the basis; a singular or rejected basis; or an
+unbounded program.  That exact path is the reference the tests compare
+against.  Either way the optimum and the returned vertex are exact.
 
 Phase 1 reads only ``A`` and ``b``, never the objective or the sense.  So
 everything derived from them alone is computed once per constraint system
@@ -127,14 +128,6 @@ class LpSolution:
 _TOL = 1e-9
 
 
-class _PivotCapReached(Exception):
-    """The float guide made its last allowed pivot."""
-
-    def __init__(self, pivots: int) -> None:
-        super().__init__(pivots)
-        self.pivots = pivots
-
-
 def _guide_cap(m: int, n: int) -> int:
     # the guide's hard stop: rounding can keep it circling a degenerate vertex
     # under any pricing rule; its pivots scale with the tableau size
@@ -177,21 +170,21 @@ def _iterate(
     tol: float = 0,
     pivots: int = 0,
     cap: Optional[int] = None,
-) -> tuple[int, Optional[int]]:
-    """Run simplex pivots until optimal or unbounded.
+) -> tuple[Optional[LpStatus], int, Optional[int]]:
+    """Run simplex pivots until optimal or unbounded, or until ``cap``.
 
     The objective row ``cost - c_B^T rows`` is computed once and then
     updated with each pivot; ``rule`` picks the entering column from it.
     Entries within ``tol`` of zero count as zero.  ``pivots`` is the count
-    made so far; reaching ``cap`` raises :class:`_PivotCapReached`.  Returns
-    ``(pivot_count, unbounded_column)`` where the column is the entering
-    index that admitted no ratio test (None when optimal).
+    made so far.  Returns ``(status, pivots, column)``: OPTIMAL; UNBOUNDED,
+    with the entering column that admitted no ratio test; or None when the
+    next pivot would pass ``cap``.
     """
     reduced = combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
     while True:
         entering = rule(reduced, tol)
         if entering is None:
-            return pivots, None
+            return LpStatus.OPTIMAL, pivots, None
         leaving = None
         best_key = None
         for i, row in enumerate(rows):
@@ -201,46 +194,47 @@ def _iterate(
                     best_key = key
                     leaving = i
         if leaving is None:
-            return pivots, entering
+            return LpStatus.UNBOUNDED, pivots, entering
         if cap is not None and pivots >= cap:
-            raise _PivotCapReached(pivots)
+            return None, pivots, None
         _pivot(rows, rhs, basis, leaving, entering)
         reduced = combine_rows(reduced, [(-reduced[entering], rows[leaving])])
         pivots += 1
 
 
 @dataclass(frozen=True)
-class _Start:
-    """The outcome of phase 1 on one system ``A x = b``: read, never written.
+class _Tableau:
+    """The outcome of a simplex stage: read, never written.
 
-    ``status`` is OPTIMAL when phase 1 found a feasible basis: ``rows`` and
-    ``rhs`` are then the tableau over the ``n`` real columns, with leftover
-    artificial columns driven out and redundant rows dropped.  It is
-    INFEASIBLE when the artificial mass stays positive; ``basis`` is then
-    the phase-1 basis, whose artificial columns are ``n..n+m-1``.  It is
-    None when phase 1 gave up, and ``gave_up`` says why: ``"overflow"`` (an
-    entry past the float range), ``"cap"`` (the guide's pivot cap) or
-    ``"stuck"`` (no descent step, which exact arithmetic rules out).
-    ``pivots`` counts phase 1 and the drive-out.
+    ``status`` None means the stage gave up, and then only ``pivots`` is
+    read.  After phase 1, OPTIMAL means ``rows``, ``rhs`` and ``basis`` are
+    a feasible tableau over the ``n`` real columns, with leftover artificial
+    columns driven out and redundant rows dropped; INFEASIBLE means the
+    artificial mass stays positive, and ``basis`` is the phase-1 basis,
+    whose artificial columns are ``n..n+m-1``.  After phase 2 they are the
+    final tableau, and ``column`` is the entering column that admitted no
+    ratio test when UNBOUNDED.  ``pivots`` counts every pivot from the
+    start of phase 1, the drive-out included.
     """
 
     status: Optional[LpStatus]
-    rows: tuple[tuple, ...] = ()
+    rows: tuple[Sequence, ...] = ()
     rhs: tuple = ()
-    basis: tuple[int, ...] = ()
+    basis: Sequence[int] = ()
     pivots: int = 0
-    gave_up: Optional[str] = None
+    column: Optional[int] = None
 
 
 def _phase1(
     rows: list[list], rhs: list, n: int, one, tol: float = 0, cap: Optional[int] = None
-) -> _Start:
+) -> _Tableau:
     """Phase 1 on ``rows x = rhs`` (rhs >= 0) over ``n`` columns, in place:
     minimize the total artificial mass under Bland's rule.
 
     ``one`` fixes the number type: ``Fraction(1)`` with ``tol`` 0 makes
     every sign test exact; ``1.0`` with a positive ``tol`` is the guide.
-    Reaching ``cap`` raises :class:`_PivotCapReached`.
+    It gives up at ``cap``, and on a step with no ratio test, which exact
+    arithmetic rules out.
     """
     m = len(rows)
     zero = one - one
@@ -249,12 +243,12 @@ def _phase1(
         rows[i] = rows[i] + [one if j == i else zero for j in range(m)]
     basis = list(range(n, n + m))
     phase1_cost = [zero] * n + [one] * m
-    pivots, stuck = _iterate(phase1_cost, rows, rhs, basis, _bland, tol, 0, cap)
-    if stuck is not None:
-        return _Start(None, pivots=pivots, gave_up="stuck")
+    status, pivots, _ = _iterate(phase1_cost, rows, rhs, basis, _bland, tol, 0, cap)
+    if status is not LpStatus.OPTIMAL:
+        return _Tableau(None, pivots=pivots)
     artificial_mass = sum((rhs[i] for i in range(m) if basis[i] >= n), zero)
     if artificial_mass > tol:
-        return _Start(LpStatus.INFEASIBLE, basis=tuple(basis), pivots=pivots)
+        return _Tableau(LpStatus.INFEASIBLE, basis=tuple(basis), pivots=pivots)
 
     # drive leftover artificials (value zero) out of the basis; a row with
     # no real coefficient left is redundant and is dropped
@@ -267,33 +261,29 @@ def _phase1(
         else:
             _pivot(rows, rhs, basis, r, entering)
             pivots += 1
-    return _Start(
+    return _Tableau(
         LpStatus.OPTIMAL, tuple(tuple(row[:n]) for row in rows), tuple(rhs), tuple(basis), pivots
     )
 
 
 def _phase2(
-    start: _Start,
+    start: _Tableau,
     cost: Sequence,
     rule: Callable[[list, float], Optional[int]],
     tol: float = 0,
     cap: Optional[int] = None,
-) -> tuple[LpStatus, list[Sequence], list, list[int], int, Optional[int]]:
+) -> _Tableau:
     """Phase 2 from a feasible ``start``: minimize ``cost``, entering by ``rule``.
 
     It pivots a copy of the start's tableau; ``start`` itself is never
-    changed, so one start serves any number of objectives.  Returns
-    ``(status, rows, rhs, basis, pivots, column)``: the final tableau,
-    pivots counted from the start's, and the entering column that admitted
-    no ratio test when UNBOUNDED.  Reaching ``cap`` raises
-    :class:`_PivotCapReached`.
+    changed, so one start serves any number of objectives.  Pivots are
+    counted from the start's.
     """
     # _pivot replaces a row it changes and never writes into one, so the
     # start's row tuples can be shared by the copy
     rows, rhs, basis = list(start.rows), list(start.rhs), list(start.basis)
-    pivots, stuck = _iterate(cost, rows, rhs, basis, rule, tol, start.pivots, cap)
-    status = LpStatus.OPTIMAL if stuck is None else LpStatus.UNBOUNDED
-    return status, rows, rhs, basis, pivots, stuck
+    status, pivots, column = _iterate(cost, rows, rhs, basis, rule, tol, start.pivots, cap)
+    return _Tableau(status, tuple(rows), tuple(rhs), tuple(basis), pivots, column)
 
 
 def _min_cost(lp: LinearProgram, num) -> list:
@@ -339,20 +329,17 @@ class Constraints:
         )
 
     @cached_property
-    def guide_start(self) -> _Start:
+    def guide_start(self) -> _Tableau:
         """Phase 1 in floats, within the guide's pivot cap."""
         rows, rhs = self.standard_form
         try:
             rows, rhs = [[_as_float(a) for a in row] for row in rows], [_as_float(b) for b in rhs]
         except OverflowError:  # an entry beyond the float range
-            return _Start(None, gave_up="overflow")
-        try:
-            return _phase1(rows, rhs, self.n, 1.0, _TOL, _guide_cap(len(rows), self.n))
-        except _PivotCapReached as reached:
-            return _Start(None, pivots=reached.pivots, gave_up="cap")
+            return _Tableau(None)
+        return _phase1(rows, rhs, self.n, 1.0, _TOL, _guide_cap(len(rows), self.n))
 
     @cached_property
-    def exact_start(self) -> _Start:
+    def exact_start(self) -> _Tableau:
         """Phase 1 with every entry a ``Fraction``."""
         rows, rhs = self.standard_form
         return _phase1(list(map(list, rows)), list(rhs), self.n, Fraction(1))
@@ -371,24 +358,22 @@ class Constraints:
         return (rows, tuple(dj for _, dj in cleared), *_cleared(rhs))
 
 
-def _propose(lp: LinearProgram) -> tuple[Optional[LpStatus], list[int], int]:
-    """The float guide: ``(status, basis, pivots)`` from the simplex run in
-    floats, phase 2 under Dantzig's rule, with status None when it gave up.
+def _propose(lp: LinearProgram) -> _Tableau:
+    """The float guide: the last tableau of the simplex run in floats, phase
+    2 under Dantzig's rule; its status is None wherever the guide declines.
     """
+    # under a zero objective every reduced cost is zero, so the certificate
+    # would refuse any basis that leaves a column out: skip the guide
+    if not any(lp.objective):
+        return _Tableau(None)
     try:
         cost = _min_cost(lp, _as_float)
     except OverflowError:  # an entry beyond the float range
-        return None, [], 0
+        return _Tableau(None)
     start = lp.constraints.guide_start
     if start.status is not LpStatus.OPTIMAL:
-        return start.status, list(start.basis), start.pivots
-    try:
-        status, _, _, basis, pivots, _ = _phase2(
-            start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost))
-        )
-    except _PivotCapReached as reached:
-        return None, [], reached.pivots
-    return status, basis, pivots
+        return start
+    return _phase2(start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost)))
 
 
 def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, list[int]]]:
@@ -422,7 +407,7 @@ def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, 
     return det, z
 
 
-def _integer_basis(lp: LinearProgram, basis: list[int]) -> list[list[int]]:
+def _integer_basis(lp: LinearProgram, basis: Sequence[int]) -> list[list[int]]:
     """``B`` in integers: the columns ``basis`` of :attr:`Constraints.integer_form`,
     where an artificial ``j >= n`` is row ``j - n``'s unit vector."""
     n = len(lp.objective)
@@ -431,7 +416,7 @@ def _integer_basis(lp: LinearProgram, basis: list[int]) -> list[list[int]]:
 
 
 def _dual(
-    lp: LinearProgram, matrix: list[list[int]], basis: list[int], cost: Sequence[int]
+    lp: LinearProgram, matrix: list[list[int]], basis: Sequence[int], cost: Sequence[int]
 ) -> Optional[tuple[int, list[int], list[int]]]:
     """Solve ``B^T y = c_B`` in integers and price every real column.
 
@@ -450,7 +435,7 @@ def _dual(
     return det, yz, reduced
 
 
-def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Fraction]]:
+def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[list[Fraction]]:
     """The basic solution of ``basis`` if it is the program's only optimum."""
     if len(basis) != len(lp.rhs):  # a redundant row was dropped
         return None
@@ -474,7 +459,7 @@ def _certified_vertex(lp: LinearProgram, basis: list[int]) -> Optional[list[Frac
     return point
 
 
-def _certified_infeasible(lp: LinearProgram, basis: list[int]) -> bool:
+def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
     """Whether the phase-1 ``basis`` yields a Farkas certificate: a phase-1
     dual ``y`` with every real column's reduced cost ``>= 0`` (``y^T A <= 0``)
     and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``."""
@@ -513,17 +498,17 @@ def _exact(lp: LinearProgram) -> LpSolution:
         raise CertificateError("phase-1 objective is bounded below by zero")
     if start.status is LpStatus.INFEASIBLE:
         return LpSolution(status=LpStatus.INFEASIBLE, pivots=start.pivots)
-    status, rows, rhs, basis, pivots, stuck = _phase2(start, _min_cost(lp, Fraction), _bland)
-    if status is LpStatus.UNBOUNDED:
+    final = _phase2(start, _min_cost(lp, Fraction), _bland)
+    if final.status is LpStatus.UNBOUNDED:
         ray = [ZERO] * n
-        ray[stuck] = Fraction(1)
-        for i, b in enumerate(basis):
-            ray[b] = -rows[i][stuck]
-        return LpSolution(status=LpStatus.UNBOUNDED, ray=tuple(ray), pivots=pivots)
+        ray[final.column] = Fraction(1)
+        for row, b in zip(final.rows, final.basis):
+            ray[b] = -row[final.column]
+        return LpSolution(status=LpStatus.UNBOUNDED, ray=tuple(ray), pivots=final.pivots)
     point = [ZERO] * n
-    for i, b in enumerate(basis):
-        point[b] = rhs[i]
-    return _optimal(lp, point, pivots, guided=False)
+    for b, x in zip(final.basis, final.rhs):
+        point[b] = x
+    return _optimal(lp, point, final.pivots, guided=False)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -535,14 +520,12 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     Bland's ordering.  Phase 1 of either path is shared through
     ``lp.constraints`` with every program built over the same ones.
     """
-    # under a zero objective every reduced cost is zero, so the certificate
-    # would refuse any basis that leaves a column out: skip the guide
-    status, basis, pivots = _propose(lp) if any(lp.objective) else (None, [], 0)
-    if status is LpStatus.OPTIMAL:
-        point = _certified_vertex(lp, basis)
+    guide = _propose(lp)
+    if guide.status is LpStatus.OPTIMAL:
+        point = _certified_vertex(lp, guide.basis)
         if point is not None:
-            return _optimal(lp, point, pivots, guided=True)
-    elif status is LpStatus.INFEASIBLE and _certified_infeasible(lp, basis):
-        return LpSolution(status=LpStatus.INFEASIBLE, pivots=pivots, guided=True)
+            return _optimal(lp, point, guide.pivots, guided=True)
+    elif guide.status is LpStatus.INFEASIBLE and _certified_infeasible(lp, guide.basis):
+        return LpSolution(status=LpStatus.INFEASIBLE, pivots=guide.pivots, guided=True)
     exact = _exact(lp)
-    return replace(exact, pivots=pivots + exact.pivots)
+    return replace(exact, pivots=guide.pivots + exact.pivots)

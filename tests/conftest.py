@@ -16,9 +16,9 @@ REPO = Path(__file__).resolve().parent.parent
 @pytest.fixture(autouse=True)
 def fresh_memos():
     """Each test starts with no fiber and no composed kernel kept, so a
-    phase 1 solved under a monkeypatched ``_guide_cap`` or ``_propose``
-    cannot serve a later test, and every test sees its own ``compose``
-    calls."""
+    phase 1 solved under a monkeypatched ``_guide_cap``, or a fiber solved
+    while ``_propose`` returned a fixed ``_Tableau``, cannot serve a later
+    test, and every test sees its own ``compose`` calls."""
     for memo in (_lifted_constraints, _composed):
         memo.cache_clear()
     yield

@@ -305,6 +305,19 @@ def test_bad_suite_list_exits_2_in_a_fresh_process(tmp_path, run_python, suites,
     assert done.stdout == b""
 
 
+def test_unknown_simplex_predicate_kind_exits_2_in_a_fresh_process(tmp_path, run_python):
+    doc = json.loads(Path(FIXTURE).read_text())
+    doc["simplex_predicates"]["t"] = {"kind": "cone"}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(doc))
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    assert done.returncode == 2
+    assert done.stderr.decode() == (
+        "error: simplex_predicates['t'].kind: expected 'lifted' or 'table', got 'cone'\n"
+    )
+    assert done.stdout == b""
+
+
 def test_repeated_suite_exits_2_with_its_path(tmp_path, capsys):
     doc = {
         "spaces": [],

@@ -31,6 +31,7 @@ from giryq.laws import (
     rand_predicate,
     rand_space,
 )
+from giryq.lp import _Tableau
 from giryq.quantifiers import _lifted_program
 
 from strategies import dists, kernels, predicates, spaces
@@ -288,7 +289,7 @@ def test_dual_degenerate_fiber_falls_back_to_blands_vertex(sense):
     assert answer(solution) == answer(exact)
     assert solution.point == (F(1, 2), F(1, 2), F(0))
     # the pivots behind a fallback are the guide's plus the exact path's
-    assert solution.pivots == lp_module._propose(lp)[2] + exact.pivots
+    assert solution.pivots == lp_module._propose(lp).pivots + exact.pivots
 
 
 def test_unreachable_query_is_certified_infeasible(channel, gain, two_points):
@@ -338,11 +339,11 @@ def test_guide_prices_phase_1_by_blands_rule():
     # that phase 1 alone solves, one with a zero objective, both pivot alike
     lp = generic_32x12_program()
     zero = LinearProgram((F(0),) * len(lp.objective), lp.matrix, lp.rhs, lp.sense)
-    status, basis, pivots = lp_module._propose(zero)
+    guide = zero.constraints.guide_start
     exact = lp_module._exact(zero)
-    assert status is LpStatus.OPTIMAL
-    assert pivots == exact.pivots
-    assert sorted(basis) == sorted(j for j, x in enumerate(exact.point) if x)
+    assert guide.status is LpStatus.OPTIMAL
+    assert guide.pivots == exact.pivots
+    assert sorted(guide.basis) == sorted(j for j, x in enumerate(exact.point) if x)
 
 
 def test_bland_priced_phase_2_keeps_the_answer_and_the_certificate(monkeypatch):
@@ -361,12 +362,10 @@ def test_dantzig_cycle_reaches_the_cap_and_blands_vertex_stands():
     lp = CLASSIC_CYCLING
     rows, rhs = lp.constraints.standard_form
     rows, rhs = [[float(a) for a in row] for row in rows], [float(b) for b in rhs]
-    cost, basis = lp_module._min_cost(lp, float), [4, 5, 6]
-    with pytest.raises(lp_module._PivotCapReached):
-        lp_module._iterate(
-            cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0,
-            lp_module._guide_cap(3, 7),
-        )
+    cost, basis, cap = lp_module._min_cost(lp, float), [4, 5, 6], lp_module._guide_cap(3, 7)
+    assert lp_module._iterate(
+        cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0, cap
+    ) == (None, cap, None)
     solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == answer(lp_module._exact(lp))
@@ -389,8 +388,8 @@ def test_dantzig_guide_certifies_where_blands_rule_stalls():
     assert start.status is LpStatus.OPTIMAL
     cost = lp_module._min_cost(lp, float)
     cap = lp_module._guide_cap(len(lp.rhs), len(cost))
-    with pytest.raises(lp_module._PivotCapReached):
-        lp_module._phase2(start, cost, lp_module._bland, lp_module._TOL, cap)
+    final = lp_module._phase2(start, cost, lp_module._bland, lp_module._TOL, cap)
+    assert (final.status, final.pivots) == (None, cap)
     solution = lp_solve(lp)
     assert solution.guided
     assert answer(solution) == answer(lp_module._exact(lp))
@@ -421,6 +420,7 @@ def test_zero_objective_skips_the_guide():
     # every reduced cost is zero, so no basis could pass the certificate
     lp = LinearProgram(objective=(F(0),) * 3, matrix=blend_program(Sense.MIN).matrix,
                        rhs=blend_program(Sense.MIN).rhs)
+    assert lp_module._propose(lp) == _Tableau(None)
     solution = lp_solve(lp)
     assert not solution.guided
     assert solution == lp_module._exact(lp)
@@ -470,7 +470,8 @@ def test_start_that_reached_the_cap_is_reused(monkeypatch):
     lp = blend_program(Sense.MAX)
     programs = sharing(lp, [lp.objective, (F(1), F(0), F(2))])
     assert_shared_solves_match_fresh_ones(programs)
-    assert lp.constraints.guide_start.gave_up == "cap"
+    start = lp.constraints.guide_start
+    assert (start.status, start.pivots) == (None, 1)
     for p in programs:
         assert lp_solve(p).pivots == 1 + lp_module._exact(p).pivots
 
@@ -478,7 +479,8 @@ def test_start_that_reached_the_cap_is_reused(monkeypatch):
 def test_start_past_the_float_range_is_reused():
     lp = LinearProgram(objective=(F(1), F(2)), matrix=((F(10**400), F(1)),), rhs=(F(1),))
     assert_shared_solves_match_fresh_ones(sharing(lp, [lp.objective, (F(3), F(-1))]))
-    assert lp.constraints.guide_start.gave_up == "overflow"
+    start = lp.constraints.guide_start
+    assert (start.status, start.pivots) == (None, 0)
     assert "exact_start" in vars(lp.constraints)
 
 
@@ -491,17 +493,23 @@ def test_constraints_of_another_system_are_refused():
 # float guide proposals that the exact certificate must refuse, each on a
 # program whose exact answer is known
 WRONG_PROPOSALS = {
-    "feasible_not_optimal": (blend_program(Sense.MIN), (LpStatus.OPTIMAL, [0, 2], 0)),
+    "feasible_not_optimal": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[0, 2])),
     # dual feasible (the one nonbasic reduced cost is 13/20) but x_B = (2, -1)
-    "negative_vertex": (blend_program(Sense.MIN), (LpStatus.OPTIMAL, [1, 2], 0)),
-    "singular": (blend_program(Sense.MIN), (LpStatus.OPTIMAL, [0, 0], 0)),
-    "too_few_columns": (blend_program(Sense.MIN), (LpStatus.OPTIMAL, [0], 0)),
-    "feasible_called_infeasible": (blend_program(Sense.MIN), (LpStatus.INFEASIBLE, [3, 4], 0)),
-    "singular_called_infeasible": (blend_program(Sense.MIN), (LpStatus.INFEASIBLE, [0, 0], 0)),
+    "negative_vertex": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[1, 2])),
+    "singular": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[0, 0])),
+    "too_few_columns": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[0])),
+    "feasible_called_infeasible": (
+        blend_program(Sense.MIN),
+        _Tableau(LpStatus.INFEASIBLE, basis=[3, 4]),
+    ),
+    "singular_called_infeasible": (
+        blend_program(Sense.MIN),
+        _Tableau(LpStatus.INFEASIBLE, basis=[0, 0]),
+    ),
     # the phase-1 optimum of a feasible program: y = 0, so only y.b > 0 refuses it
     "phase1_optimum_called_infeasible": (
         blend_program(Sense.MIN),
-        (LpStatus.INFEASIBLE, [0, 1], 0),
+        _Tableau(LpStatus.INFEASIBLE, basis=[0, 1]),
     ),
 }
 
@@ -528,7 +536,8 @@ def test_wrong_guide_basis_is_refused_under_python_O(run_python):
             rhs=(F(7, 10), F(3, 10)),
             sense=Sense.MIN,
         )
-        for proposal in ((LpStatus.OPTIMAL, [0, 2], 0), (LpStatus.INFEASIBLE, [3, 4], 0)):
+        for status, basis in ((LpStatus.OPTIMAL, [0, 2]), (LpStatus.INFEASIBLE, [3, 4])):
+            proposal = lp_module._Tableau(status, basis=basis)
             lp_module._propose = lambda lp: proposal
             s = lp_solve(blend)
             print(s.status.value, s.value, s.point, s.guided)

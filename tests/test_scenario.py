@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import operator
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 
 from giryq import (
     Dist,
+    LiftedPredicate,
+    Predicate,
     ScenarioError,
     ScenarioParseError,
     ScenarioReferenceError,
@@ -232,6 +235,47 @@ def test_value_errors_are_located(mutate, message):
     with pytest.raises(ScenarioValidationError) as caught:
         scenario_from_dict(doc)
     assert str(caught.value) == message
+
+
+_COMPOSE_SOME = minimal_doc(
+    kernels={
+        **minimal_doc()["kernels"],
+        "h": {"source": "Y", "target": "Y", "rows": [["1", "0"], ["0", "1"]]},
+    },
+    queries=[{"kind": "COMPOSE", "inner": "f", "outer": "h", "predicate": "g",
+              "dist": ["1", "0"], "quantifier": "SOME"}],
+)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_COMPOSE_SOME, "queries[0].quantifier: expected 'EXISTS' or 'FORALL', got 'SOME'"),
+        (minimal_doc(simplex_predicates={"t": {"kind": "cone"}}),
+         "simplex_predicates['t'].kind: expected 'lifted' or 'table', got 'cone'"),
+        (minimal_doc(simplex_predicates={"t": {"kind": "table", "space": "Y", "default": "0",
+                                               "entries": [[["1", "0"]]]}}),
+         "simplex_predicates['t'].entries[0]: expected a [dist, value] pair"),
+    ],
+    ids=["compose_quantifier", "simplex_kind", "table_entry"],
+)
+def test_parse_errors_are_located(doc, message):
+    with pytest.raises(ScenarioParseError) as caught:
+        scenario_from_dict(copy.deepcopy(doc))
+    assert str(caught.value) == message
+
+
+def test_lifted_predicate_over_an_undeclared_base_is_not_serialized():
+    doc = minimal_doc()
+    doc["predicates"]["on_y"] = {"space": "Y", "values": ["1/4", "3/4"]}
+    scenario = scenario_from_dict(doc)
+    declared = scenario.predicates["on_y"]
+    # equal to a declared predicate, but not one of them
+    base = Predicate(declared.space, declared.values)
+    scenario = dataclasses.replace(scenario, simplex_predicates={"h": LiftedPredicate(base)})
+    with pytest.raises(ScenarioValidationError) as caught:
+        serialize_scenario(scenario)
+    assert str(caught.value) == "lifted simplex predicate 'h' has an unnamed base"
 
 
 def test_query_dist_validated_against_target_space():
