@@ -91,8 +91,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as ``"n"`` or ``"n/d"`` (inverse of :func:`parse_rational`)."""
-    return str(Fraction(value))
+    """Render a rational as ``"n"`` or ``"n/d"`` (inverse of :func:`parse_rational`).
+
+    A ``Fraction`` is printed as it is; any other rational (an ``int``, say)
+    is converted first.
+    """
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def combine_rows(start: Sequence, pairs: Iterable[tuple[Any, Sequence]]) -> list:

@@ -27,6 +27,12 @@ predicate, and simplex phase 1 reads neither.  The fiber's constraints
 predicate, solve phase 1 once and share it.  Each answer is the one a
 fresh solve gives, pivot count included.
 
+A composite quantifier's stages 2 and 3 (the image measure of each row
+class of ``inner`` along ``outer``, and its mixture) read neither the
+predicate nor the sense.  They are kept for the last 4 distinct
+``(inner, outer)`` pairs (:func:`_pair_stages`), so queries on one chain
+build them once; stage 1 reads both and is computed per call.
+
 The named ``exists_*``/``forall_*`` functions are one-line entries into
 the core.  ``exists_composite``/``forall_composite`` evaluate a two-kernel
 chain by staged nesting through finitely supported intermediate measures,
@@ -50,7 +56,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Union
 from .errors import CertificateError, ProbeSetIncompleteError
 from .kernels import Kernel, image_measure, lift, mixture
 from .lp import Constraints, LinearProgram, LpStatus, Sense, lp_solve
-from .measures import ONE, ZERO, Dist, FiniteSpace, _same_space
+from .measures import ONE, ZERO, Dist, FinSuppMeasure, FiniteSpace, _same_space
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
 
 
@@ -299,6 +305,22 @@ def _best_per_key(
     return table
 
 
+@lru_cache(maxsize=4)
+def _pair_stages(inner: Kernel, outer: Kernel) -> tuple[tuple[FinSuppMeasure, Dist], ...]:
+    """Per row class of ``inner``, in class order, ``(spread, row)``: the
+    :func:`image_measure` of its representative along ``outer`` and that
+    measure's :func:`mixture`, a row of the composed kernel.
+
+    Neither stage reads a predicate or a sense, so they are kept for the
+    last 4 ``(inner, outer)`` pairs.  Both functions are looked up at
+    call time, so a rebound one is called.
+    """
+    return tuple(
+        (spread, mixture(spread))
+        for spread in (image_measure(outer, rep) for rep in inner.row_partition[1])
+    )
+
+
 def _composite_stages(
     inner: Kernel, outer: Kernel, pred: Predicate, sense: Sense
 ) -> dict[Dist, tuple[Fraction, str]]:
@@ -307,19 +329,20 @@ def _composite_stages(
     Each stage rekeys the table before it and keeps the best ``(value,
     witness)`` per new key (:func:`_best_per_key`): 1. the fiber table,
     each row class of ``inner`` (:attr:`Kernel.row_partition`) with the
-    best predicate value among its points; 2. :func:`image_measure` of the
-    class's row along ``outer``, a finitely supported measure over
-    distributions; 3. its :func:`mixture`, a row of the composed kernel.
+    best predicate value among its points, computed per call; 2.
+    :func:`image_measure` of the class's row along ``outer``, a finitely
+    supported measure over distributions; 3. its :func:`mixture`, a row of
+    the composed kernel.  Stages 2 and 3 read neither ``pred`` nor
+    ``sense``; their keys come from :func:`_pair_stages`, kept per pair.
     Unreachable intermediate values never arise: off-image points carry the
     extension constant, which can never beat an occupied fiber in the
     direction being optimized, so only reachable intermediates matter.
     """
-    classes, representatives = inner.row_partition
+    classes = inner.row_partition[0]
     fibers = _best_per_key(sense, zip(classes, zip(pred.values, inner.source.points)))
-    spreads = _best_per_key(
-        sense, ((image_measure(outer, representatives[c]), b) for c, b in fibers.items())
-    )
-    return _best_per_key(sense, ((mixture(s), b) for s, b in spreads.items()))
+    stages = _pair_stages(inner, outer)
+    spreads = _best_per_key(sense, ((stages[c], b) for c, b in fibers.items()))
+    return _best_per_key(sense, ((row, b) for (_, row), b in spreads.items()))
 
 
 def _composite(

@@ -8,21 +8,23 @@ import pytest
 
 from giryq import Dist, FiniteSpace, Kernel, Predicate
 from giryq.cli import _composed
-from giryq.quantifiers import _lifted_constraints
+from giryq.quantifiers import _lifted_constraints, _pair_stages
 
 REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Each test starts with no fiber and no composed kernel kept, so a
-    phase 1 solved under a monkeypatched ``_guide_cap``, or a fiber solved
-    while ``_propose`` returned a fixed ``_Tableau``, cannot serve a later
-    test, and every test sees its own ``compose`` calls."""
-    for memo in (_lifted_constraints, _composed):
+    """Each test starts with no fiber, no composed kernel and no staged
+    kernel pair kept, so a phase 1 solved under a monkeypatched
+    ``_guide_cap``, a fiber solved while ``_propose`` returned a fixed
+    ``_Tableau``, or a staged table built while ``image_measure`` or
+    ``mixture`` was monkeypatched, cannot serve a later test, and every
+    test sees its own ``compose`` and ``image_measure`` calls."""
+    for memo in (_lifted_constraints, _composed, _pair_stages):
         memo.cache_clear()
     yield
-    for memo in (_lifted_constraints, _composed):
+    for memo in (_lifted_constraints, _composed, _pair_stages):
         memo.cache_clear()
 
 

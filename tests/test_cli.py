@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from giryq import cli, laws
+from giryq import Kernel, cli, compose, laws, quantifiers
 from giryq.cli import evaluate_query, evaluate_scenario, main, render_text
 from giryq.scenario import Query, load_scenario, scenario_from_dict
 
@@ -114,13 +114,57 @@ def test_compose_queries_compose_each_kernel_pair_once(monkeypatch):
     assert composed == [(kernels["g"], kernels["f"]), (kernels["g"], kernels["h"])]
 
 
+def test_compose_queries_stage_each_kernel_pair_once(monkeypatch):
+    spread = []
+    image_measure = quantifiers.image_measure
+
+    def recording_image_measure(kernel, dist):
+        spread.append((kernel, dist))
+        return image_measure(kernel, dist)
+
+    monkeypatch.setattr(quantifiers, "image_measure", recording_image_measure)
+    scenario = scenario_from_dict(CHAIN_DOC)
+    senses = {q.args["quantifier"] for q in scenario.queries}
+    assert senses == {"EXISTS", "FORALL"}
+    for q in scenario.queries:
+        evaluate_query(scenario, q, seed=0, cases=0)
+    evaluate_scenario(scenario)
+    # one image measure per row class of each inner kernel, in class order,
+    # and none again however often or in which sense the pair is queried
+    kernels = scenario.kernels
+    outer = kernels["g"]
+    assert spread == [
+        (outer, rep) for name in ("f", "h") for rep in kernels[name].row_partition[1]
+    ]
+    assert len(spread) == 6
+
+
+def test_compose_disagreement_with_the_direct_kernel_is_reported(monkeypatch):
+    def permuted_compose(outer, inner):
+        kernel = compose(outer, inner)
+        return Kernel(kernel.source, kernel.target, kernel.rows[::-1])
+
+    monkeypatch.setattr(cli, "compose", permuted_compose)
+    records = evaluate_scenario(scenario_from_dict(CHAIN_DOC))
+    # the staged values do not move; along the reversed rows the direct
+    # check reads other points at every reachable query (x4 for x1, ...),
+    # and the unreachable query is unreachable either way
+    assert [r["value"] for r in records] == ["9/10", "1/5", "9/10", "3/5", "3/5", "1"]
+    assert [r["agrees_with_direct"] for r in records] == [False] * 5 + [True]
+    text = render_text(records)
+    assert text.count("agrees with direct evaluation: no") == 5
+    assert text.count("agrees with direct evaluation: yes") == 1
+
+
 def test_compose_queries_run_the_same_in_parallel(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN_DOC))
     assert main(["run", str(path)]) == 0
     sequential = capsys.readouterr().out
     assert sequential.count("agrees with direct evaluation: yes") == 6
-    cli._composed.cache_clear()  # so the pool's threads compose the pairs
+    # so the pool's threads compose and stage the pairs
+    cli._composed.cache_clear()
+    quantifiers._pair_stages.cache_clear()
     parallel = evaluate_scenario(scenario_from_dict(CHAIN_DOC), parallel=True)
     assert render_text(parallel) == sequential
 

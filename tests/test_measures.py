@@ -76,6 +76,12 @@ class TestRationalLiterals:
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value
 
+    @pytest.mark.parametrize(
+        "value, text", [(F(6, 4), "3/2"), (F(-1, 2), "-1/2"), (F(0), "0"), (3, "3")]
+    )
+    def test_format(self, value, text):
+        assert format_rational(value) == text
+
 
 class TestFiniteSpace:
     def test_duplicate_labels_rejected(self):

@@ -375,6 +375,38 @@ class TestComposite:
                     == forall_fiber(direct, pred, q).value
                 )
 
+    def test_kept_stages_answer_as_fresh_ones(self):
+        def answer(result):
+            return result.value, result.witness, result.feasible
+
+        rng = random.Random("composite-memo")
+        for _ in range(30):
+            sx = rand_space(rng, "A", max_size=6)
+            sy = rand_space(rng, "B", max_size=4)
+            sz = rand_space(rng, "C", max_size=4)
+            # rows drawn from a small pool, so row classes hold several points
+            pool = rand_kernel(rng, sy, sy).rows
+            inner = Kernel(sx, sy, tuple(rng.choice(pool) for _ in sx.points))
+            outer = rand_kernel(rng, sy, sz)
+            preds = (rand_predicate(rng, sx), rand_predicate(rng, sx))
+            queries = list(dict.fromkeys(compose(outer, inner).rows)) + [rand_dist(rng, sz)]
+            calls = [
+                (staged_fn, pred, q)
+                for q in queries
+                for pred in preds
+                for staged_fn in (exists_composite, forall_composite)
+            ]
+            # the first call stages the pair; every later one reuses stages
+            # built for another query, predicate or sense
+            quantifiers._pair_stages.cache_clear()
+            warm = [answer(fn(inner, outer, pred, q)) for fn, pred, q in calls]
+            assert quantifiers._pair_stages.cache_info().hits == len(calls) - 1
+            cold = []
+            for fn, pred, q in calls:
+                quantifiers._pair_stages.cache_clear()
+                cold.append(answer(fn(inner, outer, pred, q)))
+            assert warm == cold
+
     def test_space_mismatches_are_rejected(self):
         inner, outer, pred = self._chain()
         with pytest.raises(SpaceMismatchError):
