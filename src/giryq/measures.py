@@ -14,10 +14,11 @@ numerator's, and the numerators scaled to the lcm of the denominators
 and the metric oracle also use) must add up to that lcm.  Only a refusal
 builds the ``Fraction`` total that its message prints.
 
-Numbers cross into exact arithmetic once, in
-:func:`_as_fractions`: an ``int`` or a string such as ``"3/10"`` becomes a
-``Fraction``, and a value that already is one is kept as it is, so a
-literal that :func:`parse_rational` read is not converted again.
+Numbers cross into exact arithmetic once, in :func:`_as_fractions`: a
+``Fraction`` is kept as it is, an ``int`` becomes one, and a string is read
+by :func:`parse_rational`.  Anything else, a ``float`` say, is refused with
+:class:`RationalFormatError`, as is ``"0.5"``: a float's exact value is a
+number the caller never wrote.
 :class:`Dist`, :class:`SignedMeasure`, :class:`FinSuppMeasure`, the
 predicates and :class:`~giryq.lp.LinearProgram` all store what it
 returns.  A :class:`FinSuppMeasure` is a finitely supported measure over
@@ -152,7 +153,10 @@ class FiniteSpace:
 
 def _as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
     """The one conversion into exact numbers; a ``Fraction`` is kept as it is."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    return tuple(
+        v if isinstance(v, Fraction) else Fraction(v) if isinstance(v, int) else parse_rational(v)
+        for v in values
+    )
 
 
 def _same_space(lives: str, got: FiniteSpace, other: str, want: FiniteSpace) -> None:

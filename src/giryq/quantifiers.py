@@ -27,16 +27,15 @@ predicate, and simplex phase 1 reads neither.  The fiber's constraints
 predicate, solve phase 1 once and share it.  Each answer is the one a
 fresh solve gives, pivot count included.
 
-A composite quantifier's stages 2 and 3 (the image measure of each row
-class of ``inner`` along ``outer``, and its mixture) read neither the
-predicate nor the sense.  They are kept for the last 4 distinct
-``(inner, outer)`` pairs (:func:`_pair_stages`), so queries on one chain
-build them once; stage 1 reads both and is computed per call.
-
 The named ``exists_*``/``forall_*`` functions are one-line entries into
 the core.  ``exists_composite``/``forall_composite`` evaluate a two-kernel
 chain by staged nesting through finitely supported intermediate measures,
 merging with the same comparison and empty-fiber values.
+:func:`check_composite`, which the CLI and the ``composites`` suite call,
+checks a staged answer against the quantifier along ``compose(outer,
+inner)``.  One memo, :func:`_pair`, keeps for the last 4 ``(inner,
+outer)`` pairs both parts that read neither predicate nor sense: stages 2
+and 3 of the chain and the composed kernel, neither built from the other.
 
 Read as a function of the query, a quantifier is a predicate on the
 simplex over the kernel's target, :class:`QuantifiedPredicate`, and its
@@ -54,7 +53,7 @@ from functools import lru_cache
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateError, ProbeSetIncompleteError
-from .kernels import Kernel, image_measure, lift, mixture
+from .kernels import Kernel, compose, image_measure, lift, mixture
 from .lp import Constraints, LinearProgram, LpStatus, Sense, lp_solve
 from .measures import ONE, ZERO, Dist, FinSuppMeasure, FiniteSpace, _same_space
 from .predicates import Predicate, SimplexPredicate, entails, expectation, substitute
@@ -306,19 +305,20 @@ def _best_per_key(
 
 
 @lru_cache(maxsize=4)
-def _pair_stages(inner: Kernel, outer: Kernel) -> tuple[tuple[FinSuppMeasure, Dist], ...]:
-    """Per row class of ``inner``, in class order, ``(spread, row)``: the
-    :func:`image_measure` of its representative along ``outer`` and that
-    measure's :func:`mixture`, a row of the composed kernel.
+def _pair(inner: Kernel, outer: Kernel) -> tuple[tuple[tuple[FinSuppMeasure, Dist], ...], Kernel]:
+    """``(stages, compose(outer, inner))``, kept for the last 4 pairs.
 
-    Neither stage reads a predicate or a sense, so they are kept for the
-    last 4 ``(inner, outer)`` pairs.  Both functions are looked up at
+    ``stages`` holds, per row class of ``inner`` in class order, the
+    :func:`image_measure` of its representative along ``outer`` and that
+    measure's :func:`mixture`.  Neither part reads a predicate or a sense,
+    nor is built from the other.  All three functions are looked up at
     call time, so a rebound one is called.
     """
-    return tuple(
+    stages = tuple(
         (spread, mixture(spread))
         for spread in (image_measure(outer, rep) for rep in inner.row_partition[1])
     )
+    return stages, compose(outer, inner)
 
 
 def _composite_stages(
@@ -333,14 +333,14 @@ def _composite_stages(
     :func:`image_measure` of the class's row along ``outer``, a finitely
     supported measure over distributions; 3. its :func:`mixture`, a row of
     the composed kernel.  Stages 2 and 3 read neither ``pred`` nor
-    ``sense``; their keys come from :func:`_pair_stages`, kept per pair.
+    ``sense``; their keys come from :func:`_pair`, kept per pair.
     Unreachable intermediate values never arise: off-image points carry the
     extension constant, which can never beat an occupied fiber in the
     direction being optimized, so only reachable intermediates matter.
     """
     classes = inner.row_partition[0]
     fibers = _best_per_key(sense, zip(classes, zip(pred.values, inner.source.points)))
-    stages = _pair_stages(inner, outer)
+    stages = _pair(inner, outer)[0]
     spreads = _best_per_key(sense, ((stages[c], b) for c, b in fibers.items()))
     return _best_per_key(sense, ((row, b) for (_, row), b in spreads.items()))
 
@@ -372,3 +372,26 @@ def forall_composite(
 ) -> QuantifierResult:
     """Universal along a two-kernel chain by the same staged nesting."""
     return _composite(inner, outer, pred, query, Sense.MIN)
+
+
+def check_composite(
+    inner: Kernel, outer: Kernel, pred: Predicate, query: Dist, sense: Sense
+) -> tuple[QuantifierResult, Optional[str]]:
+    """The staged quantifier, checked against the same one along ``compose(outer, inner)``.
+
+    Returns the staged result and ``None``, or the reason: ``"disagrees with
+    direct evaluation"`` (value or feasibility) or ``"witness is not a fiber
+    optimizer"``.  Witnesses may differ on ties, so the staged one is tested
+    as an optimizer: its composed row is the query and it carries the value.
+    """
+    staged_fn = exists_composite if sense is Sense.MAX else forall_composite
+    direct_fn = exists_fiber if sense is Sense.MAX else forall_fiber
+    staged = staged_fn(inner, outer, pred, query)
+    composed = _pair(inner, outer)[1]
+    direct = direct_fn(composed, pred, query)
+    if staged.value != direct.value or staged.feasible != direct.feasible:
+        return staged, "disagrees with direct evaluation"
+    w = staged.witness
+    if staged.feasible and (composed.row(w) != query or pred.value_at(w) != staged.value):
+        return staged, "witness is not a fiber optimizer"
+    return staged, None

@@ -7,24 +7,23 @@ from pathlib import Path
 import pytest
 
 from giryq import Dist, FiniteSpace, Kernel, Predicate
-from giryq.cli import _composed
-from giryq.quantifiers import _lifted_constraints, _pair_stages
+from giryq.quantifiers import _lifted_constraints, _pair
 
 REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Each test starts with no fiber, no composed kernel and no staged
-    kernel pair kept, so a phase 1 solved under a monkeypatched
-    ``_guide_cap``, a fiber solved while ``_propose`` returned a fixed
-    ``_Tableau``, or a staged table built while ``image_measure`` or
-    ``mixture`` was monkeypatched, cannot serve a later test, and every
-    test sees its own ``compose`` and ``image_measure`` calls."""
-    for memo in (_lifted_constraints, _composed, _pair_stages):
+    """Each test starts with no fiber and no kernel pair kept, so a phase
+    1 solved under a monkeypatched ``_guide_cap``, a fiber solved while
+    ``_propose`` returned a fixed ``_Tableau``, or a pair staged or
+    composed while ``image_measure``, ``mixture`` or ``compose`` was
+    monkeypatched, cannot serve a later test, and every test sees its own
+    ``compose`` and ``image_measure`` calls."""
+    for memo in (_lifted_constraints, _pair):
         memo.cache_clear()
     yield
-    for memo in (_lifted_constraints, _composed, _pair_stages):
+    for memo in (_lifted_constraints, _pair):
         memo.cache_clear()
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from giryq import Kernel, cli, compose, laws, quantifiers
+from giryq import Kernel, compose, laws, quantifiers
 from giryq.cli import evaluate_query, evaluate_scenario, main, render_text
 from giryq.scenario import Query, load_scenario, scenario_from_dict
 
@@ -97,13 +98,13 @@ CHAIN_DOC = {
 
 def test_compose_queries_compose_each_kernel_pair_once(monkeypatch):
     composed = []
-    compose = cli.compose
+    compose = quantifiers.compose
 
     def recording_compose(outer, inner):
         composed.append((outer, inner))
         return compose(outer, inner)
 
-    monkeypatch.setattr(cli, "compose", recording_compose)
+    monkeypatch.setattr(quantifiers, "compose", recording_compose)
     scenario = scenario_from_dict(CHAIN_DOC)
     alone = [evaluate_query(scenario, q, seed=0, cases=0) for q in scenario.queries]
     assert all(record["agrees_with_direct"] for record in alone)
@@ -144,7 +145,7 @@ def test_compose_disagreement_with_the_direct_kernel_is_reported(monkeypatch):
         kernel = compose(outer, inner)
         return Kernel(kernel.source, kernel.target, kernel.rows[::-1])
 
-    monkeypatch.setattr(cli, "compose", permuted_compose)
+    monkeypatch.setattr(quantifiers, "compose", permuted_compose)
     records = evaluate_scenario(scenario_from_dict(CHAIN_DOC))
     # the staged values do not move; along the reversed rows the direct
     # check reads other points at every reachable query (x4 for x1, ...),
@@ -156,6 +157,21 @@ def test_compose_disagreement_with_the_direct_kernel_is_reported(monkeypatch):
     assert text.count("agrees with direct evaluation: yes") == 1
 
 
+def test_compose_witness_off_the_fiber_is_reported(monkeypatch):
+    staged = quantifiers.exists_composite
+
+    def misplaced_witness(inner, outer, pred, query):
+        # the right value, but x1 composes to (1, 0), not the query
+        return dataclasses.replace(staged(inner, outer, pred, query), witness="x1")
+
+    monkeypatch.setattr(quantifiers, "exists_composite", misplaced_witness)
+    scenario = scenario_from_dict(CHAIN_DOC)
+    record = evaluate_query(scenario, scenario.queries[0], seed=0, cases=0)
+    assert (record["value"], record["witness"], record["feasible"]) == ("9/10", "x1", True)
+    assert record["agrees_with_direct"] is False
+    assert render_text([record]).endswith("  agrees with direct evaluation: no\n")
+
+
 def test_compose_queries_run_the_same_in_parallel(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN_DOC))
@@ -163,8 +179,7 @@ def test_compose_queries_run_the_same_in_parallel(tmp_path, capsys):
     sequential = capsys.readouterr().out
     assert sequential.count("agrees with direct evaluation: yes") == 6
     # so the pool's threads compose and stage the pairs
-    cli._composed.cache_clear()
-    quantifiers._pair_stages.cache_clear()
+    quantifiers._pair.cache_clear()
     parallel = evaluate_scenario(scenario_from_dict(CHAIN_DOC), parallel=True)
     assert render_text(parallel) == sequential
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from giryq import laws
+from giryq import Kernel, laws, quantifiers
 from giryq.errors import SpaceMismatchError
 from giryq.laws import SUITES, run_suite, run_suites
 from giryq.measures import Dist, FiniteSpace
@@ -131,6 +132,39 @@ def test_continuity_reports_a_wrong_metric(monkeypatch):
     monkeypatch.setattr(laws, "tv_metric", lambda p, q: laws.tv_norm(p - q))
     failures = run_suite("continuity", seed=0, cases=20).failures
     assert "oracle case 0: metric disagrees with enumeration" in failures
+
+
+def test_composites_reports_a_wrong_composed_kernel(monkeypatch):
+    compose = quantifiers.compose
+
+    def reversed_compose(outer, inner):
+        kernel = compose(outer, inner)
+        return Kernel(kernel.source, kernel.target, kernel.rows[::-1])
+
+    monkeypatch.setattr(quantifiers, "compose", reversed_compose)
+    report = run_suite("composites", seed=1, cases=1)
+    assert report.line() == (
+        "FAIL composites (1 cases): case 0: staged exists disagrees with direct "
+        "evaluation at (7/10, 3/10) [+7 more]"
+    )
+    assert any(f.startswith("case 0: staged forall disagrees") for f in report.failures)
+
+
+def test_composites_reports_a_wrong_staged_witness(monkeypatch):
+    staged = quantifiers.exists_composite
+
+    def first_point_witness(inner, outer, pred, query):
+        result = staged(inner, outer, pred, query)
+        if not result.feasible:
+            return result
+        return dataclasses.replace(result, witness=inner.source.points[0])
+
+    monkeypatch.setattr(quantifiers, "exists_composite", first_point_witness)
+    report = run_suite("composites", seed=1, cases=1)
+    assert report.line() == (
+        "FAIL composites (1 cases): case 0: staged exists witness is not a fiber "
+        "optimizer at (241/385, 144/385) [+2 more]"
+    )
 
 
 def test_metric_oracle_rejects_distributions_on_different_spaces():

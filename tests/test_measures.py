@@ -188,8 +188,8 @@ ENTRY_BUILDERS = pytest.mark.parametrize(
 
 
 @ENTRY_BUILDERS
-@pytest.mark.parametrize("given", [(1, 0), ("1/4", "3/4"), (F(1, 4), F(3, 4))],
-                         ids=["int", "str", "Fraction"])
+@pytest.mark.parametrize("given", [(1, 0), ("1/4", "3/4"), (F(1, 4), F(3, 4)), (1, "0")],
+                         ids=["int", "str", "Fraction", "int and str"])
 def test_entries_are_stored_as_fractions(two_points, build, given):
     stored, source = build(two_points, given)
     assert [type(v) for v in stored] == [F] * len(source)
@@ -200,6 +200,31 @@ def test_entries_are_stored_as_fractions(two_points, build, given):
 def test_a_fraction_entry_is_kept_as_it_is(two_points, build):
     stored, source = build(two_points, (F(1, 4), F(3, 4)))
     assert all(s is v for s, v in zip(stored, source, strict=True))
+
+
+@ENTRY_BUILDERS
+def test_a_float_entry_is_refused(two_points, build):
+    # 1/4 and 3/4 are exact in binary, and a float is still refused
+    with pytest.raises(RationalFormatError) as info:
+        build(two_points, (0.25, 0.75))
+    assert str(info.value) == "not a rational literal (expected 'n' or 'n/d'): 0.25"
+
+
+@pytest.mark.parametrize(
+    "build, given, shown",
+    [
+        (Predicate, (0.3, 1), "0.3"),
+        (Dist, (0.1, 0.9), "0.1"),
+        (Dist, ("0.5", "1/2"), "'0.5'"),
+    ],
+    ids=["float predicate value", "float weights", "decimal string"],
+)
+def test_inexact_entries_are_refused_as_written(two_points, build, given, shown):
+    # not 5404319552844595/18014398509481984 stored, nor a mass of
+    # 36028797018963969/36028797018963968 refused
+    with pytest.raises(RationalFormatError) as info:
+        build(two_points, given)
+    assert str(info.value) == f"not a rational literal (expected 'n' or 'n/d'): {shown}"
 
 
 class TestTotalVariation:

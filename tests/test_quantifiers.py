@@ -398,12 +398,12 @@ class TestComposite:
             ]
             # the first call stages the pair; every later one reuses stages
             # built for another query, predicate or sense
-            quantifiers._pair_stages.cache_clear()
+            quantifiers._pair.cache_clear()
             warm = [answer(fn(inner, outer, pred, q)) for fn, pred, q in calls]
-            assert quantifiers._pair_stages.cache_info().hits == len(calls) - 1
+            assert quantifiers._pair.cache_info().hits == len(calls) - 1
             cold = []
             for fn, pred, q in calls:
-                quantifiers._pair_stages.cache_clear()
+                quantifiers._pair.cache_clear()
                 cold.append(answer(fn(inner, outer, pred, q)))
             assert warm == cold
 
