@@ -18,7 +18,10 @@ The Giry monad's operations, and the functions built from them:
   ``lift(outer)`` at row ``x`` of ``inner``.
 
 The lift, composition and the mixture are one weighted sum of rows each,
-:func:`measures.combine_rows`, with no intermediate measure.
+:func:`measures.combine_rows`, with no intermediate measure.  The sum runs
+in integers: the weights' integer form times the rows' integer forms,
+scaled to one common denominator (see :mod:`giryq.measures`), and each
+entry of the result is divided by it once, at the end.
 
 Equal rows form one atom of the image measure, so a kernel's rows are
 partitioned by value (:attr:`Kernel.row_partition`), once per kernel on
@@ -31,11 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from math import lcm
+from typing import Callable, Sequence
 
 from .errors import NotDeterministicError
 from .measures import (
-    ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, _same_space, combine_rows,
+    ZERO, Dist, FinSuppMeasure, FiniteSpace, _cleared, _per_point, _same_space,
+    combine_rows,
 )
 
 
@@ -105,10 +110,15 @@ def deterministic_kernel(fn: PointFunction) -> Kernel:
     )
 
 
-def _mix(space: FiniteSpace, pairs: Iterable[tuple[Fraction, Dist]]) -> Dist:
-    """Weighted sum of ``(weight, distribution)`` pairs on ``space``."""
-    weights = combine_rows([ZERO] * len(space), ((w, row.weights) for w, row in pairs))
-    return Dist(space, tuple(weights))
+def _mix(space: FiniteSpace, form: tuple[Sequence[int], int], rows: Sequence[Dist]) -> Dist:
+    """The sum of ``rows`` on ``space`` weighted by ``form``, the integer
+    form of one weight per row."""
+    weights, scale = form
+    weighted = [(m, row._form) for m, row in zip(weights, rows) if m]
+    d = lcm(*(e for _, (_, e) in weighted))
+    total = combine_rows([0] * len(space), ((m * (d // e), n) for m, (n, e) in weighted))
+    d *= scale
+    return Dist(space, tuple(Fraction(n, d) if n else ZERO for n in total))
 
 
 def compose(outer: Kernel, inner: Kernel) -> Kernel:
@@ -121,7 +131,7 @@ def compose(outer: Kernel, inner: Kernel) -> Kernel:
     """
     _same_space("inner lands in", inner.target, "outer starts at", outer.source)
     classes, representatives = inner.row_partition
-    mixed = [_mix(outer.target, zip(r.weights, outer.rows)) for r in representatives]
+    mixed = [_mix(outer.target, r._form, outer.rows) for r in representatives]
     return Kernel(inner.source, outer.target, tuple(mixed[c] for c in classes))
 
 
@@ -129,9 +139,11 @@ def is_deterministic(kernel: Kernel) -> bool:
     """True iff every row entry is 0 or 1.
 
     On a finite space this is equivalent to every event probability being
-    0 or 1 under every row.
+    0 or 1 under every row.  A row is a point mass exactly when the
+    denominator of its integer form is 1: its entries are then non-negative
+    integers that sum to 1.
     """
-    return all(w == 0 or w == 1 for row in kernel.rows for w in row.weights)
+    return all(row._form[1] == 1 for row in kernel.rows)
 
 
 def extract_point_function(kernel: Kernel) -> PointFunction:
@@ -188,7 +200,7 @@ def mixture(measure: FinSuppMeasure) -> Dist:
         if not isinstance(atom, Dist):
             raise TypeError(f"atom {atom!r} is not a distribution")
         _same_space("atom lives on", atom.space, "the first atom lives on", first.space)
-    return _mix(first.space, zip(measure.weights, measure.atoms))
+    return _mix(first.space, _cleared(measure.weights), measure.atoms)
 
 
 def lift(kernel: Kernel) -> Callable[[Dist], Dist]:
@@ -200,6 +212,6 @@ def lift(kernel: Kernel) -> Callable[[Dist], Dist]:
 
     def apply(dist: Dist) -> Dist:
         _same_space("distribution lives on", dist.space, "the kernel starts at", kernel.source)
-        return _mix(kernel.target, zip(dist.weights, kernel.rows))
+        return _mix(kernel.target, dist._form, kernel.rows)
 
     return apply

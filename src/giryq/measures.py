@@ -24,21 +24,32 @@ predicates and :class:`~giryq.lp.LinearProgram` all store what it
 returns.  A :class:`FinSuppMeasure` is a finitely supported measure over
 any atoms, such as the rows in a kernel's image measure.
 
-Everything here is computed in exact rational arithmetic
-(:class:`fractions.Fraction`).  The one exception is :func:`combine_rows`,
-the weighted row sum shared by the kernels and the LP, which also serves
-the LP's float guide.  Values are immutable after construction and safe
-to share between threads.  A :class:`Dist` computes its hash on first use
-and keeps it, as a :class:`~giryq.kernels.Kernel` keeps its row partition;
-both caches are idempotent (two threads that fill one at once store equal
-values), so sharing stays safe.
+Every number here is exact.  A :class:`Dist` and a
+:class:`~giryq.predicates.Predicate` keep their entries as a tuple of
+``Fraction`` and, beside it, one integer form ``(numerators, d)``: ``d`` is
+the lcm of the reduced denominators and ``numerators`` are the entries
+times ``d``.  The form is not a dataclass field, so ``repr`` and the
+document form never show it.  Equal vectors have equal forms, so a
+:class:`Dist` hashes and compares on it (equality also compares the
+space).  The Giry monad's mixtures, :func:`tv_metric` and
+:func:`~giryq.predicates.expectation` sum integers over one common
+denominator and divide once per result entry.
+:func:`combine_rows`, the weighted row sum shared by the kernels and the
+LP, takes ``int``, ``Fraction`` or ``float`` entries: integers for the
+mixtures and the LP certificate, floats for the LP's guide.
+
+Values are immutable after construction and safe to share between
+threads.  A :class:`Dist` builds its form at construction, from the
+:func:`_cleared` call of its mass check; a predicate computes its form on
+first use and keeps it, as a :class:`~giryq.kernels.Kernel` keeps its row
+partition.  Both caches are idempotent (two threads that fill one at once
+store equal values), so sharing stays safe.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -106,9 +117,9 @@ def combine_rows(start: Sequence, pairs: Iterable[tuple[Any, Sequence]]) -> list
     This is the one vector-times-matrix routine: kernel composition, the
     lift, the simplex tableau and the LP certificates all call it.  Zero
     weights and zero row entries are skipped, so a sparse row costs only
-    its support.  Entries may be ``Fraction`` or ``float``: each entry is
-    summed in pair order, so float rounding matches a dense loop over the
-    same pairs.  ``start`` is never changed.
+    its support.  Entries may be ``int``, ``Fraction`` or ``float``: each
+    entry is summed in pair order, so float rounding matches a dense loop
+    over the same pairs.  ``start`` is never changed.
     """
     out = list(start)
     for w, row in pairs:
@@ -174,9 +185,10 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _probability(
     labels: Iterable, weights: Sequence[Fraction], noun: str, space: FiniteSpace | None = None
-) -> None:
+) -> tuple[tuple[int, ...], int]:
     """Every weight is >= 0 and they sum to exactly 1; a failure names the
-    first negative ``noun`` by its label, or the ``space`` if one is given."""
+    first negative ``noun`` by its label, or the ``space`` if one is given.
+    Returns the weights' integer form ``(numerators, d)``."""
     for label, w in zip(labels, weights):
         if w.numerator < 0:
             raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {w}")
@@ -185,6 +197,7 @@ def _probability(
     if total != d:
         on = "" if space is None else f" on space {space.name!r}"
         raise MassNotOneError(f"weights{on} sum to {Fraction(total, d)}, expected 1")
+    return tuple(scaled), d
 
 
 def _per_point(
@@ -205,7 +218,7 @@ class Dist:
 
     Weights are one exact rational per point, each >= 0, summing to exactly 1.
     Two distributions are equal iff they live on the same space and have
-    componentwise-equal weights.
+    componentwise-equal weights, that is equal integer forms ``_form``.
     """
 
     space: FiniteSpace
@@ -213,16 +226,18 @@ class Dist:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _per_point(self.weights, self.space, "weights"))
-        _probability(self.space.points, self.weights, "point", self.space)
+        form = _probability(self.space.points, self.weights, "point", self.space)
+        object.__setattr__(self, "_form", form)
 
-    @cached_property
-    def _hash(self) -> int:
-        # the weights alone, so the value does not depend on the process's
-        # string-hash seed; equality still compares the space
-        return hash(self.weights)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._form == other._form and self.space == other.space
 
     def __hash__(self) -> int:
-        return self._hash
+        # integers alone, so the value does not depend on the process's
+        # string-hash seed; equality still compares the space
+        return hash(self._form)
 
     @classmethod
     def dirac(cls, space: FiniteSpace, label: str) -> "Dist":
@@ -266,11 +281,13 @@ def tv_metric(r: Dist, q: Dist) -> Fraction:
     This is the largest deviation ``|r(B) - q(B)|`` over all events ``B``.
     The maximum is attained at the set of points where ``r`` exceeds ``q``,
     so a single pass suffices; it also equals half of ``tv_norm(r - q)``.
+    The pass is one integer sum over the common denominator of the two
+    integer forms, divided once.
     """
     _same_space("first distribution lives on", r.space, "the second lives on", q.space)
-    return sum(
-        (rw - qw for rw, qw in zip(r.weights, q.weights) if rw > qw), ZERO
-    )
+    (a, d), (b, e) = r._form, q._form
+    gaps = (m * e - n * d for m, n in zip(a, b))
+    return Fraction(sum(g for g in gaps if g > 0), d * e)
 
 
 class FinSuppMeasure:

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Union
 
 from .errors import DuplicateAtomError, ValueOutOfRangeError
 from .kernels import Kernel
-from .measures import ZERO, Dist, FiniteSpace, _as_fractions, _per_point, _same_space
+from .measures import Dist, FiniteSpace, _as_fractions, _cleared, _per_point, _same_space
 
 if TYPE_CHECKING:  # quantifiers imports this module
     from .quantifiers import QuantifiedPredicate
@@ -41,6 +43,13 @@ class Predicate:
         for label, v in zip(self.space.points, self.values):
             _check_unit_interval(v, "value at {!r}", label)
 
+    @cached_property
+    def _form(self) -> tuple[tuple[int, ...], int]:
+        """The values' integer form ``(numerators, d)`` (see
+        :mod:`giryq.measures`), computed on first use and kept."""
+        numerators, d = _cleared(self.values)
+        return tuple(numerators), d
+
     @classmethod
     def constant(cls, space: FiniteSpace, value: Fraction | int) -> "Predicate":
         return cls(space, (value,) * len(space))
@@ -59,9 +68,14 @@ def entails(lower: Predicate, upper: Predicate) -> bool:
 
 
 def expectation(pred: Predicate, dist: Dist) -> Fraction:
-    """Expected truth value of a predicate under a distribution."""
+    """Expected truth value of a predicate under a distribution.
+
+    One integer sum of the two integer forms' products, divided once by
+    the product of their denominators.
+    """
     _same_space("predicate lives on", pred.space, "the distribution lives on", dist.space)
-    return sum((w * v for w, v in zip(dist.weights, pred.values)), ZERO)
+    (v, d), (w, e) = pred._form, dist._form
+    return Fraction(sum(map(mul, v, w)), d * e)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,33 @@ def dists(draw, space):
     return Dist(space, tuple(Fraction(p, total) for p in parts))
 
 
+# the five largest primes below 10**6: pairwise coprime, so a sum of rows
+# over them has a common denominator far past any workload's
+PRIMES = (999_953, 999_959, 999_961, 999_979, 999_983)
+
+
+@st.composite
+def wide_dists(draw, space):
+    """A distribution whose weights have large coprime denominators, often
+    with zero weights.  Every point but one takes ``a/p`` with ``p`` from
+    ``PRIMES`` and ``a`` at most ``p // n``; that one takes the rest, whose
+    denominator is a product of the primes used."""
+    n = len(space)
+    rest = draw(st.integers(min_value=0, max_value=n - 1))
+    weights = []
+    for i in range(n):
+        p = draw(st.sampled_from(PRIMES))
+        a = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=p // n)))
+        weights.append(Fraction(0) if i == rest else Fraction(a, p))
+    weights[rest] = 1 - sum(weights)
+    return Dist(space, tuple(weights))
+
+
+def any_dists(space):
+    """Small-denominator and wide distributions alike."""
+    return st.one_of(dists(space), wide_dists(space))
+
+
 @st.composite
 def dist_pairs(draw, tag="S", max_size=5):
     space = draw(spaces(tag, max_size=max_size))
@@ -37,18 +64,18 @@ def dist_triples(draw, tag="S", max_size=5):
 
 
 @st.composite
-def predicates(draw, space):
+def predicates(draw, space, dens=st.integers(min_value=1, max_value=6)):
     values = []
     for _ in space.points:
-        den = draw(st.integers(min_value=1, max_value=6))
+        den = draw(dens)
         values.append(Fraction(draw(st.integers(min_value=0, max_value=den)), den))
     return Predicate(space, tuple(values))
 
 
 @st.composite
-def kernels(draw, source, target):
+def kernels(draw, source, target, rows=dists):
     return Kernel(
-        source, target, tuple(draw(dists(target)) for _ in source.points)
+        source, target, tuple(draw(rows(target)) for _ in source.points)
     )
 
 

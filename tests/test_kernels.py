@@ -25,7 +25,7 @@ from giryq import (
     tv_norm,
 )
 
-from strategies import dists, kernel_chains, kernels, spaces
+from strategies import any_dists, dists, kernel_chains, kernels, spaces
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,16 +214,75 @@ def test_lift_never_expands_total_variation(data):
     assert tv_metric(apply_f(p), apply_f(p2)) <= tv_norm(p - p2)
 
 
+def _dense_mix(space, pairs):
+    """The sum of ``w * row`` over ``(w, row)`` pairs, one ``Fraction``
+    operation per entry, as a reference."""
+    weights = [F(0)] * len(space)
+    for w, row in pairs:
+        for j, v in enumerate(row.weights):
+            weights[j] += w * v
+    return Dist(space, tuple(weights))
+
+
 def _product(outer, inner):
     """The stochastic matrix product, one inner row at a time, as a reference."""
-    rows = []
-    for r in inner.rows:
-        weights = [F(0)] * len(outer.target)
-        for w, o in zip(r.weights, outer.rows):
-            for j, v in enumerate(o.weights):
-                weights[j] += w * v
-        rows.append(Dist(outer.target, tuple(weights)))
-    return Kernel(inner.source, outer.target, tuple(rows))
+    rows = tuple(_dense_mix(outer.target, zip(r.weights, outer.rows)) for r in inner.rows)
+    return Kernel(inner.source, outer.target, rows)
+
+
+def _weights(kernel):
+    return [row.weights for row in kernel.rows]
+
+
+@st.composite
+def wide_kernel_pairs(draw):
+    """Two composable kernels and a distribution on the inner one's source,
+    every row and the distribution drawn with large coprime denominators as
+    often as with small ones."""
+    sa = draw(spaces("A", max_size=5))
+    sb = draw(spaces("B", max_size=5))
+    sc = draw(spaces("C", max_size=5))
+    return (draw(kernels(sb, sc, any_dists)), draw(kernels(sa, sb, any_dists)),
+            draw(any_dists(sa)))
+
+
+class TestMixingInIntegers:
+    """Composition, the lift and the mixture sum rows in integers over one
+    common denominator; they give exactly what the ``Fraction`` loops give,
+    also when that denominator is a product of primes near 10**6."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_kernel_pairs())
+    def test_compose_lift_and_mixture_equal_the_fraction_loops(self, data):
+        outer, inner, dist = data
+        assert _weights(compose(outer, inner)) == _weights(_product(outer, inner))
+        lifted = lift(inner)(dist)
+        assert lifted.weights == _dense_mix(inner.target, zip(dist.weights, inner.rows)).weights
+        spread = image_measure(inner, dist)
+        pairs = zip(spread.weights, spread.atoms)
+        assert mixture(spread).weights == _dense_mix(inner.target, pairs).weights
+        assert mixture(spread).weights == lifted.weights
+
+    def test_zero_weight_rows_add_nothing(self, two_points, three_points):
+        big = Dist(two_points, (F(1, 999_983), F(999_982, 999_983)))
+        kernel = Kernel(three_points, two_points, (big, Dist.dirac(two_points, "y1"), big))
+        dist = Dist(three_points, (F(0), F(1), F(0)))
+        assert lift(kernel)(dist).weights == (F(1), F(0))
+        assert lift(kernel)(dist)._form == ((1, 0), 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_determinism_agrees_with_the_entrywise_definition(self, data):
+        source = data.draw(spaces("A", max_size=4))
+        target = data.draw(spaces("B", max_size=4))
+
+        def rows(space):
+            point_masses = st.sampled_from(space.points).map(lambda y: Dist.dirac(space, y))
+            return st.one_of(point_masses, point_masses, any_dists(space))
+
+        kernel = data.draw(kernels(source, target, rows))
+        entrywise = all(w == 0 or w == 1 for row in kernel.rows for w in row.weights)
+        assert is_deterministic(kernel) == entrywise
 
 
 class TestRepeatedRows:

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction as F
+from math import lcm
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -22,7 +28,9 @@ from giryq import (
     SpaceMismatchError,
     TableSimplexPredicate,
     format_rational,
+    load_scenario,
     parse_rational,
+    serialize_scenario,
     tv_metric,
     tv_norm,
 )
@@ -32,7 +40,11 @@ from giryq.measures import combine_rows
 from giryq.predicates import LiftedPredicate, entails, expectation, substitute
 from giryq.quantifiers import exists_composite, exists_lifted, forall_fiber
 
-from strategies import dist_pairs, dist_triples, weight_lists
+from strategies import (
+    PRIMES, any_dists, dist_pairs, dist_triples, predicates, spaces, weight_lists,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestRationalLiterals:
@@ -121,6 +133,10 @@ class TestDist:
     def test_equality_requires_same_space(self, two_points):
         other = FiniteSpace("Z", ("y1", "y2"))
         assert Dist(two_points, (F(1), F(0))) != Dist(other, (F(1), F(0)))
+        # equal weights give equal integer forms and hashes on any space
+        a, b = Dist(two_points, (F(1, 3), F(2, 3))), Dist(other, (F(1, 3), F(2, 3)))
+        assert a._form == b._form and hash(a) == hash(b)
+        assert a != b and b != a and len({a, b}) == 2
 
     def test_equal_dists_built_separately_hash_equal(self, three_points):
         first = Dist(three_points, (F(1, 6), F(1, 3), F(1, 2)))
@@ -490,3 +506,71 @@ def test_every_space_check_names_both_spaces(call, message):
     with pytest.raises(SpaceMismatchError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def _reference_form(values):
+    """``(numerators, d)`` from the definition, in ``Fraction`` arithmetic."""
+    d = lcm(*(v.denominator for v in values))
+    return tuple(int(v * d) for v in values), d
+
+
+@st.composite
+def wide_cases(draw):
+    """Two distributions and a predicate on one space, each entry's
+    denominator often a prime near 10**6."""
+    space = draw(spaces(max_size=6))
+    dens = st.one_of(st.integers(min_value=1, max_value=6), st.sampled_from(PRIMES))
+    return draw(any_dists(space)), draw(any_dists(space)), draw(predicates(space, dens))
+
+
+class TestIntegerForm:
+    """A ``Dist`` and a ``Predicate`` carry ``(numerators, d)``, with ``d``
+    the lcm of the reduced denominators; it is not a field, and the metric
+    and the expectation are computed from it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_cases())
+    def test_form_is_the_entries_over_the_lcm_of_their_denominators(self, case):
+        p, q, pred = case
+        assert p._form == _reference_form(p.weights)
+        assert q._form == _reference_form(q.weights)
+        assert pred._form == _reference_form(pred.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_cases())
+    def test_metric_and_expectation_equal_the_fraction_loops(self, case):
+        p, q, pred = case
+        metric = sum((a - b for a, b in zip(p.weights, q.weights) if a > b), F(0))
+        assert tv_metric(p, q) == metric and type(tv_metric(p, q)) is F
+        mean = sum((w * v for w, v in zip(p.weights, pred.values)), F(0))
+        assert expectation(pred, p) == mean and type(expectation(pred, p)) is F
+
+    def test_fields_are_unchanged(self):
+        assert [f.name for f in fields(Dist)] == ["space", "weights"]
+        assert [f.name for f in fields(Predicate)] == ["space", "values"]
+
+    @pytest.mark.parametrize("name", ["noisy_channel", "chain_and_laws"])
+    def test_form_shows_in_neither_repr_nor_the_document(self, name):
+        scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
+        for pred in scenario.predicates.values():
+            pred._form  # a predicate fills its form on first use
+            assert repr(pred) == f"Predicate(space={pred.space!r}, values={pred.values!r})"
+        for kernel in scenario.kernels.values():
+            for row in kernel.rows:
+                assert repr(row) == f"Dist(space={row.space!r}, weights={row.weights!r})"
+        golden = REPO / "tests" / "golden" / f"serialize_{name}.json"
+        assert serialize_scenario(scenario) == golden.read_text(encoding="utf-8")
+
+    def test_hash_does_not_depend_on_the_string_hash_seed(self):
+        script = (
+            "from giryq import Dist, FiniteSpace\n"
+            "space = FiniteSpace('S', ('s1', 's2', 's3'))\n"
+            "print(hash(Dist(space, ('1/3', '0', '2/3'))), hash(Dist.dirac(space, 's2')))\n"
+        )
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=600, check=True)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
