@@ -24,8 +24,8 @@ scaled to one common denominator (see :mod:`giryq.measures`), and each
 entry of the result is divided by it once, at the end.
 
 Equal rows form one atom of the image measure, so a kernel's rows are
-partitioned by value (:attr:`Kernel.row_partition`), once per kernel on
-first use.  Composition, the image measure and the composite stages of
+partitioned by value (:attr:`Kernel.row_partition`), once per kernel when
+it is built.  Composition, the image measure and the composite stages of
 :mod:`giryq.quantifiers` work once per row class: a kernel whose 64 rows
 take 8 distinct values mixes 8 rows, not 64.
 """
@@ -33,20 +33,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Callable, Sequence
 
 from .errors import NotDeterministicError
 from .measures import (
-    ZERO, Dist, FinSuppMeasure, FiniteSpace, _cleared, _per_point, _same_space,
-    combine_rows,
+    ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, _same_space, combine_rows,
 )
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """A Markov kernel: one row distribution on ``target`` per source point."""
+    """A Markov kernel: one row distribution on ``target`` per source point.
+
+    ``row_partition`` is the rows up to equality, ``(classes,
+    representatives)``: ``classes[i]`` is the class of the i-th source
+    point's row, and ``representatives[c]`` is the first row of class
+    ``c``; classes are numbered in order of first appearance.  It is built
+    with the kernel and is not a field, so equality and ``repr`` ignore it.
+    """
 
     source: FiniteSpace
     target: FiniteSpace
@@ -58,23 +63,13 @@ class Kernel:
             if row.space != self.target:  # the label is formatted only on failure
                 _same_space(f"row of {label!r} lives on", row.space,
                             "the kernel lands in", self.target)
+        ids: dict[Dist, int] = {}
+        classes = tuple(ids.setdefault(row, len(ids)) for row in self.rows)
+        object.__setattr__(self, "row_partition", (classes, tuple(ids)))
 
     def row(self, label: str) -> Dist:
         """The distribution this kernel assigns to a source point."""
         return self.rows[self.source.index(label)]
-
-    @cached_property
-    def row_partition(self) -> tuple[tuple[int, ...], tuple[Dist, ...]]:
-        """The rows up to equality: ``(classes, representatives)``.
-
-        ``classes[i]`` is the class of the i-th source point's row, and
-        ``representatives[c]`` is the first row of class ``c``; classes are
-        numbered in order of first appearance.  Computed on first use and
-        kept; it is not a field, so equality and ``repr`` ignore it.
-        """
-        ids: dict[Dist, int] = {}
-        classes = tuple(ids.setdefault(row, len(ids)) for row in self.rows)
-        return classes, tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ def mixture(measure: FinSuppMeasure) -> Dist:
         if not isinstance(atom, Dist):
             raise TypeError(f"atom {atom!r} is not a distribution")
         _same_space("atom lives on", atom.space, "the first atom lives on", first.space)
-    return _mix(first.space, _cleared(measure.weights), measure.atoms)
+    return _mix(first.space, measure._form, measure.atoms)
 
 
 def lift(kernel: Kernel) -> Callable[[Dist], Dist]:

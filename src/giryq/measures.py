@@ -24,10 +24,10 @@ predicates and :class:`~giryq.lp.LinearProgram` all store what it
 returns.  A :class:`FinSuppMeasure` is a finitely supported measure over
 any atoms, such as the rows in a kernel's image measure.
 
-Every number here is exact.  A :class:`Dist` and a
-:class:`~giryq.predicates.Predicate` keep their entries as a tuple of
-``Fraction`` and, beside it, one integer form ``(numerators, d)``: ``d`` is
-the lcm of the reduced denominators and ``numerators`` are the entries
+Every number here is exact.  A :class:`Dist`, a :class:`FinSuppMeasure`
+and a :class:`~giryq.predicates.Predicate` keep their entries as a tuple
+of ``Fraction`` and, beside it, one integer form ``(numerators, d)``: ``d``
+is the lcm of the reduced denominators and ``numerators`` are the entries
 times ``d``.  The form is not a dataclass field, so ``repr`` and the
 document form never show it.  Equal vectors have equal forms, so a
 :class:`Dist` hashes and compares on it (equality also compares the
@@ -38,12 +38,9 @@ denominator and divide once per result entry.
 LP, takes ``int``, ``Fraction`` or ``float`` entries: integers for the
 mixtures and the LP certificate, floats for the LP's guide.
 
-Values are immutable after construction and safe to share between
-threads.  A :class:`Dist` builds its form at construction, from the
-:func:`_cleared` call of its mass check; a predicate computes its form on
-first use and keeps it, as a :class:`~giryq.kernels.Kernel` keeps its row
-partition.  Both caches are idempotent (two threads that fill one at once
-store equal values), so sharing stays safe.
+A value never changes after construction: its constructor fills every
+derived attribute (a form, a kernel's row partition), so values are safe
+to share between threads.
 """
 from __future__ import annotations
 
@@ -296,9 +293,10 @@ class FinSuppMeasure:
     Atoms may be point labels or whole :class:`Dist` values (a measure over
     distributions).  Zero-weight atoms are pruned on construction so that
     support equality is well-defined; equality disregards atom order.
+    ``_form`` is the kept weights' integer form, from the mass check.
     """
 
-    __slots__ = ("atoms", "weights", "_pairs")
+    __slots__ = ("atoms", "weights", "_pairs", "_form")
 
     atoms: tuple[Hashable, ...]
     weights: tuple[Fraction, ...]
@@ -316,11 +314,13 @@ class FinSuppMeasure:
             )
         if len(set(atoms)) != len(atoms):
             raise DuplicateAtomError("atoms are not pairwise distinct")
-        _probability(atoms, fw, "atom")
-        kept = tuple((a, w) for a, w in zip(atoms, fw) if w > 0)
-        self.atoms = tuple(a for a, _ in kept)
-        self.weights = tuple(w for _, w in kept)
-        self._pairs = frozenset(kept)
+        scaled, d = _probability(atoms, fw, "atom")
+        kept = [i for i, n in enumerate(scaled) if n]
+        self.atoms = tuple(atoms[i] for i in kept)
+        self.weights = tuple(fw[i] for i in kept)
+        self._pairs = frozenset(zip(self.atoms, self.weights))
+        # a zero weight has denominator 1, so pruning leaves d the lcm
+        self._form = tuple(scaled[i] for i in kept), d
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FinSuppMeasure":
         """Image measure under ``fn``; atoms with equal images merge."""

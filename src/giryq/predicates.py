@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Union
 
@@ -33,22 +32,23 @@ def _check_unit_interval(value: Fraction, what: str, *args: object) -> None:
 
 @dataclass(frozen=True)
 class Predicate:
-    """A [0, 1]-valued map on a finite space, one rational per point."""
+    """A [0, 1]-valued map on a finite space, one rational per point.
+
+    ``_form`` is the values' integer form ``(numerators, d)`` (see
+    :mod:`giryq.measures`), built with the predicate; a value lies in
+    [0, 1] exactly when its numerator lies in ``[0, d]``.
+    """
 
     space: FiniteSpace
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _per_point(self.values, self.space, "values"))
-        for label, v in zip(self.space.points, self.values):
-            _check_unit_interval(v, "value at {!r}", label)
-
-    @cached_property
-    def _form(self) -> tuple[tuple[int, ...], int]:
-        """The values' integer form ``(numerators, d)`` (see
-        :mod:`giryq.measures`), computed on first use and kept."""
         numerators, d = _cleared(self.values)
-        return tuple(numerators), d
+        if not all(0 <= n <= d for n in numerators):
+            for label, v in zip(self.space.points, self.values):
+                _check_unit_interval(v, "value at {!r}", label)
+        object.__setattr__(self, "_form", (tuple(numerators), d))
 
     @classmethod
     def constant(cls, space: FiniteSpace, value: Fraction | int) -> "Predicate":

@@ -254,16 +254,9 @@ class GaloisReport:
     forall_conclusion: bool
 
     @property
-    def exists_equivalent(self) -> bool:
-        return self.exists_premise == self.exists_conclusion
-
-    @property
-    def forall_equivalent(self) -> bool:
-        return self.forall_premise == self.forall_conclusion
-
-    @property
     def ok(self) -> bool:
-        return self.exists_equivalent and self.forall_equivalent
+        return (self.exists_premise == self.exists_conclusion
+                and self.forall_premise == self.forall_conclusion)
 
 
 def check_galois(

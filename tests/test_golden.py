@@ -33,7 +33,9 @@ def test_stdout_matches_golden(run_python, golden):
     assert done.stdout == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("golden", ["run_noisy_channel.txt", "run_chain_and_laws.txt"])
+@pytest.mark.parametrize(
+    "golden", ["run_noisy_channel.txt", "run_chain_and_laws.txt", "laws_seed0_cases20.txt"]
+)
 def test_output_is_the_same_under_python_O(run_python, golden):
     # every certificate check is an explicit test, so -O skips none of them
     done = run_python("-O", "-m", "giryq.cli", *CASES[golden])

@@ -148,6 +148,15 @@ class TestMixture:
         # 1/4 * 1 + 3/4 * 1/3 = 1/2
         assert mixture(m) == Dist(two_points, (F(1, 2), F(1, 2)))
 
+    def test_zero_weight_atom_mixes_to_the_same_dist(self, two_points):
+        p1 = Dist(two_points, (F(1), F(0)))
+        wide = Dist(two_points, (F(1, 999_983), F(999_982, 999_983)))
+        p2 = Dist(two_points, (F(1, 3), F(2, 3)))
+        listed = FinSuppMeasure((p1, wide, p2), (F(1, 4), F(0), F(3, 4)))
+        pruned = FinSuppMeasure((p1, p2), (F(1, 4), F(3, 4)))
+        assert listed._form == pruned._form == ((1, 3), 4)
+        assert mixture(listed) == mixture(pruned) == Dist(two_points, (F(1, 2), F(1, 2)))
+
     def test_atoms_on_mixed_spaces_rejected(self, two_points, three_points):
         m = FinSuppMeasure(
             (Dist.dirac(two_points, "y1"), Dist.dirac(three_points, "x1")),
@@ -307,7 +316,6 @@ class TestRepeatedRows:
     def test_partition_is_not_part_of_equality_or_repr(self, repeating):
         fresh = Kernel(repeating.source, repeating.target, repeating.rows)
         before = repr(repeating)
-        repeating.row_partition
         assert repeating == fresh and hash(repeating) == hash(fresh)
         assert repr(repeating) == before == repr(fresh)
 

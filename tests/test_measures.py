@@ -524,9 +524,10 @@ def wide_cases(draw):
 
 
 class TestIntegerForm:
-    """A ``Dist`` and a ``Predicate`` carry ``(numerators, d)``, with ``d``
-    the lcm of the reduced denominators; it is not a field, and the metric
-    and the expectation are computed from it."""
+    """A ``Dist``, a ``FinSuppMeasure`` and a ``Predicate`` carry
+    ``(numerators, d)``, with ``d`` the lcm of the reduced denominators; it
+    is not a field, and the metric and the expectation are computed from
+    it."""
 
     @settings(max_examples=150, deadline=None)
     @given(wide_cases())
@@ -535,6 +536,19 @@ class TestIntegerForm:
         assert p._form == _reference_form(p.weights)
         assert q._form == _reference_form(q.weights)
         assert pred._form == _reference_form(pred.values)
+        # rows alternate q and p, so the image merges p's weights by class
+        kernel = Kernel(p.space, p.space, tuple((q, p)[i % 2] for i in range(len(p.space))))
+        spread = image_measure(kernel, p)
+        assert spread._form == _reference_form(spread.weights)
+
+    def test_values_are_complete_when_built(self, three_points, two_points):
+        pred = Predicate(three_points, (F(1, 2), F(0), F(1)))
+        row = Dist(two_points, (F(1, 3), F(2, 3)))
+        kernel = Kernel(three_points, two_points, (row, row, Dist.dirac(two_points, "y1")))
+        measure = FinSuppMeasure(("a", "b", "c"), (F(1, 4), F(0), F(3, 4)))
+        assert vars(pred)["_form"] == ((1, 0, 2), 2)
+        assert vars(kernel)["row_partition"] == ((0, 0, 1), (row, kernel.rows[2]))
+        assert measure._form == ((1, 3), 4)
 
     @settings(max_examples=150, deadline=None)
     @given(wide_cases())
@@ -553,7 +567,6 @@ class TestIntegerForm:
     def test_form_shows_in_neither_repr_nor_the_document(self, name):
         scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
         for pred in scenario.predicates.values():
-            pred._form  # a predicate fills its form on first use
             assert repr(pred) == f"Predicate(space={pred.space!r}, values={pred.values!r})"
         for kernel in scenario.kernels.values():
             for row in kernel.rows:

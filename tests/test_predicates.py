@@ -32,13 +32,20 @@ def substitution_instance(draw):
 
 
 class TestPredicateConstruction:
-    def test_values_above_one_rejected(self, two_points):
+    def test_values_above_one_rejected(self, two_points, three_points):
         with pytest.raises(ValueOutOfRangeError):
             Predicate(two_points, (F(1), F(11, 10)))
+        # the range is decided over the common denominator 3 * 999_983
+        with pytest.raises(ValueOutOfRangeError) as caught:
+            Predicate(three_points, (F(1, 3), F(999_984, 999_983), F(2)))
+        assert str(caught.value) == "value at 'x2' lies outside [0, 1]: 999984/999983"
 
-    def test_negative_values_rejected(self, two_points):
+    def test_negative_values_rejected(self, two_points, three_points):
         with pytest.raises(ValueOutOfRangeError):
             Predicate(two_points, (F(1), F(-1, 10)))
+        with pytest.raises(ValueOutOfRangeError) as caught:
+            Predicate(three_points, (F(1), F(-1, 10), F(-1)))
+        assert str(caught.value) == "value at 'x2' lies outside [0, 1]: -1/10"
 
     def test_constant(self, three_points):
         pred = Predicate.constant(three_points, F(1, 3))
