@@ -45,9 +45,9 @@ class Predicate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _per_point(self.values, self.space, "values"))
         numerators, d = _cleared(self.values)
-        if not all(0 <= n <= d for n in numerators):
-            for label, v in zip(self.space.points, self.values):
-                _check_unit_interval(v, "value at {!r}", label)
+        for label, n, v in zip(self.space.points, numerators, self.values):
+            if not 0 <= n <= d:
+                raise ValueOutOfRangeError(f"value at {label!r} lies outside [0, 1]: {v}")
         object.__setattr__(self, "_form", (tuple(numerators), d))
 
     @classmethod
