@@ -24,10 +24,10 @@ scaled to one common denominator (see :mod:`giryq.measures`), and each
 entry of the result is divided by it once, at the end.
 
 Equal rows form one atom of the image measure, so a kernel's rows are
-partitioned by value (:attr:`Kernel.row_partition`), once per kernel when
-it is built.  Composition, the image measure and the composite stages of
-:mod:`giryq.quantifiers` work once per row class: a kernel whose 64 rows
-take 8 distinct values mixes 8 rows, not 64.
+partitioned by value (:attr:`Kernel.row_partition`) when it is built.
+:func:`image_measure` sums integer weights onto each class's first row,
+through the routine of :meth:`FinSuppMeasure.map`.  Composition and the
+composite stages mix once per row class: 64 rows of 8 values mix 8 rows.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from .errors import NotDeterministicError
 from .measures import (
-    ZERO, Dist, FinSuppMeasure, FiniteSpace, _per_point, _same_space, combine_rows,
+    ZERO, Dist, FinSuppMeasure, FiniteSpace, _image, _per_point, _same_space, combine_rows,
 )
 
 
@@ -177,11 +177,8 @@ def image_measure(kernel: Kernel, dist: Dist) -> FinSuppMeasure:
     """
     _same_space("distribution lives on", dist.space, "the kernel starts at", kernel.source)
     classes, representatives = kernel.row_partition
-    merged: dict[int, Fraction] = {}
-    for c, w in zip(classes, dist.weights):
-        if w:
-            merged[c] = merged.get(c, ZERO) + w
-    return FinSuppMeasure(tuple(representatives[c] for c in merged), tuple(merged.values()))
+    numerators, d = dist._form
+    return _image(((representatives[c], n) for c, n in zip(classes, numerators)), d)
 
 
 def mixture(measure: FinSuppMeasure) -> Dist:

@@ -31,7 +31,7 @@ is the lcm of the reduced denominators and ``numerators`` are the entries
 times ``d``.  The form is not a dataclass field, so ``repr`` and the
 document form never show it.  Equal vectors have equal forms, so a
 :class:`Dist` hashes and compares on it (equality also compares the
-space).  The Giry monad's mixtures, :func:`tv_metric` and
+space).  Mixtures, image measures (:func:`_image`), :func:`tv_metric` and
 :func:`~giryq.predicates.expectation` sum integers over one common
 denominator and divide once per result entry.
 :func:`combine_rows`, the weighted row sum shared by the kernels and the
@@ -324,11 +324,8 @@ class FinSuppMeasure:
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FinSuppMeasure":
         """Image measure under ``fn``; atoms with equal images merge."""
-        merged: dict[Hashable, Fraction] = {}
-        for a, w in zip(self.atoms, self.weights):
-            image = fn(a)
-            merged[image] = merged.get(image, ZERO) + w
-        return FinSuppMeasure(tuple(merged.keys()), tuple(merged.values()))
+        numerators, d = self._form
+        return _image(zip((fn(a) for a in self.atoms), numerators), d)
 
     def __iter__(self):
         return iter(zip(self.atoms, self.weights))
@@ -346,3 +343,14 @@ class FinSuppMeasure:
             f"{a!r}: {format_rational(w)}" for a, w in zip(self.atoms, self.weights)
         )
         return f"FinSuppMeasure({{{inner}}})"
+
+
+def _image(pairs: Iterable[tuple[Hashable, int]], d: int) -> FinSuppMeasure:
+    """The measure with weight ``n / d`` per ``(image, n)`` pair, the ``n``
+    summed per image.  Images keep the order in which they first come with
+    a nonzero ``n``; a zero ``n`` adds nothing."""
+    merged: dict[Hashable, int] = {}
+    for image, n in pairs:
+        if n:
+            merged[image] = merged.get(image, 0) + n
+    return FinSuppMeasure(tuple(merged), tuple(Fraction(n, d) for n in merged.values()))

@@ -28,9 +28,9 @@ predicate, solve phase 1 once and share it.  Each answer is the one a
 fresh solve gives, pivot count included.
 
 The named ``exists_*``/``forall_*`` functions are one-line entries into
-the core.  ``exists_composite``/``forall_composite`` evaluate a two-kernel
-chain by staged nesting through finitely supported intermediate measures,
-merging with the same comparison and empty-fiber values.
+the core.  ``exists_composite``/``forall_composite`` call
+:func:`_composite`, which nests through row classes, image measures and
+mixtures, merging with the same comparison and empty-fiber values.
 :func:`check_composite`, which the CLI and the ``composites`` suite call,
 checks a staged answer against the quantifier along ``compose(outer,
 inner)``.  One memo, :func:`_pair`, keeps for the last 4 ``(inner,
@@ -314,9 +314,9 @@ def _pair(inner: Kernel, outer: Kernel) -> tuple[tuple[tuple[FinSuppMeasure, Dis
     return stages, compose(outer, inner)
 
 
-def _composite_stages(
-    inner: Kernel, outer: Kernel, pred: Predicate, sense: Sense
-) -> dict[Dist, tuple[Fraction, str]]:
+def _composite(
+    inner: Kernel, outer: Kernel, pred: Predicate, query: Dist, sense: Sense
+) -> QuantifierResult:
     """Nest a quantifier through the chain point -> row -> spread -> mixture.
 
     Each stage rekeys the table before it and keeps the best ``(value,
@@ -331,21 +331,15 @@ def _composite_stages(
     extension constant, which can never beat an occupied fiber in the
     direction being optimized, so only reachable intermediates matter.
     """
+    _same_space("predicate lives on", pred.space, "the chain starts at", inner.source)
+    _same_space("query lives on", query.space, "the chain lands in", outer.target)
+    _same_space("inner lands in", inner.target, "outer starts at", outer.source)
     classes = inner.row_partition[0]
     fibers = _best_per_key(sense, zip(classes, zip(pred.values, inner.source.points)))
     stages = _pair(inner, outer)[0]
     spreads = _best_per_key(sense, ((stages[c], b) for c, b in fibers.items()))
-    return _best_per_key(sense, ((row, b) for (_, row), b in spreads.items()))
-
-
-def _composite(
-    inner: Kernel, outer: Kernel, pred: Predicate, query: Dist, sense: Sense
-) -> QuantifierResult:
-    _same_space("predicate lives on", pred.space, "the chain starts at", inner.source)
-    _same_space("query lives on", query.space, "the chain lands in", outer.target)
-    _same_space("inner lands in", inner.target, "outer starts at", outer.source)
-    stage3 = _composite_stages(inner, outer, pred, sense)
-    return _result(stage3.get(query), sense, Regime.COUNTABLE)
+    mixtures = _best_per_key(sense, ((row, b) for (_, row), b in spreads.items()))
+    return _result(mixtures.get(query), sense, Regime.COUNTABLE)
 
 
 def exists_composite(

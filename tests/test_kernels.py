@@ -25,7 +25,7 @@ from giryq import (
     tv_norm,
 )
 
-from strategies import any_dists, dists, kernel_chains, kernels, spaces
+from strategies import PRIMES, any_dists, dists, kernel_chains, kernels, spaces, wide_dists
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,3 +369,42 @@ def test_pooled_rows_compose_and_spread_like_the_reference(data):
             merged[row] = merged.get(row, F(0)) + w
     spread = image_measure(inner, dist)
     assert spread.atoms == tuple(merged) and spread.weights == tuple(merged.values())
+
+
+@st.composite
+def wide_pooled_kernels(draw):
+    """A kernel whose rows come from a pool of two or three wide
+    distributions, and a wide distribution on its source, often with zero
+    weights."""
+    sa = draw(spaces("A", min_size=3, max_size=6))
+    sb = draw(spaces("B", min_size=2, max_size=4))
+    pool = draw(st.lists(wide_dists(sb), min_size=2, max_size=3))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=len(sa), max_size=len(sa)))
+    return Kernel(sa, sb, tuple(Dist(sb, pool[i].weights) for i in picks)), draw(wide_dists(sa))
+
+
+class TestImageMeasure:
+    """``image_measure`` and ``FinSuppMeasure.map`` merge weights through one
+    routine; they agree, and the merged weights are exact sums."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_pooled_kernels())
+    def test_image_measure_is_the_map_of_the_row_function(self, data):
+        kernel, dist = data
+        spread = image_measure(kernel, dist)
+        mapped = FinSuppMeasure(kernel.source.points, dist.weights).map(kernel.row)
+        weighted = [(row, w) for row, w in zip(kernel.rows, dist.weights) if w]
+        assert spread.atoms == tuple(dict.fromkeys(row for row, _ in weighted))
+        assert (spread.atoms, spread.weights) == (mapped.atoms, mapped.weights)
+        assert spread.weights == tuple(
+            sum((w for row, w in weighted if row == atom), F(0)) for atom in spread.atoms
+        )
+
+    def test_map_merges_coprime_weights_into_their_exact_sum(self):
+        p, q = PRIMES[0], PRIMES[1]
+        rest = 1 - F(1, p) - F(2, q)
+        measure = FinSuppMeasure(("a", "b", "c"), (F(1, p), rest, F(2, q)))
+        merged = measure.map(lambda atom: "ac" if atom in "ac" else atom)
+        assert merged.atoms == ("ac", "b")
+        assert merged.weights == (F(q + 2 * p, p * q), rest)
+        assert merged._form == ((q + 2 * p, p * q - q - 2 * p), p * q)

@@ -21,6 +21,7 @@ from giryq import (
     Regime,
     SpaceMismatchError,
     check_adjunction_bounds,
+    check_composite,
     check_galois,
     compose,
     deterministic_kernel,
@@ -340,6 +341,30 @@ class TestComposite:
         direct = compose(outer, inner)
         assert exists_fiber(direct, pred, unreachable).value == 0
         assert forall_fiber(direct, pred, unreachable).value == 1
+
+    def test_ties_follow_the_nesting_not_the_point_order(self):
+        sx = FiniteSpace("X", ("x1", "x2", "x3"))
+        sy = FiniteSpace("Y", ("y1", "y2", "y3"))
+        sz = FiniteSpace("Z", ("z1", "z2"))
+        half = Dist(sz, (F(1, 2), F(1, 2)))
+        # x1 and x3 share a row class, listed first because x1 is; x2's
+        # class reaches the same mixture through a different spread
+        inner = Kernel(sx, sy, (
+            Dist.dirac(sy, "y3"), Dist(sy, (F(1, 2), F(1, 2), F(0))), Dist.dirac(sy, "y3"),
+        ))
+        outer = Kernel(sy, sz, (Dist.dirac(sz, "z1"), Dist.dirac(sz, "z2"), half))
+        direct = compose(outer, inner)
+        assert direct.rows == (half, half, half)
+        for sense, staged_fn, direct_fn, tied in (
+            (Sense.MAX, exists_composite, exists_fiber, F(7, 10)),
+            (Sense.MIN, forall_composite, forall_fiber, F(3, 10)),
+        ):
+            pred = Predicate(sx, (F(1, 2), tied, tied))
+            staged = staged_fn(inner, outer, pred, half)
+            straight = direct_fn(direct, pred, half)
+            assert (staged.value, staged.witness) == (tied, "x3")
+            assert (straight.value, straight.witness) == (tied, "x2")
+            assert check_composite(inner, outer, pred, half, sense) == (staged, None)
 
     def test_deterministic_chain_is_classical(self):
         sx = FiniteSpace("X", ("x1", "x2", "x3"))
