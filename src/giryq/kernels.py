@@ -20,11 +20,16 @@ The Giry monad's operations, and the functions built from them:
 The lift, composition and the mixture are one weighted sum of rows each,
 :func:`measures.combine_rows`, with no intermediate measure.  The sum runs
 in integers: the weights' integer form times the rows' integer forms,
-scaled to one common denominator (see :mod:`giryq.measures`), and each
-entry of the result is divided by it once, at the end.
+scaled to one common denominator (see :mod:`giryq.measures`).  The result
+is built from those sums by ``measures._integer_dist``: they are reduced
+by their gcd with the denominator, which gives its integer form, and each
+entry is divided once, at the end.
 
 Equal rows form one atom of the image measure, so a kernel's rows are
-partitioned by value (:attr:`Kernel.row_partition`) when it is built.
+partitioned by value (:attr:`Kernel.row_partition`) when it is built; the
+kernel also keeps the row -> class dict behind it, which the fiber scan
+of :mod:`giryq.quantifiers` looks a query up in, and its hash, so a memo
+keyed by kernels hashes each one once.
 :func:`image_measure` sums integer weights onto each class's first row,
 through the routine of :meth:`FinSuppMeasure.map`.  Composition and the
 composite stages mix once per row class: 64 rows of 8 values mix 8 rows.
@@ -32,13 +37,13 @@ composite stages mix once per row class: 64 rows of 8 values mix 8 rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .errors import NotDeterministicError
 from .measures import (
-    ZERO, Dist, FinSuppMeasure, FiniteSpace, _image, _per_point, _same_space, combine_rows,
+    Dist, FinSuppMeasure, FiniteSpace, _image, _integer_dist, _per_point, _same_space,
+    combine_rows,
 )
 
 
@@ -49,8 +54,10 @@ class Kernel:
     ``row_partition`` is the rows up to equality, ``(classes,
     representatives)``: ``classes[i]`` is the class of the i-th source
     point's row, and ``representatives[c]`` is the first row of class
-    ``c``; classes are numbered in order of first appearance.  It is built
-    with the kernel and is not a field, so equality and ``repr`` ignore it.
+    ``c``; classes are numbered in order of first appearance.  ``_class_of``
+    maps each distinct row to its class, and ``_hash`` is ``hash((source,
+    target, rows))``.  All three are built with the kernel and are not
+    fields, so equality and ``repr`` ignore them.
     """
 
     source: FiniteSpace
@@ -66,6 +73,16 @@ class Kernel:
         ids: dict[Dist, int] = {}
         classes = tuple(ids.setdefault(row, len(ids)) for row in self.rows)
         object.__setattr__(self, "row_partition", (classes, tuple(ids)))
+        object.__setattr__(self, "_class_of", ids)
+        object.__setattr__(self, "_hash", hash((self.source, self.target, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # rebuilt on load, so the kept hash follows the loading process's
+        # string-hash seed
+        return self.__class__, (self.source, self.target, self.rows)
 
     def row(self, label: str) -> Dist:
         """The distribution this kernel assigns to a source point."""
@@ -112,8 +129,7 @@ def _mix(space: FiniteSpace, form: tuple[Sequence[int], int], rows: Sequence[Dis
     weighted = [(m, row._form) for m, row in zip(weights, rows) if m]
     d = lcm(*(e for _, (_, e) in weighted))
     total = combine_rows([0] * len(space), ((m * (d // e), n) for m, (n, e) in weighted))
-    d *= scale
-    return Dist(space, tuple(Fraction(n, d) if n else ZERO for n in total))
+    return _integer_dist(space, total, d * scale)
 
 
 def compose(outer: Kernel, inner: Kernel) -> Kernel:

@@ -8,11 +8,12 @@ predicates, the quantifiers, the law oracles and the scenario parser all
 call it, and every refusal reads like ``inner lands in 'Y' but outer
 starts at 'Z'``.  The probability axioms (every weight >= 0, total
 exactly 1) are checked in :func:`_probability`, for :class:`Dist` and
-:class:`FinSuppMeasure` alike, and in integers: a weight's sign is its
-numerator's, and the numerators scaled to the lcm of the denominators
-(:func:`_cleared`, the one home of that scaling, which the LP certificate
-and the metric oracle also use) must add up to that lcm.  Only a refusal
-builds the ``Fraction`` total that its message prints.
+:class:`FinSuppMeasure` alike, and on the integer form: every numerator
+is >= 0 and they add up to the common denominator.  A constructor takes
+the form from :func:`_cleared` (the one home of the scaling to the lcm of
+the denominators, which the LP certificate and the metric oracle also
+use); an integer builder has it already.  Only a refusal builds the
+``Fraction`` that its message prints.
 
 Numbers cross into exact arithmetic once, in :func:`_as_fractions`: a
 ``Fraction`` is kept as it is, an ``int`` becomes one, and a string is read
@@ -30,25 +31,33 @@ of ``Fraction`` and, beside it, one integer form ``(numerators, d)``: ``d``
 is the lcm of the reduced denominators and ``numerators`` are the entries
 times ``d``.  The form is not a dataclass field, so ``repr`` and the
 document form never show it.  Equal vectors have equal forms, so a
-:class:`Dist` hashes and compares on it (equality also compares the
-space).  Mixtures, image measures (:func:`_image`), :func:`tv_metric` and
+:class:`Dist` compares on it (equality also compares the space) and keeps
+``hash(_form)``, computed once when it is built; a
+:class:`~giryq.kernels.Kernel` keeps its hash the same way, so a memo
+lookup never rehashes rows.  :func:`tv_metric` and
 :func:`~giryq.predicates.expectation` sum integers over one common
-denominator and divide once per result entry.
+denominator and divide once.  Mixtures and image measures sum integer
+numerators too, and are built from them by the two integer builders,
+:func:`_integer_dist` and :func:`_image`: the sums over their
+denominator, divided by their gcd with it (:func:`_lowest`), are the
+result's form, never derived again from the weights, and each weight is
+one ``Fraction(n, d)``.  The builders run :func:`_probability` on that form,
+the check the constructors run.
 :func:`combine_rows`, the weighted row sum shared by the kernels and the
 LP, takes ``int``, ``Fraction`` or ``float`` entries: integers for the
 mixtures and the LP certificate, floats for the LP's guide.
 
-A value never changes after construction: its constructor fills every
-derived attribute (a form, a kernel's row partition), so values are safe
-to share between threads.
+A value never changes after construction: its constructor or builder
+fills every derived attribute (a form, a kept hash, a kernel's row
+partition), so values are safe to share between threads.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Any, Callable, Collection, Hashable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -181,20 +190,27 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _probability(
-    labels: Iterable, weights: Sequence[Fraction], noun: str, space: FiniteSpace | None = None
-) -> tuple[tuple[int, ...], int]:
-    """Every weight is >= 0 and they sum to exactly 1; a failure names the
-    first negative ``noun`` by its label, or the ``space`` if one is given.
-    Returns the weights' integer form ``(numerators, d)``."""
-    for label, w in zip(labels, weights):
-        if w.numerator < 0:
-            raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {w}")
-    scaled, d = _cleared(weights)
-    total = sum(scaled)
+    labels: Iterable, form: tuple[Sequence[int], int], noun: str, space: FiniteSpace | None = None
+) -> None:
+    """The weights of integer form ``(numerators, d)`` are >= 0 and sum to
+    exactly 1; a failure names the first negative ``noun`` by its label,
+    or the ``space`` if one is given."""
+    numerators, d = form
+    for label, n in zip(labels, numerators):
+        if n < 0:
+            raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {Fraction(n, d)}")
+    total = sum(numerators)
     if total != d:
         on = "" if space is None else f" on space {space.name!r}"
         raise MassNotOneError(f"weights{on} sum to {Fraction(total, d)}, expected 1")
-    return tuple(scaled), d
+
+
+def _lowest(numerators: Collection[int], d: int) -> tuple[tuple[int, ...], int]:
+    """``(numerators, d)`` divided by ``gcd(d, *numerators)``: for ``d > 0``
+    this is :func:`_cleared` of the weights ``n / d``, since the lcm of
+    their reduced denominators is ``d`` over that gcd."""
+    g = gcd(d, *numerators)
+    return tuple(n // g for n in numerators), d // g
 
 
 def _per_point(
@@ -216,15 +232,26 @@ class Dist:
     Weights are one exact rational per point, each >= 0, summing to exactly 1.
     Two distributions are equal iff they live on the same space and have
     componentwise-equal weights, that is equal integer forms ``_form``.
+    ``_hash`` is ``hash(_form)``, kept when the distribution is built.
     """
 
     space: FiniteSpace
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _per_point(self.weights, self.space, "weights"))
-        form = _probability(self.space.points, self.weights, "point", self.space)
+        weights = _per_point(self.weights, self.space, "weights")
+        scaled, d = _cleared(weights)
+        self._keep(weights, (tuple(scaled), d))
+
+    def _keep(self, weights: tuple[Fraction, ...], form: tuple[tuple[int, ...], int]) -> None:
+        """Check the weights' form ``(numerators, d)`` and keep the
+        weights, the form and its hash."""
+        _probability(self.space.points, form, "point", self.space)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_form", form)
+        # integers alone, so the value does not depend on the process's
+        # string-hash seed; equality still compares the space
+        object.__setattr__(self, "_hash", hash(form))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -232,9 +259,7 @@ class Dist:
         return self._form == other._form and self.space == other.space
 
     def __hash__(self) -> int:
-        # integers alone, so the value does not depend on the process's
-        # string-hash seed; equality still compares the space
-        return hash(self._form)
+        return self._hash
 
     @classmethod
     def dirac(cls, space: FiniteSpace, label: str) -> "Dist":
@@ -314,13 +339,25 @@ class FinSuppMeasure:
             )
         if len(set(atoms)) != len(atoms):
             raise DuplicateAtomError("atoms are not pairwise distinct")
-        scaled, d = _probability(atoms, fw, "atom")
+        scaled, d = _cleared(fw)
         kept = [i for i, n in enumerate(scaled) if n]
-        self.atoms = tuple(atoms[i] for i in kept)
-        self.weights = tuple(fw[i] for i in kept)
-        self._pairs = frozenset(zip(self.atoms, self.weights))
         # a zero weight has denominator 1, so pruning leaves d the lcm
-        self._form = tuple(scaled[i] for i in kept), d
+        self._keep(
+            tuple(atoms[i] for i in kept),
+            tuple(fw[i] for i in kept),
+            (tuple(scaled[i] for i in kept), d),
+        )
+
+    def _keep(
+        self, atoms: tuple[Hashable, ...], weights: tuple[Fraction, ...],
+        form: tuple[tuple[int, ...], int],
+    ) -> None:
+        """Check the weights' form ``(numerators, d)`` and keep all four slots."""
+        _probability(atoms, form, "atom")
+        self.atoms = atoms
+        self.weights = weights
+        self._pairs = frozenset(zip(atoms, weights))
+        self._form = form
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FinSuppMeasure":
         """Image measure under ``fn``; atoms with equal images merge."""
@@ -345,12 +382,27 @@ class FinSuppMeasure:
         return f"FinSuppMeasure({{{inner}}})"
 
 
+def _integer_dist(space: FiniteSpace, numerators: Collection[int], d: int) -> Dist:
+    """The distribution with weight ``n / d`` at each point, built from the
+    integers: its form is ``(numerators, d)`` in lowest terms
+    (:func:`_lowest`), and the mass check runs on it as in :class:`Dist`."""
+    numerators, d = form = _lowest(numerators, d)
+    dist = object.__new__(Dist)
+    object.__setattr__(dist, "space", space)
+    dist._keep(tuple(Fraction(n, d) if n else ZERO for n in numerators), form)
+    return dist
+
+
 def _image(pairs: Iterable[tuple[Hashable, int]], d: int) -> FinSuppMeasure:
     """The measure with weight ``n / d`` per ``(image, n)`` pair, the ``n``
     summed per image.  Images keep the order in which they first come with
-    a nonzero ``n``; a zero ``n`` adds nothing."""
+    a nonzero ``n``; a zero ``n`` adds nothing.  It is built from the
+    integers, like :func:`_integer_dist`."""
     merged: dict[Hashable, int] = {}
     for image, n in pairs:
         if n:
             merged[image] = merged.get(image, 0) + n
-    return FinSuppMeasure(tuple(merged), tuple(Fraction(n, d) for n in merged.values()))
+    numerators, d = form = _lowest(merged.values(), d)
+    measure = object.__new__(FinSuppMeasure)
+    measure._keep(tuple(merged), tuple(Fraction(n, d) for n in numerators), form)
+    return measure

@@ -14,7 +14,9 @@ forall    MIN    is strictly smaller (ties: first)    1
 The regime picks the fiber:
 
 * COUNTABLE scans the source points whose row equals the query exactly;
-  the witness is a point label;
+  the witness is a point label.  The query is looked up once in the
+  kernel's row -> class dict, and the scan reads the class of each point
+  (:attr:`~giryq.kernels.Kernel.row_partition`), in declaration order;
 * LP quantifies along the lifted kernel, whose fibers are polytopes, so
   the optimum is an exact linear program; the witness is a distribution,
   and it is certified exactly (it maps onto the query and its expectation
@@ -36,6 +38,7 @@ checks a staged answer against the quantifier along ``compose(outer,
 inner)``.  One memo, :func:`_pair`, keeps for the last 4 ``(inner,
 outer)`` pairs both parts that read neither predicate nor sense: stages 2
 and 3 of the chain and the composed kernel, neither built from the other.
+Kernels keep their hashes, so a memo lookup hashes no row.
 
 Read as a function of the query, a quantifier is a predicate on the
 simplex over the kernel's target, :class:`QuantifiedPredicate`, and its
@@ -137,9 +140,11 @@ def quantify(
     _same_space("query lives on", query.space, "the kernel lands in", kernel.target)
     if regime is Regime.COUNTABLE:
         best: Optional[tuple[Fraction, str]] = None
-        for x, row, value in zip(kernel.source.points, kernel.rows, pred.values):
-            if row == query and (best is None or _better(sense, value, best[0])):
-                best = (value, x)
+        c = kernel._class_of.get(query)
+        if c is not None:
+            for x, k, value in zip(kernel.source.points, kernel.row_partition[0], pred.values):
+                if k == c and (best is None or _better(sense, value, best[0])):
+                    best = (value, x)
         return _result(best, sense, regime)
     solution = lp_solve(_lifted_program(kernel, pred, query, sense))
     if solution.status is LpStatus.INFEASIBLE:

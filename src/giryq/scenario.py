@@ -403,7 +403,7 @@ def _doc(value: Any) -> Any:
     """``value`` in document form: a rational as its string, a ``Dist`` as
     its weights, and a tuple as the list of its entries in document form."""
     if isinstance(value, Dist):
-        value = value.weights
+        return [format_rational(w) for w in value.weights]
     if isinstance(value, tuple):
         return [_doc(v) for v in value]
     if isinstance(value, Fraction):

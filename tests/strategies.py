@@ -46,6 +46,18 @@ def wide_dists(draw, space):
     return Dist(space, tuple(weights))
 
 
+@st.composite
+def wide_pooled_kernels(draw):
+    """A kernel whose rows come from a pool of two or three wide
+    distributions, and a wide distribution on its source, often with zero
+    weights."""
+    sa = draw(spaces("A", min_size=3, max_size=6))
+    sb = draw(spaces("B", min_size=2, max_size=4))
+    pool = draw(st.lists(wide_dists(sb), min_size=2, max_size=3))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=len(sa), max_size=len(sa)))
+    return Kernel(sa, sb, tuple(Dist(sb, pool[i].weights) for i in picks)), draw(wide_dists(sa))
+
+
 def any_dists(space):
     """Small-denominator and wide distributions alike."""
     return st.one_of(dists(space), wide_dists(space))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
@@ -25,7 +29,11 @@ from giryq import (
     tv_norm,
 )
 
-from strategies import PRIMES, any_dists, dists, kernel_chains, kernels, spaces, wide_dists
+from strategies import (
+    PRIMES, any_dists, dists, kernel_chains, kernels, spaces, wide_dists, wide_pooled_kernels,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,18 +379,6 @@ def test_pooled_rows_compose_and_spread_like_the_reference(data):
     assert spread.atoms == tuple(merged) and spread.weights == tuple(merged.values())
 
 
-@st.composite
-def wide_pooled_kernels(draw):
-    """A kernel whose rows come from a pool of two or three wide
-    distributions, and a wide distribution on its source, often with zero
-    weights."""
-    sa = draw(spaces("A", min_size=3, max_size=6))
-    sb = draw(spaces("B", min_size=2, max_size=4))
-    pool = draw(st.lists(wide_dists(sb), min_size=2, max_size=3))
-    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=len(sa), max_size=len(sa)))
-    return Kernel(sa, sb, tuple(Dist(sb, pool[i].weights) for i in picks)), draw(wide_dists(sa))
-
-
 class TestImageMeasure:
     """``image_measure`` and ``FinSuppMeasure.map`` merge weights through one
     routine; they agree, and the merged weights are exact sums."""
@@ -408,3 +404,30 @@ class TestImageMeasure:
         assert merged.atoms == ("ac", "b")
         assert merged.weights == (F(q + 2 * p, p * q), rest)
         assert merged._form == ((q + 2 * p, p * q - q - 2 * p), p * q)
+
+
+def test_a_pickled_kernel_hashes_as_one_built_where_it_is_loaded():
+    # a kernel's hash reads its spaces' names and labels, whose string
+    # hashes differ between processes; loading rebuilds the kept hash
+    dump = (
+        "import pickle, sys\n"
+        "from giryq import Dist, FiniteSpace, Kernel\n"
+        "x, y = FiniteSpace('X', ('x1', 'x2')), FiniteSpace('Y', ('y1', 'y2'))\n"
+        "row = Dist(y, ('1/3', '2/3'))\n"
+        "sys.stdout.write(pickle.dumps(Kernel(x, y, (row, Dist.dirac(y, 'y1')))).hex())\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from giryq import Dist, FiniteSpace, Kernel\n"
+        "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "x, y = FiniteSpace('X', ('x1', 'x2')), FiniteSpace('Y', ('y1', 'y2'))\n"
+        "built = Kernel(x, y, (Dist(y, ('1/3', '2/3')), Dist.dirac(y, 'y1')))\n"
+        "print(loaded == built, hash(loaded) == hash(built), loaded.row_partition[0])\n"
+    )
+
+    def run(script, seed, stdin=""):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", script], input=stdin, env=env,
+                              capture_output=True, text=True, timeout=600, check=True).stdout
+
+    assert run(load, "2", run(dump, "1")) == "True True (0, 1)\n"

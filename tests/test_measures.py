@@ -36,12 +36,13 @@ from giryq import (
 )
 from giryq.kernels import compose, image_measure, lift, mixture
 from giryq.laws import tv_oracle
-from giryq.measures import combine_rows
+from giryq.measures import _cleared, _image, _integer_dist, _probability, combine_rows
 from giryq.predicates import LiftedPredicate, entails, expectation, substitute
 from giryq.quantifiers import exists_composite, exists_lifted, forall_fiber
 
 from strategies import (
-    PRIMES, any_dists, dist_pairs, dist_triples, predicates, spaces, weight_lists,
+    PRIMES, any_dists, dist_pairs, dist_triples, predicates, spaces, weight_lists, wide_dists,
+    wide_pooled_kernels,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -562,6 +563,7 @@ class TestIntegerForm:
     def test_fields_are_unchanged(self):
         assert [f.name for f in fields(Dist)] == ["space", "weights"]
         assert [f.name for f in fields(Predicate)] == ["space", "values"]
+        assert [f.name for f in fields(Kernel)] == ["source", "target", "rows"]
 
     @pytest.mark.parametrize("name", ["noisy_channel", "chain_and_laws"])
     def test_form_shows_in_neither_repr_nor_the_document(self, name):
@@ -587,3 +589,125 @@ class TestIntegerForm:
                                   capture_output=True, text=True, timeout=600, check=True)
             outputs.add(done.stdout)
         assert len(outputs) == 1
+
+
+class TestKeptHashes:
+    """A ``Dist`` and a ``Kernel`` keep their hashes from construction; the
+    values equal the hashes of what they are computed from."""
+
+    def test_hashes_are_kept_when_built(self, three_points, two_points):
+        row = Dist(two_points, (F(1, 3), F(2, 3)))
+        kernel = Kernel(three_points, two_points, (row, row, Dist.dirac(two_points, "y1")))
+        assert vars(row)["_hash"] == hash(row._form) == hash(row)
+        rows_hash = hash((three_points, two_points, kernel.rows))
+        assert vars(kernel)["_hash"] == rows_hash == hash(kernel)
+
+    def test_equal_kernels_built_separately_hash_equal(self):
+        def build():
+            source = FiniteSpace("X", ("x1", "x2", "x3"))
+            target = FiniteSpace("Y", ("y1", "y2"))
+            rows = [(F(1, 3), F(2, 3)), (F(1), F(0)), (F(1, 3), F(2, 3))]
+            return Kernel(source, target, tuple(Dist(target, w) for w in rows))
+
+        first, second = build(), build()
+        assert first is not second and first.rows[0] is not second.rows[0]
+        assert first == second and hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+
+
+def _measures_of_a_chain(inner, dist, outer):
+    """The distributions and the measure that ``compose``, ``lift``,
+    ``mixture`` and ``image_measure`` build along ``inner`` then ``outer``."""
+    spread = image_measure(inner, dist)
+    built = [*compose(outer, inner).rows, lift(inner)(dist), mixture(spread)]
+    return built, spread
+
+
+@st.composite
+def wide_chains(draw):
+    """A pooled wide kernel, a wide distribution on its source, and a wide
+    kernel from its target to itself."""
+    inner, dist = draw(wide_pooled_kernels())
+    target = inner.target
+    return inner, dist, Kernel(target, target, tuple(draw(wide_dists(target)) for _ in target.points))
+
+
+class TestIntegerBuilders:
+    """Mixtures and image measures are built from their integer sums; what
+    they build is what the constructors build from the same weights."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(wide_chains())
+    def test_built_values_equal_the_values_rebuilt_from_their_weights(self, chain):
+        built, spread = _measures_of_a_chain(*chain)
+        for dist in built:
+            assert dist._form == _reference_form(dist.weights)
+            assert all(type(w) is F for w in dist.weights)
+            rebuilt = Dist(dist.space, dist.weights)
+            assert rebuilt == dist and hash(rebuilt) == hash(dist)
+            assert (rebuilt._form, rebuilt._hash) == (dist._form, dist._hash)
+        assert spread._form == _reference_form(spread.weights)
+        rebuilt = FinSuppMeasure(spread.atoms, spread.weights)
+        assert rebuilt == spread and hash(rebuilt) == hash(spread)
+        assert (rebuilt.atoms, rebuilt.weights, rebuilt._form) == (
+            spread.atoms, spread.weights, spread._form
+        )
+
+    def test_a_common_factor_is_divided_out(self, two_points):
+        # 2/8 and 6/8 over 8 reduce to 1/4 and 3/4, whose lcm is 4
+        dist = _integer_dist(two_points, (2, 6), 8)
+        assert dist.weights == (F(1, 4), F(3, 4)) and dist._form == ((1, 3), 4)
+        assert dist == Dist(two_points, (F(1, 4), F(3, 4)))
+        spread = _image((("a", 2), ("b", 4), ("a", 2)), 8)
+        assert (spread.atoms, spread._form) == (("a", "b"), ((1, 1), 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_lists())
+    def test_builders_refuse_what_the_constructors_refuse(self, weights):
+        space = _points(len(weights))
+        numerators, d = _cleared(weights)
+        assert _refusal(_integer_dist, space, numerators, d) == _refusal(Dist, space, weights)
+        atoms = tuple(f"a{i}" for i in range(len(weights)))
+        assert _refusal(_image, zip(atoms, numerators), d) == _refusal(
+            FinSuppMeasure, atoms, weights
+        )
+
+    @pytest.mark.parametrize(
+        "weights, refusal",
+        [
+            ((F(1, 2), F(-1, 4), F(3, 4)),
+             (NegativeWeightError, "weight of point 'y2' is negative: -1/4")),
+            ((F(3, 4), F(3, 4), F(0)),
+             (MassNotOneError, "weights on space 'Y' sum to 3/2, expected 1")),
+        ],
+        ids=["negative", "three_halves"],
+    )
+    def test_the_shared_check_refuses_as_the_constructor_does(self, weights, refusal):
+        space = _points(len(weights))
+        form = _cleared(weights)
+        assert _refusal(_probability, space.points, form, "point", space) == refusal
+        assert _refusal(Dist, space, weights) == refusal
+        assert _refusal(_integer_dist, space, *form) == refusal
+
+    def test_builders_check_under_python_O(self, run_python):
+        code = (
+            "from giryq import FiniteSpace, GiryqError\n"
+            "from giryq.measures import _image, _integer_dist\n"
+            "space = FiniteSpace('Y', ('y1', 'y2', 'y3'))\n"
+            "for build, args in ((_integer_dist, (space, (2, -1, 3), 4)),\n"
+            "                    (_integer_dist, (space, (3, 3, 0), 4)),\n"
+            "                    (_image, ((('a', 3), ('b', -1)), 2)),\n"
+            "                    (_image, ((('a', 3), ('b', 3)), 4))):\n"
+            "    try:\n"
+            "        build(*args)\n"
+            "    except GiryqError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        done = run_python("-O", "-c", code)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().splitlines() == [
+            "NegativeWeightError weight of point 'y2' is negative: -1/4",
+            "MassNotOneError weights on space 'Y' sum to 3/2, expected 1",
+            "NegativeWeightError weight of atom 'b' is negative: -1/2",
+            "MassNotOneError weights sum to 3/2, expected 1",
+        ]

@@ -3,7 +3,9 @@ import random
 import textwrap
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from giryq import quantifiers
 from giryq import (
@@ -43,6 +45,8 @@ from giryq import lp as lp_module
 from giryq.laws import rand_dist, rand_kernel, rand_predicate, rand_space
 from giryq.lp import Sense
 from giryq.quantifiers import _lifted_constraints, _lifted_program
+
+from strategies import dists, spaces
 
 
 class TestFiberRegime:
@@ -92,6 +96,68 @@ class TestFiberRegime:
     def test_space_mismatch(self, channel, gain, three_points):
         with pytest.raises(SpaceMismatchError):
             exists_fiber(channel, gain, Dist.dirac(three_points, "x1"))
+
+
+def _fiber_reference(kernel, pred, query, sense):
+    """``(value, witness, feasible)`` of the fiber scan by its definition:
+    every point whose row equals the query, ties to the first."""
+    best = None
+    for x, row, value in zip(kernel.source.points, kernel.rows, pred.values):
+        if row == query and (
+            best is None or (value > best[0] if sense is Sense.MAX else value < best[0])
+        ):
+            best = (value, x)
+    if best is None:
+        return (F(0) if sense is Sense.MAX else F(1)), None, False
+    return (*best, True)
+
+
+@st.composite
+def tied_fibers(draw):
+    """A kernel whose rows repeat (each repeat a separate object), a
+    predicate with tied values, and a query on an equal but distinct
+    target space: a pooled row or any distribution."""
+    source = draw(spaces("S", min_size=2, max_size=7))
+    target = draw(spaces("T", max_size=3))
+    pool = draw(st.lists(dists(target), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=len(source), max_size=len(source)))
+    kernel = Kernel(source, target, tuple(Dist(target, row.weights) for row in picks))
+    values = st.sampled_from((F(0), F(1, 2), F(1)))
+    pred = Predicate(source, tuple(draw(values) for _ in source.points))
+    twin = FiniteSpace(target.name, target.points)
+    query = draw(st.one_of(st.sampled_from(pool), dists(target)))
+    return kernel, pred, Dist(twin, query.weights)
+
+
+class TestClassIndexedFiber:
+    """The fiber scan looks the query up among the row classes; it answers
+    as the loop over rows that compares each with the query."""
+
+    @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN], ids=["exists", "forall"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=tied_fibers())
+    def test_agrees_with_the_row_loop(self, sense, data):
+        kernel, pred, query = data
+        assert query.space is not kernel.target
+        result = quantify(kernel, pred, query, sense, Regime.COUNTABLE)
+        expected = _fiber_reference(kernel, pred, query, sense)
+        assert (result.value, result.witness, result.feasible) == expected
+
+    @pytest.mark.parametrize(
+        "sense, answer", [(Sense.MAX, (F(1), "s3")), (Sense.MIN, (F(1, 4), "s2"))],
+        ids=["exists", "forall"],
+    )
+    def test_ties_and_an_equal_space_object(self, two_points, sense, answer):
+        source = FiniteSpace("S", ("s1", "s2", "s3", "s4", "s5"))
+        a, b = (F(1, 3), F(2, 3)), (F(1), F(0))
+        kernel = Kernel(source, two_points, tuple(Dist(two_points, w) for w in (b, a, a, b, a)))
+        pred = Predicate(source, (F(1), F(1, 4), F(1), F(1), F(1, 4)))
+        query = Dist(FiniteSpace("Y", ("y1", "y2")), a)
+        result = quantify(kernel, pred, query, sense, Regime.COUNTABLE)
+        assert (result.value, result.witness, result.feasible) == (*answer, True)
+        assert (result.value, result.witness, result.feasible) == _fiber_reference(
+            kernel, pred, query, sense
+        )
 
 
 class TestLiftedRegime:
@@ -445,6 +511,24 @@ class TestComposite:
         ):
             exists_composite(inner, identity_kernel(sx), pred, Dist.dirac(sx, "x1"))
 
+
+    def test_a_warm_pair_lookup_hashes_no_row(self, monkeypatch):
+        inner, outer, _ = self._chain()
+        quantifiers._pair(inner, outer)
+        hashed = []
+        unpatched = Dist.__hash__
+
+        def counting(dist):
+            hashed.append(dist)
+            return unpatched(dist)
+
+        monkeypatch.setattr(Dist, "__hash__", counting)
+        hash(inner.rows[0])
+        assert hashed == [inner.rows[0]]  # the counter sees a row's hash
+        hashed.clear()
+        quantifiers._pair(inner, outer)
+        assert quantifiers._pair.cache_info().hits == 1
+        assert hashed == []
 
 def fresh(lp):
     """The same program with constraints of its own: nothing shared."""
