@@ -29,10 +29,17 @@ predicate, and simplex phase 1 reads neither.  The fiber's constraints
 predicate, solve phase 1 once and share it.  Each answer is the one a
 fresh solve gives, pivot count included.
 
+Both COUNTABLE optima, over one fiber and along a composite, are decided
+on the predicate's integer numerators (``Predicate._form``), which share
+one positive denominator and so order and tie as its values do.  One
+routine, :func:`_best_per_key`, scans ``(numerator, point index)``
+candidates for both; the winning index is read back as its value and
+label once, at the end.
+
 The named ``exists_*``/``forall_*`` functions are one-line entries into
 the core.  ``exists_composite``/``forall_composite`` call
 :func:`_composite`, which nests through row classes, image measures and
-mixtures, merging with the same comparison and empty-fiber values.
+mixtures, merging with the same routine and empty-fiber values.
 :func:`check_composite`, which the CLI and the ``composites`` suite call,
 checks a staged answer against the quantifier along ``compose(outer,
 inner)``.  One memo, :func:`_pair`, keeps for the last 4 ``(inner,
@@ -53,6 +60,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
+from operator import gt, lt
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateError, ProbeSetIncompleteError
@@ -87,16 +96,34 @@ class QuantifierResult:
 _EMPTY_VALUE = {Sense.MAX: ZERO, Sense.MIN: ONE}
 
 
-def _better(sense: Sense, a: Fraction, b: Fraction) -> bool:
-    """Strictly better in ``sense``; ties keep the first candidate seen."""
-    return a > b if sense is Sense.MAX else a < b
-
-
 def _result(best: Optional[tuple], sense: Sense, regime: Regime) -> QuantifierResult:
     """The optimum ``(value, witness)``, or the extension value if the fiber is empty."""
     if best is None:
         return QuantifierResult(_EMPTY_VALUE[sense], None, regime, False)
     return QuantifierResult(*best, regime, True)
+
+
+def _best_per_key(
+    sense: Sense, entries: Iterable[tuple[Hashable, tuple[int, int]]]
+) -> dict[Hashable, tuple[int, int]]:
+    """Keep, per key, the best ``(numerator, index)`` in ``sense``; ties keep the first.
+
+    The numerators are a predicate's, over its one positive denominator
+    (``Predicate._form``), so they order and tie as its values do.
+    """
+    better = gt if sense is Sense.MAX else lt
+    table: dict[Hashable, tuple[int, int]] = {}
+    for key, best in entries:
+        if key not in table or better(best[0], table[key][0]):
+            table[key] = best
+    return table
+
+
+def _read_back(
+    best: Optional[tuple[int, int]], pred: Predicate, kernel: Kernel
+) -> Optional[tuple[Fraction, str]]:
+    """The winning ``(numerator, index)`` as ``(value, point label)``."""
+    return None if best is None else (pred.values[best[1]], kernel.source.points[best[1]])
 
 
 @lru_cache(maxsize=32)
@@ -139,13 +166,13 @@ def quantify(
     _same_space("predicate lives on", pred.space, "the kernel starts at", kernel.source)
     _same_space("query lives on", query.space, "the kernel lands in", kernel.target)
     if regime is Regime.COUNTABLE:
-        best: Optional[tuple[Fraction, str]] = None
+        best = None
         c = kernel._class_of.get(query)
         if c is not None:
-            for x, k, value in zip(kernel.source.points, kernel.row_partition[0], pred.values):
-                if k == c and (best is None or _better(sense, value, best[0])):
-                    best = (value, x)
-        return _result(best, sense, regime)
+            numerators = pred._form[0]
+            fiber = compress(count(), map(c.__eq__, kernel.row_partition[0]))
+            best = _best_per_key(sense, ((c, (numerators[i], i)) for i in fiber))[c]
+        return _result(_read_back(best, pred, kernel), sense, regime)
     solution = lp_solve(_lifted_program(kernel, pred, query, sense))
     if solution.status is LpStatus.INFEASIBLE:
         return _result(None, sense, regime)
@@ -291,17 +318,6 @@ def check_galois(
     )
 
 
-def _best_per_key(
-    sense: Sense, entries: Iterable[tuple[Hashable, tuple[Fraction, str]]]
-) -> dict[Hashable, tuple[Fraction, str]]:
-    """Keep, per key, the best ``(value, witness)`` in ``sense``; ties keep the first."""
-    table: dict[Hashable, tuple[Fraction, str]] = {}
-    for key, best in entries:
-        if key not in table or _better(sense, best[0], table[key][0]):
-            table[key] = best
-    return table
-
-
 @lru_cache(maxsize=4)
 def _pair(inner: Kernel, outer: Kernel) -> tuple[tuple[tuple[FinSuppMeasure, Dist], ...], Kernel]:
     """``(stages, compose(outer, inner))``, kept for the last 4 pairs.
@@ -324,14 +340,15 @@ def _composite(
 ) -> QuantifierResult:
     """Nest a quantifier through the chain point -> row -> spread -> mixture.
 
-    Each stage rekeys the table before it and keeps the best ``(value,
-    witness)`` per new key (:func:`_best_per_key`): 1. the fiber table,
-    each row class of ``inner`` (:attr:`Kernel.row_partition`) with the
-    best predicate value among its points, computed per call; 2.
+    Each stage rekeys the table before it and keeps the best ``(numerator,
+    index)`` per new key (:func:`_best_per_key`): 1. the fiber table, each
+    row class of ``inner`` (:attr:`Kernel.row_partition`) with the best of
+    its points by the predicate's numerator, computed per call; 2.
     :func:`image_measure` of the class's row along ``outer``, a finitely
     supported measure over distributions; 3. its :func:`mixture`, a row of
     the composed kernel.  Stages 2 and 3 read neither ``pred`` nor
     ``sense``; their keys come from :func:`_pair`, kept per pair.
+    The winner at the query is read back as its value and point label.
     Unreachable intermediate values never arise: off-image points carry the
     extension constant, which can never beat an occupied fiber in the
     direction being optimized, so only reachable intermediates matter.
@@ -339,12 +356,11 @@ def _composite(
     _same_space("predicate lives on", pred.space, "the chain starts at", inner.source)
     _same_space("query lives on", query.space, "the chain lands in", outer.target)
     _same_space("inner lands in", inner.target, "outer starts at", outer.source)
-    classes = inner.row_partition[0]
-    fibers = _best_per_key(sense, zip(classes, zip(pred.values, inner.source.points)))
+    fibers = _best_per_key(sense, zip(inner.row_partition[0], zip(pred._form[0], count())))
     stages = _pair(inner, outer)[0]
     spreads = _best_per_key(sense, ((stages[c], b) for c, b in fibers.items()))
     mixtures = _best_per_key(sense, ((row, b) for (_, row), b in spreads.items()))
-    return _result(mixtures.get(query), sense, Regime.COUNTABLE)
+    return _result(_read_back(mixtures.get(query), pred, inner), sense, Regime.COUNTABLE)
 
 
 def exists_composite(

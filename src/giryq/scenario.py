@@ -401,9 +401,11 @@ def load_scenario(path: str) -> Scenario:
 
 def _doc(value: Any) -> Any:
     """``value`` in document form: a rational as its string, a ``Dist`` as
-    its weights, and a tuple as the list of its entries in document form."""
+    its weights, and a tuple as the list of its entries in document form.
+
+    A ``Dist``'s weights are ``Fraction``s, so each is its own ``str``."""
     if isinstance(value, Dist):
-        return [format_rational(w) for w in value.weights]
+        return list(map(str, value.weights))
     if isinstance(value, tuple):
         return [_doc(v) for v in value]
     if isinstance(value, Fraction):

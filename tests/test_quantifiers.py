@@ -36,8 +36,10 @@ from giryq import (
     forall_fiber,
     forall_lifted,
     identity_kernel,
+    image_measure,
     lift,
     lp_solve,
+    mixture,
     quantify,
     substitute,
 )
@@ -46,7 +48,7 @@ from giryq.laws import rand_dist, rand_kernel, rand_predicate, rand_space
 from giryq.lp import Sense
 from giryq.quantifiers import _lifted_constraints, _lifted_program
 
-from strategies import dists, spaces
+from strategies import PRIMES, dists, predicates, spaces
 
 
 class TestFiberRegime:
@@ -113,19 +115,26 @@ def _fiber_reference(kernel, pred, query, sense):
 
 
 @st.composite
+def pooled_kernels(draw, source, target):
+    """A kernel whose rows come from a pool of one to three distributions,
+    each repeat a separate object, so row classes hold several points."""
+    pool = draw(st.lists(dists(target), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=len(source), max_size=len(source)))
+    return Kernel(source, target, tuple(Dist(target, row.weights) for row in picks))
+
+
+@st.composite
 def tied_fibers(draw):
     """A kernel whose rows repeat (each repeat a separate object), a
     predicate with tied values, and a query on an equal but distinct
     target space: a pooled row or any distribution."""
     source = draw(spaces("S", min_size=2, max_size=7))
     target = draw(spaces("T", max_size=3))
-    pool = draw(st.lists(dists(target), min_size=1, max_size=3))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=len(source), max_size=len(source)))
-    kernel = Kernel(source, target, tuple(Dist(target, row.weights) for row in picks))
+    kernel = draw(pooled_kernels(source, target))
     values = st.sampled_from((F(0), F(1, 2), F(1)))
     pred = Predicate(source, tuple(draw(values) for _ in source.points))
     twin = FiniteSpace(target.name, target.points)
-    query = draw(st.one_of(st.sampled_from(pool), dists(target)))
+    query = draw(st.one_of(st.sampled_from(kernel.rows), dists(target)))
     return kernel, pred, Dist(twin, query.weights)
 
 
@@ -158,6 +167,108 @@ class TestClassIndexedFiber:
         assert (result.value, result.witness, result.feasible) == _fiber_reference(
             kernel, pred, query, sense
         )
+
+
+def _near_tie(p, q):
+    """``(a/p, b/q)`` in [0, 1], ``1/(p*q)`` apart, for coprime ``p`` and ``q``."""
+    a = pow(q, -1, p)  # a*q - 1 is b*p, so a/p - b/q is 1/(p*q)
+    return F(a, p), F((a * q - 1) // p, q)
+
+
+@st.composite
+def close_predicates(draw, space):
+    """Values over wide coprime denominators (``PRIMES``), two of them
+    ``1/(p*q)`` apart and some exactly tied."""
+    values = list(draw(predicates(space, dens=st.sampled_from(PRIMES))).values)
+    p, q = draw(st.lists(st.sampled_from(PRIMES), min_size=2, max_size=2, unique=True))
+    index = st.integers(min_value=0, max_value=len(values) - 1)
+    for value in _near_tie(p, q):
+        values[draw(index)] = value
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        values[draw(index)] = values[draw(index)]
+    return Predicate(space, tuple(values))
+
+
+@st.composite
+def close_fibers(draw):
+    """A kernel with repeated rows, a close predicate and a query: one of
+    the rows or any distribution."""
+    source = draw(spaces("S", min_size=2, max_size=7))
+    kernel = draw(pooled_kernels(source, draw(spaces("T", max_size=3))))
+    query = draw(st.one_of(st.sampled_from(kernel.rows), dists(kernel.target)))
+    return kernel, draw(close_predicates(source)), query
+
+
+@st.composite
+def close_chains(draw):
+    """Two kernels with repeated rows, so row classes, spreads and mixtures
+    merge; a close predicate; and a query: a composed row or any
+    distribution."""
+    sx = draw(spaces("X", min_size=2, max_size=7))
+    sy = draw(spaces("Y", max_size=3))
+    sz = draw(spaces("Z", max_size=3))
+    inner = draw(pooled_kernels(sx, sy))
+    outer = draw(pooled_kernels(sy, sz))
+    query = draw(st.one_of(st.sampled_from(compose(outer, inner).rows), dists(sz)))
+    return inner, outer, draw(close_predicates(sx)), query
+
+
+def _staged_reference(inner, outer, pred, query, sense):
+    """``(value, witness, feasible)`` of the staged nesting by its
+    definition, every choice a ``Fraction`` comparison: the best point per
+    row of ``inner``, per image measure along ``outer``, per mixture, ties
+    to the first."""
+
+    def keep(entries):
+        table = {}
+        for key, (value, x) in entries:
+            if key not in table or (
+                value > table[key][0] if sense is Sense.MAX else value < table[key][0]
+            ):
+                table[key] = (value, x)
+        return table
+
+    rows = keep(zip(inner.rows, zip(pred.values, inner.source.points)))
+    spreads = keep((image_measure(outer, row), b) for row, b in rows.items())
+    best = keep((mixture(spread), b) for spread, b in spreads.items()).get(query)
+    if best is None:
+        return (F(0) if sense is Sense.MAX else F(1)), None, False
+    return (*best, True)
+
+
+class TestNumeratorOptima:
+    """Optima are decided on the predicate's integer numerators; over wide
+    coprime denominators, near-ties and exact ties they choose as
+    ``Fraction`` comparisons do."""
+
+    @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN], ids=["exists", "forall"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=close_fibers())
+    def test_the_fiber_scan_agrees_with_the_fraction_loop(self, sense, data):
+        kernel, pred, query = data
+        result = quantify(kernel, pred, query, sense, Regime.COUNTABLE)
+        expected = _fiber_reference(kernel, pred, query, sense)
+        assert (result.value, result.witness, result.feasible) == expected
+
+    @pytest.mark.parametrize("sense", [Sense.MAX, Sense.MIN], ids=["exists", "forall"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=close_chains())
+    def test_the_staged_composite_agrees_with_the_fraction_loop(self, sense, data):
+        inner, outer, pred, query = data
+        result, failure = check_composite(inner, outer, pred, query, sense)
+        expected = _staged_reference(inner, outer, pred, query, sense)
+        assert (result.value, result.witness, result.feasible) == expected
+        assert failure is None
+
+    def test_a_near_tie_is_decided(self, two_points):
+        source = FiniteSpace("S", ("s1", "s2", "s3"))
+        high, low = _near_tie(PRIMES[0], PRIMES[1])
+        assert high - low == F(1, PRIMES[0] * PRIMES[1])
+        row = Dist(two_points, (F(1, 2), F(1, 2)))
+        kernel = Kernel(source, two_points, (row,) * 3)
+        pred = Predicate(source, (low, high, low))
+        assert exists_fiber(kernel, pred, row).witness == "s2"
+        assert forall_fiber(kernel, pred, row).witness == "s1"
 
 
 class TestLiftedRegime:
@@ -529,6 +640,38 @@ class TestComposite:
         quantifiers._pair(inner, outer)
         assert quantifiers._pair.cache_info().hits == 1
         assert hashed == []
+
+    def test_a_warm_compose_makes_no_fraction_order_comparison(self, monkeypatch):
+        rng = random.Random("warm-compose")
+        sx = rand_space(rng, "X", min_size=64, max_size=64)
+        sy = rand_space(rng, "Y", min_size=8, max_size=8)
+        sz = rand_space(rng, "Z", min_size=8, max_size=8)
+        # rows drawn from small pools, so classes, spreads and mixtures merge
+        inner_pool = [rand_dist(rng, sy) for _ in range(8)]
+        outer_pool = [rand_dist(rng, sz) for _ in range(4)]
+        inner = Kernel(sx, sy, tuple(rng.choice(inner_pool) for _ in sx.points))
+        outer = Kernel(sy, sz, tuple(rng.choice(outer_pool) for _ in sy.points))
+        pred = rand_predicate(rng, sx)
+        query = compose(outer, inner).rows[0]
+        for sense in (Sense.MAX, Sense.MIN):
+            check_composite(inner, outer, pred, query, sense)
+        compared = []
+        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+            unpatched = getattr(F, name)
+
+            def counting(a, b, unpatched=unpatched):
+                compared.append((a, b))
+                return unpatched(a, b)
+
+            monkeypatch.setattr(F, name, counting)
+        assert F(1, 3) < F(1, 2)
+        assert compared == [(F(1, 3), F(1, 2))]  # the counter sees a comparison
+        compared.clear()
+        for sense in (Sense.MAX, Sense.MIN):
+            result, failure = check_composite(inner, outer, pred, query, sense)
+            assert result.feasible and failure is None
+        assert quantifiers._pair.cache_info().misses == 1
+        assert compared == []
 
 def fresh(lp):
     """The same program with constraints of its own: nothing shared."""
