@@ -29,19 +29,22 @@ objective, an entry past the float range, the pivot cap), which every
 simplex stage reports as the status None of its :class:`_Tableau`; an
 artificial column left in the basis; a singular or rejected basis; or an
 unbounded program.  That exact path is the reference the tests compare
-against.  Either way the optimum and the returned vertex are exact.
+against.  Either way the optimum and the returned vertex are exact, and a
+last check apart from the certificate tests ``A x = b`` and ``x >= 0``: in
+integers for a guided vertex, in ``Fraction``s for the exact path's.
 
 Phase 1 reads only ``A`` and ``b``, never the objective or the sense.  So
 everything derived from them alone is computed once per constraint system
 and kept in the :class:`Constraints` that each :class:`LinearProgram`
 carries: ``A`` and ``b`` converted and checked, the standard form with each
-row whose ``b`` is negative flipped, and, on first use, the guide's phase-1
-start (the tableau after the artificial columns are driven out), the exact
-path's (built only when a solve falls back) and the certificate's integer
-scaling.  All three read the standard form, so an artificial column is a
-plain unit vector.  Phase 2 works on a copy of a start.  Programs built
-with the same ``Constraints`` share all of it; :mod:`giryq.quantifiers`
-keeps one per fiber for the last 32 fibers.
+row whose ``b`` is negative flipped, and, on first use, its integer form
+(the certificate's scaling; a lifted program passes it ready made), the
+guide's phase-1 start (the tableau after the artificial columns are driven
+out) from a float copy of the integer form, and the exact path's (built
+only when a solve falls back).  All three read the standard form, so an
+artificial column is a plain unit vector.  Phase 2 works on a copy of a
+start.  Programs built with the same ``Constraints`` share all of it;
+:mod:`giryq.quantifiers` keeps one per fiber for the last 32 fibers.
 
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
@@ -98,6 +101,11 @@ class LinearProgram:
             raise ValueError("the constraints describe another system A x = b")
         object.__setattr__(self, "matrix", self.constraints.matrix)
         object.__setattr__(self, "rhs", self.constraints.rhs)
+
+    @cached_property
+    def integer_objective(self) -> tuple[list[int], int]:
+        """``(c, d_c)``: the objective times ``d_c``, the lcm of its denominators."""
+        return _cleared(self.objective)
 
 
 @dataclass(frozen=True)
@@ -286,17 +294,9 @@ def _phase2(
     return _Tableau(status, tuple(rows), tuple(rhs), tuple(basis), pivots, column)
 
 
-def _min_cost(lp: LinearProgram, num) -> list:
-    """The objective as a cost to minimize, each entry converted by ``num``."""
-    cost = [num(c) for c in lp.objective]
-    return cost if lp.sense is Sense.MIN else [-c for c in cost]
-
-
-def _as_float(a: Fraction) -> float:
-    """``float(a)``, the same rounding and the same ``OverflowError`` past
-    the float range, without the dispatch of ``numbers.Rational.__float__``.
-    """
-    return a.numerator / a.denominator
+def _min_cost(lp: LinearProgram, objective: Iterable) -> list:
+    """The program's ``objective``, in any number type, as a cost to minimize."""
+    return list(objective) if lp.sense is Sense.MIN else [-c for c in objective]
 
 
 class Constraints:
@@ -307,11 +307,15 @@ class Constraints:
     ``b`` as exact rationals, and ``standard_form`` is ``(rows, rhs)`` with
     each row whose ``b`` is negative negated; that flips the sign of the
     row's dual value and nothing else, so the certificate decides as it
-    would on ``A``.  The other parts are computed on first use and kept;
-    all are immutable, so programs of any sense and objective share them.
+    would on ``A``.  An :attr:`integer_form` passed in is kept as given.
+    The other parts are computed on first use and kept; all are
+    immutable, so programs of any sense and objective share them.
     """
 
-    def __init__(self, n: int, matrix: Iterable[Iterable], rhs: Iterable) -> None:
+    def __init__(
+        self, n: int, matrix: Iterable[Iterable], rhs: Iterable,
+        integer_form: Optional[tuple] = None,
+    ) -> None:
         matrix, rhs = tuple(map(_as_fractions, matrix)), _as_fractions(rhs)
         if len(matrix) != len(rhs):
             raise DimensionMismatchError(
@@ -327,13 +331,16 @@ class Constraints:
             tuple(tuple(-a for a in row) if b < 0 else row for row, b in zip(matrix, rhs)),
             tuple(-b if b < 0 else b for b in rhs),
         )
+        if integer_form is not None:
+            self.integer_form = integer_form
 
     @cached_property
     def guide_start(self) -> _Tableau:
-        """Phase 1 in floats, within the guide's pivot cap."""
-        rows, rhs = self.standard_form
+        """Phase 1 in floats, within the guide's pivot cap; each ``n / d``
+        rounds, and overflows, as ``float`` of the ``Fraction``."""
+        rows, d, b, d_b = self.integer_form
         try:
-            rows, rhs = [[_as_float(a) for a in row] for row in rows], [_as_float(b) for b in rhs]
+            rows, rhs = [[a / dj for a, dj in zip(row, d)] for row in rows], [v / d_b for v in b]
         except OverflowError:  # an entry beyond the float range
             return _Tableau(None)
         return _phase1(rows, rhs, self.n, 1.0, _TOL, _guide_cap(len(rows), self.n))
@@ -345,7 +352,7 @@ class Constraints:
         return _phase1(list(map(list, rows)), list(rhs), self.n, Fraction(1))
 
     @cached_property
-    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list, int]:
+    def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple, int]:
         """``(rows, d, b, d_b)``: the standard form in integers, column ``j``
         of ``A`` times ``d[j]`` and ``b`` times ``d_b``, each the lcm of its
         denominators.  Rows stay unscaled: a lifted program's row mixes every
@@ -355,7 +362,8 @@ class Constraints:
         # both counted out, so a program with no rows or no columns keeps the other
         cleared = [_cleared([row[j] for row in matrix]) for j in range(self.n)]
         rows = tuple(tuple(column[i] for column, _ in cleared) for i in range(len(matrix)))
-        return (rows, tuple(dj for _, dj in cleared), *_cleared(rhs))
+        b, d_b = _cleared(rhs)
+        return rows, tuple(dj for _, dj in cleared), tuple(b), d_b
 
 
 def _propose(lp: LinearProgram) -> _Tableau:
@@ -366,8 +374,9 @@ def _propose(lp: LinearProgram) -> _Tableau:
     # would refuse any basis that leaves a column out: skip the guide
     if not any(lp.objective):
         return _Tableau(None)
+    c, d_c = lp.integer_objective
     try:
-        cost = _min_cost(lp, _as_float)
+        cost = [v / d_c for v in _min_cost(lp, c)]
     except OverflowError:  # an entry beyond the float range
         return _Tableau(None)
     start = lp.constraints.guide_start
@@ -435,28 +444,24 @@ def _dual(
     return det, yz, reduced
 
 
-def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[list[Fraction]]:
-    """The basic solution of ``basis`` if it is the program's only optimum."""
+def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """``(det, z)`` with ``B (z / det) = b`` over :attr:`Constraints.integer_form`,
+    if the basic solution of ``basis`` is the program's only optimum."""
     if len(basis) != len(lp.rhs):  # a redundant row was dropped
         return None
     matrix = _integer_basis(lp, basis)
-    _, d, b, d_b = lp.constraints.integer_form
-    primal = _integer_solve(matrix, b)
+    primal = _integer_solve(matrix, lp.constraints.integer_form[2])
     if primal is None:
         return None
     det, z = primal
     if any(zk * det < 0 for zk in z):  # x_B = d_B z / (det d_b) must be >= 0
         return None
-    cost = _cleared(_min_cost(lp, lambda c: c))[0]
     # B is not singular, so neither is B^T
-    det_y, _, reduced = _dual(lp, matrix, basis, cost)
+    det_y, _, reduced = _dual(lp, matrix, basis, _min_cost(lp, lp.integer_objective[0]))
     basic = set(basis)
     if any(c * det_y <= 0 for j, c in enumerate(reduced) if j not in basic):
         return None
-    point = [ZERO] * len(lp.objective)
-    for j, zk in zip(basis, z):
-        point[j] = Fraction(d[j] * zk, det * d_b)
-    return point
+    return det, z
 
 
 def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
@@ -474,7 +479,8 @@ def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
     return all(c * det >= 0 for c in reduced)
 
 
-def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int, guided: bool) -> LpSolution:
+def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int) -> LpSolution:
+    """The exact path's answer at ``point``, checked against ``A x = b``."""
     # the solution must satisfy the original system exactly; a vertex is
     # mostly zeros, and zero coordinates add nothing to a row
     support = [j for j, x in enumerate(point) if x]
@@ -484,7 +490,26 @@ def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int, guided: bool
     if not all(x >= 0 for x in point):
         raise CertificateError("vertex has a negative coordinate")
     value = sum((lp.objective[j] * point[j] for j in support), ZERO)
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=guided)
+    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots)
+
+
+def _guided_optimal(
+    lp: LinearProgram, basis: Sequence[int], det: int, z: list[int], pivots: int
+) -> LpSolution:
+    """The guide's answer at its certified vertex, checked in integers: the
+    point ``x_j = d_j z_k / (det d_b)``, ``j = basis[k]``, meets every row."""
+    rows, d, b, d_b = lp.constraints.integer_form
+    for i, (row, bi) in enumerate(zip(rows, b)):
+        if sum(row[j] * zk for j, zk in zip(basis, z)) != det * bi:
+            raise CertificateError(f"vertex violates constraint row {i}")
+    if any(zk * det < 0 for zk in z):
+        raise CertificateError("vertex has a negative coordinate")
+    c, d_c = lp.integer_objective
+    point = [ZERO] * len(d)
+    for j, zk in zip(basis, z):
+        point[j] = Fraction(d[j] * zk, det * d_b)
+    value = Fraction(sum(c[j] * d[j] * zk for j, zk in zip(basis, z)), d_c * det * d_b)
+    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=True)
 
 
 def _exact(lp: LinearProgram) -> LpSolution:
@@ -498,7 +523,7 @@ def _exact(lp: LinearProgram) -> LpSolution:
         raise CertificateError("phase-1 objective is bounded below by zero")
     if start.status is LpStatus.INFEASIBLE:
         return LpSolution(status=LpStatus.INFEASIBLE, pivots=start.pivots)
-    final = _phase2(start, _min_cost(lp, Fraction), _bland)
+    final = _phase2(start, _min_cost(lp, lp.objective), _bland)
     if final.status is LpStatus.UNBOUNDED:
         ray = [ZERO] * n
         ray[final.column] = Fraction(1)
@@ -508,7 +533,7 @@ def _exact(lp: LinearProgram) -> LpSolution:
     point = [ZERO] * n
     for b, x in zip(final.basis, final.rhs):
         point[b] = x
-    return _optimal(lp, point, final.pivots, guided=False)
+    return _optimal(lp, point, final.pivots)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -522,9 +547,9 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     """
     guide = _propose(lp)
     if guide.status is LpStatus.OPTIMAL:
-        point = _certified_vertex(lp, guide.basis)
-        if point is not None:
-            return _optimal(lp, point, guide.pivots, guided=True)
+        vertex = _certified_vertex(lp, guide.basis)
+        if vertex is not None:
+            return _guided_optimal(lp, guide.basis, *vertex, guide.pivots)
     elif guide.status is LpStatus.INFEASIBLE and _certified_infeasible(lp, guide.basis):
         return LpSolution(status=LpStatus.INFEASIBLE, pivots=guide.pivots, guided=True)
     exact = _exact(lp)

@@ -27,7 +27,10 @@ predicate, and simplex phase 1 reads neither.  The fiber's constraints
 (:class:`~giryq.lp.Constraints`) are kept for the last 32 distinct
 ``(kernel, query)`` pairs, so both quantifiers over one fiber, for any
 predicate, solve phase 1 once and share it.  Each answer is the one a
-fresh solve gives, pivot count included.
+fresh solve gives, pivot count included.  The constraints take their
+integer form from the kernel rows' and the query's (``Dist._form``), so
+the guide's float copy, the certificate and its re-check read integers
+that no step clears again.
 
 Both COUNTABLE optima, over one fiber and along a composite, are decided
 on the predicate's integer numerators (``Predicate._form``), which share
@@ -132,13 +135,19 @@ def _lifted_constraints(kernel: Kernel, query: Dist) -> Constraints:
     the mixture of rows must hit the query.  Total mass 1 is implied
     because every matrix column sums to 1.
 
-    Kept for the last 32 ``(kernel, query)`` pairs, so programs over one
-    fiber, in either sense and for any predicate, share their phase 1.
+    Column ``x`` of ``A`` is row ``x`` of the kernel, so the rows' integer
+    forms ``(numerators, d)`` are the columns of the program's integer form,
+    and the query's is its ``b``; no entry is cleared again.  Kept for the
+    last 32 ``(kernel, query)`` pairs, so programs over one fiber, in either
+    sense and for any predicate, share their phase 1.
     """
-    matrix = tuple(
-        tuple(row.weights[j] for row in kernel.rows) for j in range(len(kernel.target))
-    )
-    return Constraints(len(kernel.source), matrix, query.weights)
+    rows, m = kernel.rows, len(kernel.target)
+    # zip(*...) transposes; a kernel on an empty space has no row to
+    # transpose, and its A has m empty rows
+    matrix = tuple(zip(*(row.weights for row in rows))) or ((),) * m
+    numerators = tuple(zip(*(row._form[0] for row in rows))) or ((),) * m
+    integer_form = (numerators, tuple(row._form[1] for row in rows), *query._form)
+    return Constraints(len(kernel.source), matrix, query.weights, integer_form)
 
 
 def _lifted_program(kernel: Kernel, pred: Predicate, query: Dist, sense: Sense) -> LinearProgram:

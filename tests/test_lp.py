@@ -362,7 +362,8 @@ def test_dantzig_cycle_reaches_the_cap_and_blands_vertex_stands():
     lp = CLASSIC_CYCLING
     rows, rhs = lp.constraints.standard_form
     rows, rhs = [[float(a) for a in row] for row in rows], [float(b) for b in rhs]
-    cost, basis, cap = lp_module._min_cost(lp, float), [4, 5, 6], lp_module._guide_cap(3, 7)
+    cost = lp_module._min_cost(lp, map(float, lp.objective))
+    basis, cap = [4, 5, 6], lp_module._guide_cap(3, 7)
     assert lp_module._iterate(
         cost, rows, rhs, basis, lp_module._dantzig, lp_module._TOL, 0, cap
     ) == (None, cap, None)
@@ -386,7 +387,7 @@ def test_dantzig_guide_certifies_where_blands_rule_stalls():
     lp = _lifted_program(kernel, rand_predicate(rng, source), query, Sense.MIN)
     start = lp.constraints.guide_start
     assert start.status is LpStatus.OPTIMAL
-    cost = lp_module._min_cost(lp, float)
+    cost = lp_module._min_cost(lp, map(float, lp.objective))
     cap = lp_module._guide_cap(len(lp.rhs), len(cost))
     final = lp_module._phase2(start, cost, lp_module._bland, lp_module._TOL, cap)
     assert (final.status, final.pivots) == (None, cap)
@@ -549,6 +550,65 @@ def test_wrong_guide_basis_is_refused_under_python_O(run_python):
     assert done.stdout.decode() == 2 * expected
 
 
+def test_corrupted_certificate_vertex_is_refused_under_python_O(run_python):
+    # the integer re-check of a guided answer is independent of the
+    # certificate: a vertex (det, z) altered after it fails the re-check
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction as F
+        from giryq import CertificateError, LinearProgram, Sense, lp_solve
+        from giryq import lp as lp_module
+
+        blend = LinearProgram(
+            objective=(F(1, 2), F(3, 5), F(9, 10)),
+            matrix=((F(1), F(1, 2), F(3, 10)), (F(0), F(1, 2), F(7, 10))),
+            rhs=(F(7, 10), F(3, 10)),
+            sense=Sense.MIN,
+        )
+        print(lp_solve(blend).guided)
+        certify = lp_module._certified_vertex
+        for k in range(2):
+            def corrupted(lp, basis, k=k):
+                det, z = certify(lp, basis)
+                return det, [zk + (i == k) for i, zk in enumerate(z)]
+            lp_module._certified_vertex = corrupted
+            try:
+                print(lp_solve(blend))
+            except CertificateError as refused:
+                print(refused)
+        """
+    )
+    done = run_python("-O", "-c", code)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == "True\n" + 2 * "vertex violates constraint row 0\n"
+
+
+def test_integer_recheck_reads_the_standard_form_of_flipped_rows():
+    # a row with b < 0 is negated in the standard form, which the integer
+    # form and so the re-check read: the certified vertex must pass it
+    lp = LinearProgram(
+        objective=(F(1, 2), F(3, 5), F(9, 10)),
+        matrix=((F(1), F(1, 2), F(3, 10)), (F(0), F(-1, 2), F(-7, 10))),
+        rhs=(F(7, 10), F(-3, 10)),
+        sense=Sense.MIN,
+    )
+    assert lp.constraints.integer_form[2] == (7, 3)
+    solution = lp_solve(lp)
+    assert solution.guided
+    assert (solution.value, solution.point) == (F(14, 25), (F(2, 5), F(3, 5), F(0)))
+    # and on random programs with flipped rows, each guided optimum is the
+    # exact path's
+    rng = random.Random("flipped-recheck")
+    guided = 0
+    for _ in range(300):
+        lp = rand_lp(rng)
+        if any(b < 0 for b in lp.rhs):
+            solution = lp_solve(lp)
+            assert answer(solution) == answer(lp_module._exact(lp))
+            guided += solution.guided and solution.status is LpStatus.OPTIMAL
+    assert guided >= 20, guided
+
+
 # ---------------------------------------------------------------------------
 # the integer solve behind the certificate
 # ---------------------------------------------------------------------------
@@ -696,9 +756,12 @@ def test_certificates_accept_exactly_the_bases_the_reference_accepts():
             if max(basis) < n:
                 vertex = reference_vertex(lp, basis)
                 certified = lp_module._certified_vertex(lp, basis)
-                assert (None if certified is None else tuple(certified)) == vertex, (lp, basis)
+                if certified is not None:
+                    # the answer at (det, z), through the integer re-check
+                    certified = lp_module._guided_optimal(lp, basis, *certified, 0)
+                assert (None if certified is None else certified.point) == vertex, (lp, basis)
                 if vertex is not None:
-                    assert exact.point == vertex
+                    assert (exact.point, exact.value) == (vertex, certified.value)
                     accepted["vertex"] += 1
                     accepted["vertex_flipped"] += flipped
             farkas = reference_farkas(lp, basis)

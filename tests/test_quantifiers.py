@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from giryq import quantifiers
 from giryq import (
@@ -48,7 +48,7 @@ from giryq.laws import rand_dist, rand_kernel, rand_predicate, rand_space
 from giryq.lp import Sense
 from giryq.quantifiers import _lifted_constraints, _lifted_program
 
-from strategies import PRIMES, dists, predicates, spaces
+from strategies import PRIMES, any_dists, dists, predicates, spaces, wide_dists
 
 
 class TestFiberRegime:
@@ -762,6 +762,86 @@ class TestSharedFiber:
                 assert (solution.status, solution.value, solution.point) == (
                     exact.status, exact.value, exact.point
                 )
+
+
+@st.composite
+def lifted_fibers(draw):
+    """``(kernel, predicate, query, sense)``: a kernel whose rows have wide
+    coprime denominators, one whose last target point no row reaches (a
+    zero column of the kernel's matrix, so a zero row of ``A``), or a 1x1
+    kernel; the query is reachable or drawn freely."""
+    shape = draw(st.sampled_from(("wide", "zero_column", "one_by_one")))
+    if shape == "one_by_one":
+        source, target = FiniteSpace("X", ("x1",)), FiniteSpace("Y", ("y1",))
+        rows = (Dist(target, (F(1),)),)
+    else:
+        source, target = draw(spaces("X", max_size=6)), draw(spaces("Y", min_size=2, max_size=6))
+        if shape == "wide":
+            rows = tuple(draw(wide_dists(target)) for _ in source.points)
+        else:
+            reached = FiniteSpace("Z", target.points[:-1])
+            rows = tuple(
+                Dist(target, (*draw(any_dists(reached)).weights, F(0))) for _ in source.points
+            )
+    kernel = Kernel(source, target, rows)
+    if draw(st.booleans()):
+        query = lift(kernel)(draw(any_dists(source)))
+    else:
+        query = draw(any_dists(target))
+    dens = st.one_of(st.integers(min_value=1, max_value=6), st.sampled_from(PRIMES))
+    return kernel, draw(predicates(source, dens=dens)), query, draw(st.sampled_from(Sense))
+
+
+def hexed(start):
+    """A float tableau with each entry as ``float.hex``: equal only bit for bit."""
+    return dataclasses.replace(
+        start,
+        rows=tuple(tuple(map(float.hex, row)) for row in start.rows),
+        rhs=tuple(map(float.hex, start.rhs)),
+    )
+
+
+def double_rounding_fiber():
+    """A 1x4 kernel whose row's numerators and lcm pass ``2**53``: the float
+    of each numerator over the float of the lcm is rounded twice, and for
+    ``y1`` and ``y2`` misses the float of the ``Fraction``."""
+    x, y = FiniteSpace("X", ("x1",)), FiniteSpace("Y", ("y1", "y2", "y3", "y4"))
+    weights = (F(210309, 999953), F(200219, 999959), F(16544, 999961))
+    row = Dist(y, (*weights, 1 - sum(weights)))
+    return Kernel(x, y, (row,)), Predicate(x, (F(1),)), row, Sense.MAX
+
+
+@settings(max_examples=120, deadline=None)
+@given(lifted_fibers())
+@example(double_rounding_fiber())
+def test_constraints_from_the_kernel_rows_match_the_fraction_matrix(fiber):
+    kernel, pred, query, sense = fiber
+    lp = _lifted_program(kernel, pred, query, sense)
+    # built from the rows' and the query's integer forms, and cleared again
+    # from the Fraction matrix
+    built, cleared = lp.constraints, fresh(lp).constraints
+    assert built.integer_form == cleared.integer_form
+    # the guide's float copy, as the float of each Fraction of the standard form
+    rows, rhs = built.standard_form
+    floats = lp_module._phase1(
+        [[float(a) for a in row] for row in rows], [float(b) for b in rhs], built.n, 1.0,
+        lp_module._TOL, lp_module._guide_cap(len(rows), built.n),
+    )
+    assert hexed(built.guide_start) == hexed(cleared.guide_start) == hexed(floats)
+    assert built.exact_start == cleared.exact_start
+    # field by field: status, value, point, ray, pivots and guided
+    assert lp_solve(lp) == lp_solve(fresh(lp))
+
+
+def test_constraints_of_a_kernel_on_an_empty_space_have_a_row_per_target_point():
+    # no row to transpose: the program still has one empty row per point of Y
+    kernel = Kernel(FiniteSpace("X", ()), FiniteSpace("Y", ("y1", "y2")), ())
+    query = Dist(kernel.target, (F(1, 2), F(1, 2)))
+    lp = _lifted_program(kernel, Predicate(kernel.source, ()), query, Sense.MAX)
+    assert lp.matrix == ((), ())
+    assert lp.constraints.integer_form == fresh(lp).constraints.integer_form
+    assert lp_solve(lp) == lp_solve(fresh(lp))
+    assert lp_solve(lp).status is LpStatus.INFEASIBLE
 
 
 def _moved_vertex(lp, solution):
