@@ -26,8 +26,8 @@ to rounding; the benchmark's traced phase split relies on that.
 Any other outcome reruns the simplex under Bland's rule, which cannot
 cycle, with every tableau entry a ``Fraction``: the guide giving up (a zero
 objective, an entry past the float range, the pivot cap), which every
-simplex stage reports as the status None of its :class:`_Tableau`; an
-artificial column left in the basis; a singular or rejected basis; or an
+simplex stage reports as the status None of its :class:`_Tableau`; a row
+that phase 1 dropped as redundant; a singular or rejected basis; or an
 unbounded program.  That exact path is the reference the tests compare
 against.  Either way the optimum and the returned vertex are exact, and a
 last check apart from the certificate tests ``A x = b`` and ``x >= 0``: in
@@ -41,10 +41,11 @@ row whose ``b`` is negative flipped, and, on first use, its integer form
 (the certificate's scaling; a lifted program passes it ready made), the
 guide's phase-1 start (the tableau after the artificial columns are driven
 out) from a float copy of the integer form, and the exact path's (built
-only when a solve falls back).  All three read the standard form, so an
-artificial column is a plain unit vector.  Phase 2 works on a copy of a
-start.  Programs built with the same ``Constraints`` share all of it;
-:mod:`giryq.quantifiers` keeps one per fiber for the last 32 fibers.
+only when a solve falls back).  All three read the standard form, so the
+artificial basis is the identity and stays implicit: tableaux hold only the
+real columns.  Phase 2 works on a copy of a start.  Programs built with
+the same ``Constraints`` share all of it; :mod:`giryq.quantifiers` keeps
+one per fiber for the last 32 fibers.
 
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
@@ -119,9 +120,9 @@ class LpSolution:
     certificate.  ``pivots`` counts the simplex pivots behind the answer:
     the guide's (phase 2 under Dantzig's rule), plus the exact Bland path's
     when the certificate failed.  Each count includes its path's phase-1
-    pivots, even when that phase 1 was solved once and shared with other
-    programs over the same constraints, so the count does not depend on
-    what was solved before.
+    pivots, each entering a real column, even when that phase 1 was solved
+    once and shared with other programs over the same constraints, so the
+    count does not depend on what was solved before.
     """
 
     status: LpStatus
@@ -215,14 +216,14 @@ class _Tableau:
     """The outcome of a simplex stage: read, never written.
 
     ``status`` None means the stage gave up, and then only ``pivots`` is
-    read.  After phase 1, OPTIMAL means ``rows``, ``rhs`` and ``basis`` are
-    a feasible tableau over the ``n`` real columns, with leftover artificial
-    columns driven out and redundant rows dropped; INFEASIBLE means the
-    artificial mass stays positive, and ``basis`` is the phase-1 basis,
-    whose artificial columns are ``n..n+m-1``.  After phase 2 they are the
-    final tableau, and ``column`` is the entering column that admitted no
-    ratio test when UNBOUNDED.  ``pivots`` counts every pivot from the
-    start of phase 1, the drive-out included.
+    read.  ``rows`` hold the ``n`` real columns only.  After phase 1,
+    OPTIMAL means ``rows``, ``rhs`` and ``basis`` are a feasible tableau,
+    leftover artificials driven out and redundant rows dropped; INFEASIBLE
+    means the artificial mass stays positive, and ``basis`` is the phase-1
+    basis, whose implicit artificials are ``n..n+m-1``.  After phase 2
+    they are the final tableau, and ``column`` is the entering column that
+    admitted no ratio test when UNBOUNDED.  ``pivots`` counts every pivot
+    from the start of phase 1, the drive-out included.
     """
 
     status: Optional[LpStatus]
@@ -234,21 +235,21 @@ class _Tableau:
 
 
 def _phase1(
-    rows: list[list], rhs: list, n: int, one, tol: float = 0, cap: Optional[int] = None
+    rows: list[Sequence], rhs: list, n: int, one, tol: float = 0, cap: Optional[int] = None
 ) -> _Tableau:
     """Phase 1 on ``rows x = rhs`` (rhs >= 0) over ``n`` columns, in place:
     minimize the total artificial mass under Bland's rule.
 
-    ``one`` fixes the number type: ``Fraction(1)`` with ``tol`` 0 makes
-    every sign test exact; ``1.0`` with a positive ``tol`` is the guide.
-    It gives up at ``cap``, and on a step with no ratio test, which exact
-    arithmetic rules out.
+    The artificial start basis ``n..n+m-1`` is never stored, so an
+    artificial keeps its unit reduced cost and, once it leaves, never
+    re-enters; phase 1 ends where no real column prices negative.  ``one``
+    fixes the number type: ``Fraction(1)`` with ``tol`` 0 makes every sign
+    test exact; ``1.0`` with a positive ``tol`` is the guide.  It gives up
+    at ``cap``, and on a step with no ratio test, which exact arithmetic
+    rules out.
     """
     m = len(rows)
     zero = one - one
-    # artificial columns n..n+m-1 with unit cost form the start basis
-    for i in range(m):
-        rows[i] = rows[i] + [one if j == i else zero for j in range(m)]
     basis = list(range(n, n + m))
     phase1_cost = [zero] * n + [one] * m
     status, pivots, _ = _iterate(phase1_cost, rows, rhs, basis, _bland, tol, 0, cap)
@@ -269,9 +270,7 @@ def _phase1(
         else:
             _pivot(rows, rhs, basis, r, entering)
             pivots += 1
-    return _Tableau(
-        LpStatus.OPTIMAL, tuple(tuple(row[:n]) for row in rows), tuple(rhs), tuple(basis), pivots
-    )
+    return _Tableau(LpStatus.OPTIMAL, tuple(map(tuple, rows)), tuple(rhs), tuple(basis), pivots)
 
 
 def _phase2(
@@ -349,7 +348,7 @@ class Constraints:
     def exact_start(self) -> _Tableau:
         """Phase 1 with every entry a ``Fraction``."""
         rows, rhs = self.standard_form
-        return _phase1(list(map(list, rows)), list(rhs), self.n, Fraction(1))
+        return _phase1(list(rows), list(rhs), self.n, Fraction(1))
 
     @cached_property
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple, int]:

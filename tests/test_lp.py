@@ -438,6 +438,106 @@ def test_pivot_cap_hands_over_to_the_exact_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# phase 1 over the real columns: an artificial that leaves never re-enters
+# ---------------------------------------------------------------------------
+
+
+def degenerate_program(seed):
+    """A program of at most 3x4, its entries drawn from {0, 0, 1, 1, -1, 2}."""
+    rng = random.Random(f"reentry-{seed}")
+    m, n = rng.randint(1, 3), rng.randint(1, 4)
+    entry = lambda: F(rng.choice((0, 0, 1, 1, -1, 2)))
+    return LinearProgram(
+        objective=tuple(entry() for _ in range(n)),
+        matrix=tuple(tuple(entry() for _ in range(n)) for _ in range(m)),
+        rhs=tuple(entry() for _ in range(m)),
+        sense=rng.choice((Sense.MIN, Sense.MAX)),
+    )
+
+
+# the seeds below 20,000 whose programs let an artificial column re-enter the
+# basis when phase 1 carried the artificial columns in its rows
+REENTRY_SEEDS = (
+    655, 1007, 1685, 1737, 2339, 3343, 3919, 3975, 4342, 4672, 6185, 6322, 6875,
+    8063, 8560, 9059, 9133, 9591, 10339, 10373, 10777, 11198, 11274, 11759, 13638,
+    14097, 14899, 14964, 15378, 15875, 16984, 17262, 17742, 18470, 18630, 19291, 19395,
+)
+
+
+def seeded_lifted_program(seed):
+    rng = random.Random(f"real-columns-lifted-{seed}")
+    source, target = rand_space(rng, "X", 1, 12), rand_space(rng, "Y", 1, 6)
+    kernel = rand_kernel(rng, source, target)
+    reachable = rng.random() < 0.7
+    query = lift(kernel)(rand_dist(rng, source)) if reachable else rand_dist(rng, target)
+    return _lifted_program(kernel, rand_predicate(rng, source), query, rng.choice(list(Sense)))
+
+
+def test_phase_1_pivots_only_real_columns_in(monkeypatch):
+    programs = [rand_lp(random.Random(f"real-columns-{i}")) for i in range(200)]
+    programs += [seeded_lifted_program(i) for i in range(60)]
+    programs += [degenerate_program(seed) for seed in REENTRY_SEEDS]
+    pivot, entered = lp_module._pivot, []
+
+    def recording_pivot(rows, rhs, basis, r, e):
+        entered.append((e, {len(row) for row in rows}))
+        pivot(rows, rhs, basis, r, e)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording_pivot)
+    for lp in programs:
+        n = len(lp.objective)
+        entered.clear()
+        starts = lp.constraints.guide_start, lp.constraints.exact_start
+        assert all(e < n and widths == {n} for e, widths in entered), entered
+        assert all(len(row) == n for start in starts for row in start.rows)
+
+
+def test_programs_where_an_artificial_re_entered_match_the_oracle():
+    statuses = set()
+    for seed in REENTRY_SEEDS:
+        lp = degenerate_program(seed)
+        solution = lp_solve(lp)
+        assert not _check_lp_against_oracle(lp, solution, f"seed {seed}")
+        assert answer(solution) == answer(lp_module._exact(lp))
+        statuses.add(solution.status)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+def test_phase_1_that_re_entered_an_artificial_certifies_infeasibility():
+    # rows 1 and 2 force x1 = x2 = 2/3, which misses row 3; phase 1 with the
+    # artificial columns in its rows let the artificial of row 2 re-enter
+    lp = LinearProgram(
+        objective=(F(1), F(1)),
+        matrix=((F(1), F(2)), (F(1), F(-1)), (F(-1), F(2))),
+        rhs=(F(2), F(0), F(2)),
+    )
+    solution = lp_solve(lp)
+    assert solution.status is LpStatus.INFEASIBLE
+    assert solution.guided
+
+
+def test_guide_certifies_a_64_point_fiber_where_its_phase_1_reached_the_cap():
+    # a 64x56 fiber through a mixture of three rows; while phase 1 carried the
+    # artificial columns, Bland's rule in floats used up the guide's pivot cap
+    # here and the answer fell back to the exact path
+    rng = random.Random("phase1-cap-56-4")
+    source = rand_space(rng, "X", 64, 64)
+    target = rand_space(rng, "Y", 56, 56)
+    kernel = rand_kernel(rng, source, target)
+    weights = rand_dist(rng, rand_space(rng, "S", 3, 3)).weights
+    mixed = rng.sample(range(len(source)), 3)
+    mixture = [weights[mixed.index(k)] if k in mixed else F(0) for k in range(len(source))]
+    query = lift(kernel)(Dist(source, tuple(mixture)))
+    lp = _lifted_program(kernel, rand_predicate(rng, source), query, Sense.MAX)
+    start = lp.constraints.guide_start
+    assert start.status is LpStatus.OPTIMAL
+    assert start.pivots < lp_module._guide_cap(len(lp.rhs), len(lp.objective))
+    solution = lp_solve(lp)
+    assert solution.guided
+    assert answer(solution) == answer(lp_module._exact(lp))
+
+
+# ---------------------------------------------------------------------------
 # one phase 1 per constraint system, shared by every program over it
 # ---------------------------------------------------------------------------
 
