@@ -29,9 +29,9 @@ objective, an entry past the float range, the pivot cap), which every
 simplex stage reports as the status None of its :class:`_Tableau`; a row
 that phase 1 dropped as redundant; a singular or rejected basis; or an
 unbounded program.  That exact path is the reference the tests compare
-against.  Either way the optimum and the returned vertex are exact, and a
-last check apart from the certificate tests ``A x = b`` and ``x >= 0``: in
-integers for a guided vertex, in ``Fraction``s for the exact path's.
+against.  Either way the optimum and the returned vertex are exact, and one
+last check apart from the certificate, :func:`_optimal`, tests ``A x = b``
+and ``x >= 0`` in integers for every OPTIMAL answer, guided or exact.
 
 Phase 1 reads only ``A`` and ``b``, never the objective or the sense.  So
 everything derived from them alone is computed once per constraint system
@@ -61,7 +61,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
-from .measures import ZERO, _as_fractions, _cleared, combine_rows
+from .measures import ZERO, _as_fractions, _cleared, _quoted, combine_rows
 
 
 class Sense(enum.Enum):
@@ -92,6 +92,8 @@ class LinearProgram:
     constraints: Optional[Constraints] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sense, Sense):  # a string would compare unequal to MIN
+            raise TypeError(f"sense must be Sense.MIN or Sense.MAX, not {_quoted(self.sense)}")
         object.__setattr__(self, "objective", _as_fractions(self.objective))
         n = len(self.objective)
         if self.constraints is None:
@@ -478,25 +480,12 @@ def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
     return all(c * det >= 0 for c in reduced)
 
 
-def _optimal(lp: LinearProgram, point: list[Fraction], pivots: int) -> LpSolution:
-    """The exact path's answer at ``point``, checked against ``A x = b``."""
-    # the solution must satisfy the original system exactly; a vertex is
-    # mostly zeros, and zero coordinates add nothing to a row
-    support = [j for j, x in enumerate(point) if x]
-    for i, (row, b) in enumerate(zip(lp.matrix, lp.rhs)):
-        if sum((row[j] * point[j] for j in support), ZERO) != b:
-            raise CertificateError(f"vertex violates constraint row {i}")
-    if not all(x >= 0 for x in point):
-        raise CertificateError("vertex has a negative coordinate")
-    value = sum((lp.objective[j] * point[j] for j in support), ZERO)
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots)
-
-
-def _guided_optimal(
-    lp: LinearProgram, basis: Sequence[int], det: int, z: list[int], pivots: int
+def _optimal(
+    lp: LinearProgram, basis: Sequence[int], det: int, z: list[int], pivots: int, *, guided: bool
 ) -> LpSolution:
-    """The guide's answer at its certified vertex, checked in integers: the
-    point ``x_j = d_j z_k / (det d_b)``, ``j = basis[k]``, meets every row."""
+    """The answer at the vertex ``x_j = d_j z_k / (det d_b)``, ``j = basis[k]``,
+    checked in integers: it meets every row of :attr:`Constraints.integer_form`,
+    a row that phase 1 dropped as redundant included, and ``x >= 0``."""
     rows, d, b, d_b = lp.constraints.integer_form
     for i, (row, bi) in enumerate(zip(rows, b)):
         if sum(row[j] * zk for j, zk in zip(basis, z)) != det * bi:
@@ -508,13 +497,14 @@ def _guided_optimal(
     for j, zk in zip(basis, z):
         point[j] = Fraction(d[j] * zk, det * d_b)
     value = Fraction(sum(c[j] * d[j] * zk for j, zk in zip(basis, z)), d_c * det * d_b)
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=True)
+    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=guided)
 
 
 def _exact(lp: LinearProgram) -> LpSolution:
     """Solve with every tableau entry a Fraction: the fallback and the
     reference.  The returned vertex is the first optimal basic solution
-    under Bland's ordering.
+    under Bland's ordering; its basic values are cleared to the
+    certificate's ``(det, z)`` form for the one re-check, :func:`_optimal`.
     """
     n = len(lp.objective)
     start = lp.constraints.exact_start
@@ -529,10 +519,9 @@ def _exact(lp: LinearProgram) -> LpSolution:
         for row, b in zip(final.rows, final.basis):
             ray[b] = -row[final.column]
         return LpSolution(status=LpStatus.UNBOUNDED, ray=tuple(ray), pivots=final.pivots)
-    point = [ZERO] * n
-    for b, x in zip(final.basis, final.rhs):
-        point[b] = x
-    return _optimal(lp, point, final.pivots)
+    _, d, _, d_b = lp.constraints.integer_form
+    z, det = _cleared([x * d_b / d[j] for j, x in zip(final.basis, final.rhs)])
+    return _optimal(lp, final.basis, det, z, final.pivots, guided=False)
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
@@ -548,7 +537,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     if guide.status is LpStatus.OPTIMAL:
         vertex = _certified_vertex(lp, guide.basis)
         if vertex is not None:
-            return _guided_optimal(lp, guide.basis, *vertex, guide.pivots)
+            return _optimal(lp, guide.basis, *vertex, guide.pivots, guided=True)
     elif guide.status is LpStatus.INFEASIBLE and _certified_infeasible(lp, guide.basis):
         return LpSolution(status=LpStatus.INFEASIBLE, pivots=guide.pivots, guided=True)
     exact = _exact(lp)

@@ -52,7 +52,9 @@ from .errors import (
     ScenarioValidationError,
 )
 from .kernels import Kernel
-from .measures import Dist, FiniteSpace, _per_point, _same_space, format_rational, parse_rational
+from .measures import (
+    Dist, FiniteSpace, _per_point, _quoted, _same_space, format_rational, parse_rational,
+)
 from .predicates import (
     LiftedPredicate,
     Predicate,
@@ -151,7 +153,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 def _expect(value: Any, kind: type, where: str) -> Any:
     if isinstance(value, _RepeatedKeys):
-        raise ScenarioValidationError(f"{where}: duplicate key {value.key!r}")
+        raise ScenarioValidationError(f"{where}: duplicate key {_quoted(value.key)}")
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ScenarioParseError(
             f"{where}: expected {kind.__name__}, got {type(value).__name__}"
@@ -192,13 +194,13 @@ def _dist(raw: Any, space: FiniteSpace, where: str) -> Dist:
 def _no_extras(doc: dict, allowed: set[str], where: str) -> None:
     extras = sorted(set(doc) - allowed)
     if extras:
-        raise ScenarioParseError(f"{where}: unexpected field {extras[0]!r}")
+        raise ScenarioParseError(f"{where}: unexpected field {_quoted(extras[0])}")
 
 
 def _ref(doc: dict, key: str, table: dict, noun: str, where: str) -> Any:
     name = _get(doc, key, str, where)
     if name not in table:
-        raise ScenarioReferenceError(f"{where}.{key}: unknown {noun} {name!r}")
+        raise ScenarioReferenceError(f"{where}.{key}: unknown {noun} {_quoted(name)}")
     return table[name]
 
 
@@ -216,7 +218,7 @@ def _check_spaces(refs: dict[str, Any], where: str) -> None:
 def _quantifier(value: Any, where: str) -> str:
     if value not in ("EXISTS", "FORALL"):
         raise ScenarioParseError(
-            f"{where}: expected 'EXISTS' or 'FORALL', got {value!r}"
+            f"{where}: expected 'EXISTS' or 'FORALL', got {_quoted(value)}"
         )
     return value
 
@@ -232,7 +234,7 @@ def _suites(value: Any, where: str) -> tuple[str, ...]:
         raise ScenarioValidationError(f"{where}: empty list (leave it out to run every suite)")
     for j, s in enumerate(suites):
         if s not in SUITES:
-            raise ScenarioValidationError(f"{where}: unknown law suite {s!r}")
+            raise ScenarioValidationError(f"{where}: unknown law suite {_quoted(s)}")
         if s in suites[:j]:  # it would run twice, at one seed, and print two equal lines
             raise ScenarioValidationError(f"{where}: suite {s!r} listed twice")
     return suites
@@ -331,7 +333,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             )
         else:
             raise ScenarioParseError(
-                f"{where}.kind: expected 'lifted' or 'table', got {kind!r}"
+                f"{where}.kind: expected 'lifted' or 'table', got {_quoted(kind)}"
             )
 
     tables = {"kernel": kernels, "predicate": predicates, "space": spaces}
@@ -341,7 +343,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
         _expect(raw, dict, where)
         kind = _get(raw, "kind", str, where)
         if kind not in QUERY_SPECS:
-            raise ScenarioParseError(f"{where}.kind: unknown query kind {kind!r}")
+            raise ScenarioParseError(f"{where}.kind: unknown query kind {_quoted(kind)}")
         spec = QUERY_SPECS[kind]
         _no_extras(raw, {"kind", *spec.fields}, where)
         for key in spec.fields:

@@ -111,6 +111,16 @@ def test_dimension_validation():
         LinearProgram(objective=(F(1),), matrix=((F(1),),), rhs=(F(1), F(2)))
 
 
+@pytest.mark.parametrize("sense", ["MIN", "MAX", None])
+def test_a_sense_that_is_not_a_sense_member_is_refused(sense):
+    # "MIN" is not Sense.MIN: a string sense would be maximized
+    with pytest.raises(TypeError, match=f"not {sense!r}"):
+        LinearProgram(objective=(F(1), F(2)), matrix=((F(1), F(1)),), rhs=(F(1),), sense=sense)
+    lp = LinearProgram(objective=(F(1), F(2)), matrix=((F(1), F(1)),), rhs=(F(1),), sense=Sense.MIN)
+    solution = lp_solve(lp)
+    assert (solution.value, solution.point) == (F(1), (F(1), F(0)))
+
+
 def test_degenerate_ties_terminate():
     # every vertex of this system is degenerate; ties hit the pivot rule
     lp = LinearProgram(
@@ -683,6 +693,41 @@ def test_corrupted_certificate_vertex_is_refused_under_python_O(run_python):
     assert done.stdout.decode() == "True\n" + 2 * "vertex violates constraint row 0\n"
 
 
+def test_corrupted_exact_vertex_is_refused_under_python_O(run_python):
+    # the exact path's vertex goes through the same integer re-check: a
+    # basic value altered after phase 2 fails it
+    code = textwrap.dedent(
+        """
+        from dataclasses import replace
+        from fractions import Fraction as F
+        from giryq import CertificateError, LinearProgram, Sense, lp_solve
+        from giryq import lp as lp_module
+
+        blend = LinearProgram(
+            objective=(F(1, 2), F(3, 5), F(9, 10)),
+            matrix=((F(1), F(1, 2), F(3, 10)), (F(0), F(1, 2), F(7, 10))),
+            rhs=(F(7, 10), F(3, 10)),
+            sense=Sense.MIN,
+        )
+        lp_module._propose = lambda lp: lp_module._Tableau(None)
+        print(lp_solve(blend).guided)
+        phase2 = lp_module._phase2
+        for k in range(2):
+            def corrupted(start, cost, rule, *args, k=k):
+                final = phase2(start, cost, rule, *args)
+                return replace(final, rhs=tuple(x + (i == k) for i, x in enumerate(final.rhs)))
+            lp_module._phase2 = corrupted
+            try:
+                print(lp_solve(blend))
+            except CertificateError as refused:
+                print(refused)
+        """
+    )
+    done = run_python("-O", "-c", code)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == "False\n" + 2 * "vertex violates constraint row 0\n"
+
+
 def test_integer_recheck_reads_the_standard_form_of_flipped_rows():
     # a row with b < 0 is negated in the standard form, which the integer
     # form and so the re-check read: the certified vertex must pass it
@@ -858,7 +903,7 @@ def test_certificates_accept_exactly_the_bases_the_reference_accepts():
                 certified = lp_module._certified_vertex(lp, basis)
                 if certified is not None:
                     # the answer at (det, z), through the integer re-check
-                    certified = lp_module._guided_optimal(lp, basis, *certified, 0)
+                    certified = lp_module._optimal(lp, basis, *certified, 0, guided=True)
                 assert (None if certified is None else certified.point) == vertex, (lp, basis)
                 if vertex is not None:
                     assert (exact.point, exact.value) == (vertex, certified.value)

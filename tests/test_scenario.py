@@ -345,6 +345,35 @@ def test_space_past_the_cap_exits_2_with_its_path(tmp_path, capsys):
     assert captured.out == ""
 
 
+_LONG = "k" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(minimal_doc(queries=[{"kind": _LONG}])),
+        json.dumps(minimal_doc(queries=[{"kind": "DETERMINISM", "kernel": _LONG}])),
+        json.dumps(minimal_doc(kernels={"f": {"source": _LONG, "target": "Y", "rows": []}})),
+        json.dumps(minimal_doc(simplex_predicates={"t": {"kind": "lifted", "base": _LONG}})),
+        json.dumps(minimal_doc(queries=[{"kind": "CHECK_LAWS", "suites": [_LONG]}])),
+        json.dumps(minimal_doc(**{_LONG: 1})),
+        f'{{"{_LONG}": 1, "{_LONG}": 2}}',
+        json.dumps({**_COMPOSE_SOME, "queries": [{**_COMPOSE_SOME["queries"][0], "quantifier": _LONG}]}),
+        json.dumps(minimal_doc(simplex_predicates={"t": {"kind": _LONG}})),
+    ],
+    ids=["query_kind", "unknown_kernel", "unknown_space", "unknown_predicate", "unknown_suite",
+         "extra_field", "duplicate_key", "quantifier", "simplex_kind"],
+)
+def test_a_long_rejected_string_is_not_echoed(tmp_path, capsys, text):
+    # measures._QUOTE_LIMIT: a huge input cannot flood the terminal
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "one 100000 characters long" in err
+    assert len(err.encode()) < 300, err[:300]
+
+
 def test_lifted_base_serializes_under_its_own_name():
     doc = minimal_doc()
     doc["predicates"]["p"] = {"space": "Y", "values": ["1/4", "3/4"]}
