@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 import textwrap
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +23,10 @@ from giryq import (
     lift,
     lp_solve,
 )
+from giryq import laws, quantifiers
 from giryq import lp as lp_module
 from giryq.laws import (
+    SUITES,
     _check_lp_against_oracle,
     enumerate_basic_points,
     lp_oracle,
@@ -30,6 +35,7 @@ from giryq.laws import (
     rand_lp,
     rand_predicate,
     rand_space,
+    run_suite,
 )
 from giryq.lp import _Tableau
 from giryq.quantifiers import _lifted_program
@@ -914,3 +920,51 @@ def test_certificates_accept_exactly_the_bases_the_reference_accepts():
             accepted["farkas"] += farkas
             accepted["farkas_flipped"] += farkas and flipped
     assert all(accepted.values()), accepted
+
+
+# ---------------------------------------------------------------------------
+# pinned answers: status, value, point and ray of every solve
+# ---------------------------------------------------------------------------
+
+ANSWERS = Path(__file__).resolve().parent / "lp_answers_seed0_cases20.json"
+
+
+def answers_digest(solutions):
+    """A sha256 over each solution's status, value, point and ray; pivots
+    and ``guided`` are left out, as a change of pricing or of the guide may
+    move them while every answer stays."""
+    text = lambda v: None if v is None else str(v)
+    h = hashlib.sha256()
+    for s in solutions:
+        vector = lambda xs: None if xs is None else [str(x) for x in xs]
+        line = [s.status.value, text(s.value), vector(s.point), vector(s.ray)]
+        h.update(json.dumps(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+def lp_answer_digests(monkeypatch):
+    """Every lp_solve answer of each law suite at seed 0, 20 cases, and of
+    lp_solve and the exact path on 2,000 seeded random programs."""
+    solved = []
+
+    def recording_solve(lp):
+        solved.append(lp_solve(lp))
+        return solved[-1]
+
+    for module in (laws, quantifiers):
+        monkeypatch.setattr(module, "lp_solve", recording_solve)
+    digests = {}
+    for name in SUITES:  # run_suites(seed=0, cases=20), one suite at a time
+        report = run_suite(name, seed=0, cases=20)
+        assert report.passed, report.failures
+        digests[name] = answers_digest(solved)
+        solved.clear()
+    rng = random.Random("lp-answers")
+    programs = [rand_lp(rng) for _ in range(2000)]
+    digests["rand_lp.lp_solve"] = answers_digest(map(lp_solve, programs))
+    digests["rand_lp._exact"] = answers_digest(map(lp_module._exact, programs))
+    return digests
+
+
+def test_lp_answers_are_pinned(monkeypatch):
+    assert lp_answer_digests(monkeypatch) == json.loads(ANSWERS.read_text())
