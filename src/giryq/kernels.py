@@ -42,8 +42,8 @@ from typing import Callable, Sequence
 
 from .errors import NotDeterministicError
 from .measures import (
-    Dist, FinSuppMeasure, FiniteSpace, _image, _integer_dist, _per_point, _same_space,
-    combine_rows,
+    Dist, FinSuppMeasure, FiniteSpace, _image, _integer_dist, _per_point, _quoted,
+    _same_space, combine_rows,
 )
 
 
@@ -68,7 +68,7 @@ class Kernel:
         object.__setattr__(self, "rows", _per_point(self.rows, self.source, "rows", tuple))
         for label, row in zip(self.source.points, self.rows):
             if row.space != self.target:  # the label is formatted only on failure
-                _same_space(f"row of {label!r} lives on", row.space,
+                _same_space(f"row of {_quoted(label)} lives on", row.space,
                             "the kernel lands in", self.target)
         ids: dict[Dist, int] = {}
         classes = tuple(ids.setdefault(row, len(ids)) for row in self.rows)

@@ -33,19 +33,19 @@ against.  Either way the optimum and the returned vertex are exact, and one
 last check apart from the certificate, :func:`_optimal`, tests ``A x = b``
 and ``x >= 0`` in integers for every OPTIMAL answer, guided or exact.
 
-Phase 1 reads only ``A`` and ``b``, never the objective or the sense.  So
-everything derived from them alone is computed once per constraint system
-and kept in the :class:`Constraints` that each :class:`LinearProgram`
-carries: ``A`` and ``b`` converted and checked, the standard form with each
-row whose ``b`` is negative flipped, and, on first use, its integer form
-(the certificate's scaling; a lifted program passes it ready made), the
-guide's phase-1 start (the tableau after the artificial columns are driven
-out) from a float copy of the integer form, and the exact path's (built
-only when a solve falls back).  All three read the standard form, so the
-artificial basis is the identity and stays implicit: tableaux hold only the
-real columns.  Phase 2 works on a copy of a start.  Programs built with
-the same ``Constraints`` share all of it; :mod:`giryq.quantifiers` keeps
-one per fiber for the last 32 fibers.
+A :class:`LinearProgram` converts and checks ``A`` and ``b`` once, when it
+is built.  Phase 1 reads only them, never the objective or the sense, so
+all that is derived from them alone is computed once per system and kept
+in the :class:`Constraints` each program carries.  Its one exact form is
+the integer form: each row whose ``b`` is negative negated, then each
+column of ``A``, and ``b``, cleared of denominators (a lifted program
+passes it ready made).  Both phase-1 starts read it, in floats for the
+guide and in ``Fraction`` for the exact path (built only on a fallback),
+as do the certificate and the re-check.  With every ``b >= 0`` the
+artificial basis is the identity and stays implicit: tableaux hold only
+the real columns.  Phase 2 works on a copy of a start.  Programs built
+with the same ``Constraints`` share all of it; :mod:`giryq.quantifiers`
+keeps one per fiber for the last 32 fibers.
 
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
@@ -58,6 +58,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CertificateError, DimensionMismatchError
@@ -97,7 +98,17 @@ class LinearProgram:
         object.__setattr__(self, "objective", _as_fractions(self.objective))
         n = len(self.objective)
         if self.constraints is None:
-            object.__setattr__(self, "constraints", Constraints(n, self.matrix, self.rhs))
+            matrix, rhs = tuple(map(_as_fractions, self.matrix)), _as_fractions(self.rhs)
+            if len(matrix) != len(rhs):
+                raise DimensionMismatchError(
+                    f"{len(matrix)} constraint rows but {len(rhs)} right-hand sides"
+                )
+            for i, row in enumerate(matrix):
+                if len(row) != n:
+                    raise DimensionMismatchError(
+                        f"constraint row {i} has {len(row)} coefficients, expected {n}"
+                    )
+            object.__setattr__(self, "constraints", Constraints(n, matrix, rhs))
         elif (self.constraints.n, self.constraints.matrix, self.constraints.rhs) != (
             n, tuple(map(tuple, self.matrix)), tuple(self.rhs)
         ):
@@ -301,69 +312,58 @@ def _min_cost(lp: LinearProgram, objective: Iterable) -> list:
 
 
 class Constraints:
-    """The system ``A x = b`` of a program, converted and checked once, and
-    what solving derives from it alone.
+    """The system ``A x = b`` of a program and what solving derives from it alone.
 
-    ``n`` is the number of columns, ``matrix`` and ``rhs`` are ``A`` and
-    ``b`` as exact rationals, and ``standard_form`` is ``(rows, rhs)`` with
-    each row whose ``b`` is negative negated; that flips the sign of the
-    row's dual value and nothing else, so the certificate decides as it
-    would on ``A``.  An :attr:`integer_form` passed in is kept as given.
-    The other parts are computed on first use and kept; all are
-    immutable, so programs of any sense and objective share them.
+    ``n`` is the number of columns, and ``matrix`` and ``rhs`` are ``A`` and
+    ``b`` as tuples of ``Fraction``, kept as handed in: a
+    :class:`LinearProgram` converts and checks its system once.
+    :attr:`integer_form` is the one exact form that both phase-1 starts, the
+    certificate and the re-check read; one passed in is kept as given.  The
+    other parts are computed on first use and kept; all are immutable, so
+    programs of any sense and objective share them.
     """
 
     def __init__(
-        self, n: int, matrix: Iterable[Iterable], rhs: Iterable,
-        integer_form: Optional[tuple] = None,
+        self, n: int, matrix: tuple, rhs: tuple, integer_form: Optional[tuple] = None
     ) -> None:
-        matrix, rhs = tuple(map(_as_fractions, matrix)), _as_fractions(rhs)
-        if len(matrix) != len(rhs):
-            raise DimensionMismatchError(
-                f"{len(matrix)} constraint rows but {len(rhs)} right-hand sides"
-            )
-        for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise DimensionMismatchError(
-                    f"constraint row {i} has {len(row)} coefficients, expected {n}"
-                )
         self.n, self.matrix, self.rhs = n, matrix, rhs
-        self.standard_form = (
-            tuple(tuple(-a for a in row) if b < 0 else row for row, b in zip(matrix, rhs)),
-            tuple(-b if b < 0 else b for b in rhs),
-        )
         if integer_form is not None:
             self.integer_form = integer_form
 
+    def _start(self, number: Callable, one, tol: float = 0, cap: Optional[int] = None) -> _Tableau:
+        """Phase 1 on :attr:`integer_form`, each entry ``a`` over ``d`` as ``number(a, d)``."""
+        rows, d, b, d_b = self.integer_form
+        rows = [[number(a, dj) for a, dj in zip(row, d)] for row in rows]
+        return _phase1(rows, [number(v, d_b) for v in b], self.n, one, tol, cap)
+
     @cached_property
     def guide_start(self) -> _Tableau:
-        """Phase 1 in floats, within the guide's pivot cap; each ``n / d``
+        """Phase 1 in floats, within the guide's pivot cap; each ``a / d``
         rounds, and overflows, as ``float`` of the ``Fraction``."""
-        rows, d, b, d_b = self.integer_form
         try:
-            rows, rhs = [[a / dj for a, dj in zip(row, d)] for row in rows], [v / d_b for v in b]
+            return self._start(truediv, 1.0, _TOL, _guide_cap(len(self.rhs), self.n))
         except OverflowError:  # an entry beyond the float range
             return _Tableau(None)
-        return _phase1(rows, rhs, self.n, 1.0, _TOL, _guide_cap(len(rows), self.n))
 
     @cached_property
     def exact_start(self) -> _Tableau:
         """Phase 1 with every entry a ``Fraction``."""
-        rows, rhs = self.standard_form
-        return _phase1(list(rows), list(rhs), self.n, Fraction(1))
+        return self._start(Fraction, Fraction(1))
 
     @cached_property
     def integer_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple, int]:
-        """``(rows, d, b, d_b)``: the standard form in integers, column ``j``
-        of ``A`` times ``d[j]`` and ``b`` times ``d_b``, each the lcm of its
-        denominators.  Rows stay unscaled: a lifted program's row mixes every
-        kernel row's denominators, while its column has one.
+        """``(rows, d, b, d_b)``: ``A x = b`` with each row whose ``b`` is
+        negative negated, column ``j`` of ``A`` times ``d[j]`` and ``b`` times
+        ``d_b``, each the lcm of its denominators.  Negating a row flips the
+        sign of its dual value and nothing else, so the certificate decides
+        as it would on ``A``.  Rows stay unscaled: a lifted program's row
+        mixes every kernel row's denominators, while its column has one.
         """
-        matrix, rhs = self.standard_form
+        matrix = [[-a for a in row] if v < 0 else row for row, v in zip(self.matrix, self.rhs)]
         # both counted out, so a program with no rows or no columns keeps the other
         cleared = [_cleared([row[j] for row in matrix]) for j in range(self.n)]
         rows = tuple(tuple(column[i] for column, _ in cleared) for i in range(len(matrix)))
-        b, d_b = _cleared(rhs)
+        b, d_b = _cleared([abs(v) for v in self.rhs])
         return rows, tuple(dj for _, dj in cleared), tuple(b), d_b
 
 

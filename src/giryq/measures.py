@@ -73,16 +73,23 @@ ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
-# an error message quotes a rejected string up to this length, and past it
-# gives only the length, so a huge input cannot flood the terminal
+# an error message quotes a rejected string, or any other value's repr, up
+# to this length, and past it gives only the length, so a huge input cannot
+# flood the terminal
 _QUOTE_LIMIT = 64
 
 
 def _quoted(value: Any) -> str:
-    """``repr(value)``, or only the length of a string past ``_QUOTE_LIMIT``."""
-    if isinstance(value, str) and len(value) > _QUOTE_LIMIT:
-        return f"one {len(value)} characters long"
-    return repr(value)
+    """``repr(value)``, or only the length of a string past ``_QUOTE_LIMIT``
+    characters, or of another value's ``repr`` past it."""
+    if isinstance(value, str):
+        if len(value) > _QUOTE_LIMIT:
+            return f"one {len(value)} characters long"
+        return repr(value)
+    text = repr(value)
+    if len(text) > _QUOTE_LIMIT:
+        return f"a {type(value).__name__} whose repr is {len(text)} characters long"
+    return text
 
 
 def parse_rational(text: str) -> Fraction:
@@ -151,7 +158,7 @@ class FiniteSpace:
         object.__setattr__(self, "points", tuple(self.points))
         if len(set(self.points)) != len(self.points):
             raise DuplicateAtomError(
-                f"space {self.name!r} has repeated point labels"
+                f"space {_quoted(self.name)} has repeated point labels"
             )
 
     def __len__(self) -> int:
@@ -162,7 +169,9 @@ class FiniteSpace:
         try:
             return self.points.index(label)
         except ValueError:
-            raise KeyError(f"{label!r} is not a point of space {self.name!r}") from None
+            raise KeyError(
+                f"{_quoted(label)} is not a point of space {_quoted(self.name)}"
+            ) from None
 
     def __repr__(self) -> str:
         return f"FiniteSpace({self.name!r}, {self.points!r})"
@@ -179,7 +188,9 @@ def _as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...
 def _same_space(lives: str, got: FiniteSpace, other: str, want: FiniteSpace) -> None:
     """Refuse ``got`` unless it is ``want``, as ``{lives} 'A' but {other} 'B'``."""
     if got is not want and got != want:  # one space object is the common case
-        raise SpaceMismatchError(f"{lives} {got.name!r} but {other} {want.name!r}")
+        raise SpaceMismatchError(
+            f"{lives} {_quoted(got.name)} but {other} {_quoted(want.name)}"
+        )
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -198,10 +209,12 @@ def _probability(
     numerators, d = form
     for label, n in zip(labels, numerators):
         if n < 0:
-            raise NegativeWeightError(f"weight of {noun} {label!r} is negative: {Fraction(n, d)}")
+            raise NegativeWeightError(
+                f"weight of {noun} {_quoted(label)} is negative: {Fraction(n, d)}"
+            )
     total = sum(numerators)
     if total != d:
-        on = "" if space is None else f" on space {space.name!r}"
+        on = "" if space is None else f" on space {_quoted(space.name)}"
         raise MassNotOneError(f"weights{on} sum to {Fraction(total, d)}, expected 1")
 
 
@@ -220,7 +233,7 @@ def _per_point(
     out = convert(values)
     if len(out) != len(space):
         raise DimensionMismatchError(
-            f"{len(out)} {noun} for the {len(space)} points of space {space.name!r}"
+            f"{len(out)} {noun} for the {len(space)} points of space {_quoted(space.name)}"
         )
     return out
 

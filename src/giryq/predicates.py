@@ -18,7 +18,9 @@ from typing import TYPE_CHECKING, Union
 
 from .errors import DuplicateAtomError, ValueOutOfRangeError
 from .kernels import Kernel
-from .measures import Dist, FiniteSpace, _as_fractions, _cleared, _per_point, _same_space
+from .measures import (
+    Dist, FiniteSpace, _as_fractions, _cleared, _per_point, _quoted, _same_space,
+)
 
 if TYPE_CHECKING:  # quantifiers imports this module
     from .quantifiers import QuantifiedPredicate
@@ -47,7 +49,7 @@ class Predicate:
         numerators, d = _cleared(self.values)
         for label, n, v in zip(self.space.points, numerators, self.values):
             if not 0 <= n <= d:
-                raise ValueOutOfRangeError(f"value at {label!r} lies outside [0, 1]: {v}")
+                raise ValueOutOfRangeError(f"value at {_quoted(label)} lies outside [0, 1]: {v}")
         object.__setattr__(self, "_form", (tuple(numerators), d))
 
     @classmethod

@@ -267,7 +267,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
             for j, p in enumerate(_get(raw, "points", list, where))
         )
         if name in spaces:
-            raise ScenarioValidationError(f"{where}: space {name!r} declared twice")
+            raise ScenarioValidationError(f"{where}: space {_quoted(name)} declared twice")
         if len(points) > MAX_SPACE_POINTS:
             raise ScenarioValidationError(
                 f"{where}: {len(points)} points exceeds the cap of {MAX_SPACE_POINTS}"
@@ -276,7 +276,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
     kernels: dict[str, Kernel] = {}
     for name, raw in _get(doc, "kernels", dict, "document").items():
-        where = f"kernels[{name!r}]"
+        where = f"kernels[{_quoted(name)}]"
         _expect(raw, dict, where)
         _no_extras(raw, {"source", "target", "rows"}, where)
         source = _ref(raw, "source", spaces, "space", where)
@@ -285,13 +285,13 @@ def scenario_from_dict(doc: Any) -> Scenario:
         _located(where, _per_point, raw_rows, source, "rows", list)
         rows = []
         for j, raw_row in enumerate(raw_rows):
-            row_where = f"{where}.rows[{j}] (point {source.points[j]!r})"
+            row_where = f"{where}.rows[{j}] (point {_quoted(source.points[j])})"
             rows.append(_dist(raw_row, target, row_where))
         kernels[name] = Kernel(source, target, tuple(rows))
 
     predicates: dict[str, Predicate] = {}
     for name, raw in _get(doc, "predicates", dict, "document").items():
-        where = f"predicates[{name!r}]"
+        where = f"predicates[{_quoted(name)}]"
         _expect(raw, dict, where)
         _no_extras(raw, {"space", "values"}, where)
         space = _ref(raw, "space", spaces, "space", where)
@@ -303,7 +303,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
     simplex_predicates: dict[str, SimplexPredicate] = {}
     for name, raw in _get(doc, "simplex_predicates", dict, "document").items():
-        where = f"simplex_predicates[{name!r}]"
+        where = f"simplex_predicates[{_quoted(name)}]"
         _expect(raw, dict, where)
         kind = _get(raw, "kind", str, where)
         if kind == "lifted":
@@ -440,7 +440,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             )
             if base is None:
                 raise ScenarioValidationError(
-                    f"lifted simplex predicate {name!r} has an unnamed base"
+                    f"lifted simplex predicate {_quoted(name)} has an unnamed base"
                 )
             doc["simplex_predicates"][name] = {"kind": "lifted", "base": base}
         else:

@@ -375,9 +375,8 @@ def test_dantzig_cycle_reaches_the_cap_and_blands_vertex_stands():
     # Dantzig's rule started by hand at the slack basis cycles until the
     # guide's cap; lp_solve's guide starts from phase 1 and is certified at
     # the vertex of the exact Bland path
-    lp = CLASSIC_CYCLING
-    rows, rhs = lp.constraints.standard_form
-    rows, rhs = [[float(a) for a in row] for row in rows], [float(b) for b in rhs]
+    lp = CLASSIC_CYCLING  # no b < 0, so no row to flip
+    rows, rhs = [[float(a) for a in row] for row in lp.matrix], [float(b) for b in lp.rhs]
     cost = lp_module._min_cost(lp, map(float, lp.objective))
     basis, cap = [4, 5, 6], lp_module._guide_cap(3, 7)
     assert lp_module._iterate(
@@ -934,9 +933,9 @@ def answers_digest(solutions):
     and ``guided`` are left out, as a change of pricing or of the guide may
     move them while every answer stays."""
     text = lambda v: None if v is None else str(v)
+    vector = lambda xs: None if xs is None else [str(x) for x in xs]
     h = hashlib.sha256()
     for s in solutions:
-        vector = lambda xs: None if xs is None else [str(x) for x in xs]
         line = [s.status.value, text(s.value), vector(s.point), vector(s.ray)]
         h.update(json.dumps(line).encode() + b"\n")
     return h.hexdigest()

@@ -821,8 +821,10 @@ def test_constraints_from_the_kernel_rows_match_the_fraction_matrix(fiber):
     # from the Fraction matrix
     built, cleared = lp.constraints, fresh(lp).constraints
     assert built.integer_form == cleared.integer_form
-    # the guide's float copy, as the float of each Fraction of the standard form
-    rows, rhs = built.standard_form
+    # the guide's float copy, as the float of each Fraction of A and b (a
+    # query has no b < 0, so no row is flipped)
+    assert (built.matrix, built.rhs) == (cleared.matrix, cleared.rhs)
+    rows, rhs = built.matrix, built.rhs
     floats = lp_module._phase1(
         [[float(a) for a in row] for row in rows], [float(b) for b in rhs], built.n, 1.0,
         lp_module._TOL, lp_module._guide_cap(len(rows), built.n),

@@ -278,6 +278,18 @@ def test_lifted_predicate_over_an_undeclared_base_is_not_serialized():
     assert str(caught.value) == "lifted simplex predicate 'h' has an unnamed base"
 
 
+def test_a_long_simplex_predicate_name_is_not_echoed_when_serializing():
+    scenario = scenario_from_dict(minimal_doc())
+    declared = scenario.predicates["g"]
+    base = Predicate(declared.space, declared.values)
+    scenario = dataclasses.replace(scenario, simplex_predicates={_LONG: LiftedPredicate(base)})
+    with pytest.raises(ScenarioValidationError) as caught:
+        serialize_scenario(scenario)
+    assert str(caught.value) == (
+        "lifted simplex predicate one 100000 characters long has an unnamed base"
+    )
+
+
 def test_query_dist_validated_against_target_space():
     doc = minimal_doc(
         queries=[
@@ -372,6 +384,56 @@ def test_a_long_rejected_string_is_not_echoed(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "one 100000 characters long" in err
     assert len(err.encode()) < 300, err[:300]
+
+
+_LONG_NAME = "one 100000 characters long"
+_BAD_ROWS = [["1", "1"], ["1/2", "1/2"]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (minimal_doc(kernels={_LONG: {"source": "X", "target": "Y", "rows": _BAD_ROWS}}),
+         f"kernels[{_LONG_NAME}].rows[0] (point 'x1'): weights on space 'Y' sum to 2"),
+        (minimal_doc(spaces=[{"name": _LONG, "points": []}, {"name": _LONG, "points": []}]),
+         f"spaces[1]: space {_LONG_NAME} declared twice"),
+        (minimal_doc(spaces=[{"name": "X", "points": [_LONG, "x2"]}, {"name": "Y", "points": []}],
+                     kernels={}, predicates={"g": {"space": "X", "values": ["3", "1"]}}),
+         f"predicates['g']: value at {_LONG_NAME} lies outside [0, 1]: 3"),
+        (minimal_doc(spaces=[{"name": "X", "points": [_LONG, "x2"]}, {"name": "Y", "points": ["y"]}],
+                     kernels={"f": {"source": "X", "target": "Y", "rows": [["2"], ["1"]]}}),
+         f"kernels['f'].rows[0] (point {_LONG_NAME}): weights on space 'Y' sum to 2"),
+        (minimal_doc(predicates={_LONG: {"space": "X", "values": ["3", "1"]}}),
+         f"predicates[{_LONG_NAME}]: value at 'x1' lies outside [0, 1]: 3"),
+        (minimal_doc(simplex_predicates={_LONG: {"kind": "lifted", "base": "h"}}),
+         f"simplex_predicates[{_LONG_NAME}].base: unknown predicate 'h'"),
+        (minimal_doc(spaces=[{"name": _LONG, "points": ["x1", "x2"]}],
+                     kernels={"f": {"source": _LONG, "target": _LONG, "rows": [["1", "0"]]}}),
+         f"kernels['f']: 1 rows for the 2 points of space {_LONG_NAME}"),
+        (minimal_doc(spaces=[*minimal_doc()["spaces"], {"name": _LONG, "points": ["x1", "x2"]}],
+                     predicates={"g": {"space": _LONG, "values": ["1", "1"]}},
+                     queries=[{"kind": "EXISTS_LP", "kernel": "f", "predicate": "g",
+                               "dist": ["1", "0"]}]),
+         f"queries[0]: predicate lives on {_LONG_NAME} but the kernel starts at 'X'"),
+        ({**_COMPOSE_SOME, "queries": [{**_COMPOSE_SOME["queries"][0],
+                                        "quantifier": list(range(30_000))}]},
+         "queries[0].quantifier: expected 'EXISTS' or 'FORALL', got a list whose repr is "
+         "198890 characters long"),
+    ],
+    ids=["kernel_name", "space_twice", "point_label", "row_point", "predicate_name",
+         "simplex_predicate_name", "space_of_rows", "space_mismatch", "quantifier_list"],
+)
+def test_a_long_declared_name_is_not_echoed(tmp_path, run_python, doc, message):
+    # a declaration name, a point label or a rejected value of any type is
+    # quoted through measures._quoted wherever an error message names it
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    err = done.stderr.decode()
+    assert done.returncode == 2, err[:300]
+    assert len(err) < 300 and "Traceback" not in err, err[:300]
+    assert err.startswith(f"error: {message}"), err
+    assert done.stdout == b""
 
 
 def test_lifted_base_serializes_under_its_own_name():
