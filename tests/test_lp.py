@@ -941,9 +941,25 @@ def answers_digest(solutions):
     return h.hexdigest()
 
 
+def benchmark_sized_lifted_programs():
+    """200 seeded lifted programs at the benchmark's grades, 8x4 to 32x12:
+    per kernel, a reachable interior query and a random target distribution
+    (most of them unreachable), each in both senses."""
+    rng = random.Random("lp-answers-lifted")
+    programs = []
+    for nx, ny in ((8, 4), (12, 6), (16, 8), (24, 10), (32, 12)):
+        source, target = rand_space(rng, "X", nx, nx), rand_space(rng, "Y", ny, ny)
+        for _ in range(10):
+            kernel, pred = rand_kernel(rng, source, target), rand_predicate(rng, source)
+            for query in (lift(kernel)(rand_dist(rng, source)), rand_dist(rng, target)):
+                programs += [_lifted_program(kernel, pred, query, sense) for sense in Sense]
+    return programs
+
+
 def lp_answer_digests(monkeypatch):
-    """Every lp_solve answer of each law suite at seed 0, 20 cases, and of
-    lp_solve and the exact path on 2,000 seeded random programs."""
+    """Every lp_solve answer of each law suite at seed 0, 20 cases, of
+    lp_solve and the exact path on 2,000 seeded random programs, and of
+    lp_solve on 200 lifted programs at the benchmark's sizes."""
     solved = []
 
     def recording_solve(lp):
@@ -962,6 +978,7 @@ def lp_answer_digests(monkeypatch):
     programs = [rand_lp(rng) for _ in range(2000)]
     digests["rand_lp.lp_solve"] = answers_digest(map(lp_solve, programs))
     digests["rand_lp._exact"] = answers_digest(map(lp_module._exact, programs))
+    digests["lifted.lp_solve"] = answers_digest(map(lp_solve, benchmark_sized_lifted_programs()))
     return digests
 
 
