@@ -9,12 +9,12 @@ prices by Bland's rule, the first negative reduced cost.  :func:`lp_solve`
 runs it first in ``float`` (the guide), with phase 2 under Dantzig's rule,
 the most negative reduced cost; a pivot cap stops a guide that rounding or
 a degenerate cycle keeps from ending.  It then certifies the guide's basis
-exactly (the approach of QSopt_ex; Applegate, Cook, Dash and
-Espinoza, 2007) in integers: each column of ``A`` is scaled by the lcm of
-its denominators, and ``B`` and ``B^T`` are solved by fraction-free
-(Bareiss) elimination.  As phase 1 is Bland's in both paths, a
-zero-objective solve, exact with no guide, repeats a guided phase 1 up
-to rounding; the benchmark's traced phase split relies on that.
+exactly in integers (the approach of QSopt_ex; Applegate, Cook, Dash and
+Espinoza, 2007): each column of ``A`` is scaled by the lcm of its
+denominators, ``B`` is eliminated once, fraction-free (Bareiss), and ``B^T``
+is solved from the multipliers it keeps.  As phase 1 is Bland's in both
+paths, a zero-objective solve, exact with no guide, repeats a guided phase
+1 up to rounding; the benchmark's traced phase split relies on that.
 
 * OPTIMAL is accepted only when ``B x_B = b`` gives ``x_B >= 0`` and
   ``B^T y = c_B`` gives a strictly positive reduced cost on every nonbasic
@@ -31,7 +31,8 @@ that phase 1 dropped as redundant; a singular or rejected basis; or an
 unbounded program.  That exact path is the reference the tests compare
 against.  Either way the optimum and the returned vertex are exact, and one
 last check apart from the certificate, :func:`_optimal`, tests ``A x = b``
-and ``x >= 0`` in integers for every OPTIMAL answer, guided or exact.
+and ``x >= 0`` in integers for every OPTIMAL answer, guided or exact; in
+a certificate, :func:`_dual` checks ``B^T y = c_B`` before ``y`` is read.
 
 A :class:`LinearProgram` converts and checks ``A`` and ``b`` once, when it
 is built.  Phase 1 reads only them, never the objective or the sense, so
@@ -386,35 +387,66 @@ def _propose(lp: LinearProgram) -> _Tableau:
     return _phase2(start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost)))
 
 
-def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, list[int]]]:
-    """``(det, z)`` with ``matrix (z / det) = rhs`` exactly, or None when the
-    square integer ``matrix`` is singular.
+def _eliminate(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple]:
+    """``(det, rows, order)`` from fraction-free (Bareiss) elimination of
+    ``[matrix | rhs]``, or None when the square integer ``matrix`` is singular.
 
-    Fraction-free (Bareiss) elimination: after step ``k`` each entry is a
-    minor of order ``k + 1`` of the row-permuted matrix, so each division is
-    exact and entries stay within the Hadamard bound.  ``det``, the last
-    pivot, is the determinant up to sign, and ``z = det x`` is integral by
-    Cramer's rule, so the back substitution divides exactly too.
+    After step ``k`` each entry is a minor of order ``k + 1`` of the
+    row-permuted matrix, so each division is exact and entries stay within
+    the Hadamard bound.  ``det``, the last pivot, is the determinant up to
+    sign.  No step writes its own column, so ``rows``, row ``k`` from input
+    row ``order[k]``, keep ``L`` below the diagonal and ``U`` on and above it.
     """
     m = len(matrix)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    det = 1
+    order, det = list(range(m)), 1
     for k in range(m):
         p = next((i for i in range(k, m) if rows[i][k]), None)
         if p is None:
             return None
-        rows[k], rows[p] = rows[p], rows[k]
+        rows[k], rows[p], order[k], order[p] = rows[p], rows[k], order[p], order[k]
         top = rows[k]
         pivot = top[k]
         for row in rows[k + 1:]:
             f = row[k]
             row[k + 1:] = [(pivot * a - f * t) // det for a, t in zip(row[k + 1:], top[k + 1:])]
         det = pivot
+    return det, rows, order
+
+
+def _back_substitute(eliminated: tuple) -> list[int]:
+    """``z = det x`` with ``matrix x = rhs`` from :func:`_eliminate`, integral by Cramer's rule."""
+    det, rows, _ = eliminated
+    m = len(rows)
     z = [0] * m
     for i in reversed(range(m)):
         row = rows[i]
         z[i] = (det * row[m] - sum(row[j] * z[j] for j in range(i + 1, m))) // row[i]
-    return det, z
+    return z
+
+
+def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """``(det, z)`` with ``matrix (z / det) = rhs``, or None when ``matrix`` is singular."""
+    eliminated = _eliminate(matrix, rhs)
+    return None if eliminated is None else (eliminated[0], _back_substitute(eliminated))
+
+
+def _transposed_solve(eliminated: tuple, c: Sequence[int]) -> tuple[int, list[int]]:
+    """``(det, w)`` with ``B^T (w / det) = c``, from :func:`_eliminate` of ``B``:
+    Bareiss on ``[A^T | c]``, ``A`` the row-permuted ``B``, divides exactly by
+    ``A``'s own pivots; its steps read the kept ``U``, its back substitution
+    ``L^T``, and entry ``k`` of its solution is ``w[order[k]]``."""
+    det, rows, order = eliminated
+    g, previous, w = list(c), 1, [0] * len(c)
+    for k, top in enumerate(rows):
+        g[k + 1:] = [(top[k] * a - u * g[k]) // previous for a, u in zip(g[k + 1:], top[k + 1:])]
+        previous = top[k]
+    for i in reversed(range(len(g))):
+        v = det * g[i]
+        for j in range(i + 1, len(g)):
+            v -= rows[j][i] * g[j]
+        g[i] = w[order[i]] = v // rows[i][i]
+    return det, w
 
 
 def _integer_basis(lp: LinearProgram, basis: Sequence[int]) -> list[list[int]]:
@@ -426,41 +458,40 @@ def _integer_basis(lp: LinearProgram, basis: Sequence[int]) -> list[list[int]]:
 
 
 def _dual(
-    lp: LinearProgram, matrix: list[list[int]], basis: Sequence[int], cost: Sequence[int]
-) -> Optional[tuple[int, list[int], list[int]]]:
-    """Solve ``B^T y = c_B`` in integers and price every real column.
+    lp: LinearProgram, eliminated: tuple, basis: Sequence[int], cost: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
+    """Solve ``B^T y = c_B`` from ``eliminated``, :func:`_eliminate` of ``B``
+    (:func:`_integer_basis`), check it, and price every real column.
 
-    ``matrix`` is ``B`` from :func:`_integer_basis`; ``cost`` is ``d_c > 0``
-    times the cost of each real column, then of each artificial one.
-    Returns ``(det, yz, reduced)``, or None when ``B`` is singular, with
-    ``yz = det d_c y`` and ``reduced[j] = d_c d_j det (c_j - A_j^T y)``.
+    ``cost`` is ``d_c > 0`` times the cost of each real column, then of each
+    artificial one.  Returns ``(det, yz, reduced)``, ``yz = det d_c y`` and
+    ``reduced[j] = d_c d_j det (c_j - A_j^T y)``; a basic column whose
+    reduced cost is not exactly zero raises :class:`CertificateError`.
     """
     rows, d, *_ = lp.constraints.integer_form
     n = len(d)
-    dual = _integer_solve(list(zip(*matrix)), [cost[j] * (d[j] if j < n else 1) for j in basis])
-    if dual is None:
-        return None
-    det, yz = dual
+    det, yz = _transposed_solve(eliminated, [cost[j] * (d[j] if j < n else 1) for j in basis])
     reduced = combine_rows([c * dj * det for c, dj in zip(cost, d)], zip([-y for y in yz], rows))
+    if any(reduced[j] if j < n else yz[j - n] - det * cost[j] for j in basis):
+        raise CertificateError("dual solution misses a basic column")
     return det, yz, reduced
 
 
 def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple[int, list[int]]]:
     """``(det, z)`` with ``B (z / det) = b`` over :attr:`Constraints.integer_form`,
-    if the basic solution of ``basis`` is the program's only optimum."""
+    if the basic solution of ``basis`` is the program's only optimum; ``B``
+    is eliminated once, for the vertex and its dual."""
     if len(basis) != len(lp.rhs):  # a redundant row was dropped
         return None
-    matrix = _integer_basis(lp, basis)
-    primal = _integer_solve(matrix, lp.constraints.integer_form[2])
-    if primal is None:
+    eliminated = _eliminate(_integer_basis(lp, basis), lp.constraints.integer_form[2])
+    if eliminated is None:
         return None
-    det, z = primal
+    det, z = eliminated[0], _back_substitute(eliminated)
     if any(zk * det < 0 for zk in z):  # x_B = d_B z / (det d_b) must be >= 0
         return None
-    # B is not singular, so neither is B^T
-    det_y, _, reduced = _dual(lp, matrix, basis, _min_cost(lp, lp.integer_objective[0]))
+    _, _, reduced = _dual(lp, eliminated, basis, _min_cost(lp, lp.integer_objective[0]))
     basic = set(basis)
-    if any(c * det_y <= 0 for j, c in enumerate(reduced) if j not in basic):
+    if any(c * det <= 0 for j, c in enumerate(reduced) if j not in basic):
         return None
     return det, z
 
@@ -468,13 +499,13 @@ def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple
 def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
     """Whether the phase-1 ``basis`` yields a Farkas certificate: a phase-1
     dual ``y`` with every real column's reduced cost ``>= 0`` (``y^T A <= 0``)
-    and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``."""
-    phase1_cost = [0] * len(lp.objective) + [1] * len(lp.rhs)
-    dual = _dual(lp, _integer_basis(lp, basis), basis, phase1_cost)
-    if dual is None:
-        return False
-    det, yz, reduced = dual
+    and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``.  ``B`` is
+    eliminated once, and only ``B^T`` is solved."""
     *_, b, _ = lp.constraints.integer_form
+    eliminated = _eliminate(_integer_basis(lp, basis), b)
+    if eliminated is None:
+        return False
+    det, yz, reduced = _dual(lp, eliminated, basis, [0] * len(lp.objective) + [1] * len(b))
     if sum(y * v for y, v in zip(yz, b)) * det <= 0:
         return False
     return all(c * det >= 0 for c in reduced)

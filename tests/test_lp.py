@@ -733,6 +733,68 @@ def test_corrupted_exact_vertex_is_refused_under_python_O(run_python):
     assert done.stdout.decode() == "False\n" + 2 * "vertex violates constraint row 0\n"
 
 
+def test_a_dual_that_misses_a_basic_column_is_refused_under_python_O(run_python):
+    # the dual solve is checked where it is priced: a y altered after the
+    # transposed solve raises, on a guided OPTIMAL and a guided INFEASIBLE answer
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction as F
+        from giryq import CertificateError, LinearProgram, Sense, lp_solve
+        from giryq import lp as lp_module
+
+        blend = LinearProgram(
+            objective=(F(1, 2), F(3, 5), F(9, 10)),
+            matrix=((F(1), F(1, 2), F(3, 10)), (F(0), F(1, 2), F(7, 10))),
+            rhs=(F(7, 10), F(3, 10)),
+            sense=Sense.MIN,
+        )
+        unreachable = LinearProgram(
+            objective=(F(1), F(1)),
+            matrix=((F(1), F(2)), (F(1), F(-1)), (F(-1), F(2))),
+            rhs=(F(2), F(0), F(2)),
+        )
+        programs = (blend, unreachable)
+        print(*((s.status.value, s.guided) for s in map(lp_solve, programs)))
+        solve = lp_module._transposed_solve
+        for lp in programs:
+            for k in range(len(lp.rhs)):
+                def corrupted(eliminated, c, k=k):
+                    det, w = solve(eliminated, c)
+                    return det, [wk + (i == k) for i, wk in enumerate(w)]
+                lp_module._transposed_solve = corrupted
+                try:
+                    print(lp_solve(lp))
+                except CertificateError as refused:
+                    print(refused)
+        """
+    )
+    done = run_python("-O", "-c", code)
+    assert done.returncode == 0, done.stderr.decode()
+    lines = done.stdout.decode().splitlines()
+    assert lines[0] == "('OPTIMAL', True) ('INFEASIBLE', True)"
+    assert lines[1:] == 5 * ["dual solution misses a basic column"]
+
+
+def test_each_certificate_eliminates_its_basis_once(monkeypatch):
+    eliminate, calls = lp_module._eliminate, []
+
+    def counted(matrix, rhs):
+        calls.append(len(matrix))
+        return eliminate(matrix, rhs)
+
+    monkeypatch.setattr(lp_module, "_eliminate", counted)
+    programs = benchmark_sized_lifted_programs()
+    programs += [rand_lp(random.Random(f"one-elimination-{i}")) for i in range(300)]
+    guided = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+    for lp in programs:
+        calls.clear()
+        solution = lp_solve(lp)
+        if solution.guided:
+            assert calls == [len(lp.rhs)], (lp, calls)
+            guided[solution.status] += 1
+    assert min(guided.values()) >= 100, guided
+
+
 def test_integer_recheck_reads_the_standard_form_of_flipped_rows():
     # a row with b < 0 is negated in the standard form, which the integer
     # form and so the re-check read: the certified vertex must pass it
@@ -799,7 +861,20 @@ def random_integer_system(rng):
     return [[entry() for _ in range(m)] for _ in range(m)], [entry() for _ in range(m)]
 
 
-@pytest.mark.parametrize(
+def transposed_agrees_with_fraction_elimination(matrix, rhs, c):
+    """Whether ``B^T y = c``, solved from the kept elimination of ``B``,
+    matches :func:`gauss_jordan` of the transpose, None included, with the
+    primal's ``det``."""
+    reference = gauss_jordan([list(column) for column in zip(*matrix)], c)
+    eliminated = lp_module._eliminate(matrix, rhs)
+    if reference is None or eliminated is None:
+        return reference is eliminated
+    det, w = lp_module._transposed_solve(eliminated, c)
+    assert det == lp_module._integer_solve(matrix, rhs)[0]
+    return abs(det) == abs(reference[0]) and [F(wk, det) for wk in w] == reference[1]
+
+
+CRAFTED_SYSTEMS = pytest.mark.parametrize(
     "matrix, rhs",
     [
         ([[0, 1], [1, 0]], [2, 3]),  # a zero leading pivot: rows swap
@@ -811,8 +886,17 @@ def random_integer_system(rng):
     ],
     ids=["row_swap", "negative_det", "swap_3x3", "singular", "zero_column", "empty"],
 )
+
+
+@CRAFTED_SYSTEMS
 def test_integer_solve_matches_fraction_elimination(matrix, rhs):
     assert agrees_with_fraction_elimination(matrix, rhs)
+
+
+@CRAFTED_SYSTEMS
+def test_transposed_solve_matches_fraction_elimination(matrix, rhs):
+    assert transposed_agrees_with_fraction_elimination(matrix, rhs, rhs)
+    assert transposed_agrees_with_fraction_elimination(matrix, rhs, rhs[::-1])
 
 
 def test_integer_solve_matches_fraction_elimination_on_random_systems():
@@ -821,6 +905,24 @@ def test_integer_solve_matches_fraction_elimination_on_random_systems():
     assert all(agrees_with_fraction_elimination(*system) for system in systems)
     # the seeded draw includes singular systems, which must give None
     assert 0 < sum(gauss_jordan(*system) is None for system in systems) < 300
+
+
+def test_transposed_solve_matches_fraction_elimination_on_random_systems():
+    rng = random.Random("bareiss")
+    systems = [random_integer_system(rng) for _ in range(300)]
+    entry = lambda: rng.choice((0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+    costs = [[entry() for _ in rhs] for _, rhs in systems]
+    assert all(
+        transposed_agrees_with_fraction_elimination(matrix, rhs, c)
+        for (matrix, rhs), c in zip(systems, costs)
+    )
+    # rows swap in the kept elimination of some of the nonsingular systems
+    swapped = [
+        eliminated[2] != sorted(eliminated[2])
+        for eliminated in (lp_module._eliminate(*system) for system in systems)
+        if eliminated is not None
+    ]
+    assert 0 < sum(swapped) < len(swapped)
 
 
 @pytest.mark.parametrize("sense", list(Sense))
