@@ -20,7 +20,7 @@ from typing import Any, Optional
 from .errors import ScenarioError
 from .kernels import extract_point_function, is_deterministic
 from .lp import Sense
-from .measures import _quoted, format_rational, tv_metric
+from .measures import ONE, ZERO, _quoted, format_rational, tv_metric
 from .predicates import expectation
 from .quantifiers import (
     QuantifierResult,
@@ -75,7 +75,7 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
         record = _record(
             kind,
             {"seed": seed, "cases": cases, "suites": list(suites or laws.SUITES)},
-            Fraction(1 if passed else 0),
+            ONE if passed else ZERO,
             [r.line() for r in reports],
         )
         record["passed"] = passed
@@ -105,7 +105,7 @@ def evaluate_query(scenario: Scenario, query: Query, seed: int, cases: int) -> d
         if deterministic:
             fn = extract_point_function(kernel)
             witness = dict(zip(fn.source.points, fn.assignment))
-        return _record(kind, inputs, Fraction(1 if deterministic else 0), witness)
+        return _record(kind, inputs, ONE if deterministic else ZERO, witness)
 
     if kind == "EXPECTATION":
         return _record(kind, inputs, expectation(pred, args["dist"]))

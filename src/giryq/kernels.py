@@ -22,8 +22,9 @@ The lift, composition and the mixture are one weighted sum of rows each,
 in integers: the weights' integer form times the rows' integer forms,
 scaled to one common denominator (see :mod:`giryq.measures`).  The result
 is built from those sums by ``measures._integer_dist``: they are reduced
-by their gcd with the denominator, which gives its integer form, and each
-entry is divided once, at the end.
+by their gcd with the denominator, which gives its integer form, and that
+form is all it keeps.  No entry is divided until something reads the
+result's ``weights``; that read divides each entry once.
 
 Equal rows form one atom of the image measure, so a kernel's rows are
 partitioned by value (:attr:`Kernel.row_partition`) when it is built; the
@@ -168,8 +169,9 @@ def extract_point_function(kernel: Kernel) -> PointFunction:
         )
     assignment = []
     for row in kernel.rows:
-        # deterministic + mass one forces exactly one unit entry per row
-        assignment.append(row.space.points[row.weights.index(1)])
+        # deterministic + mass one forces exactly one unit entry per row;
+        # its form's d is 1, so the numerators are the weights
+        assignment.append(row.space.points[row._form[0].index(1)])
     return PointFunction(kernel.source, kernel.target, tuple(assignment))
 
 

@@ -387,9 +387,10 @@ def _propose(lp: LinearProgram) -> _Tableau:
     return _phase2(start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost)))
 
 
-def _eliminate(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple]:
+def _eliminate(matrix: Sequence, rhs: Optional[Sequence[int]] = None) -> Optional[tuple]:
     """``(det, rows, order)`` from fraction-free (Bareiss) elimination of
-    ``[matrix | rhs]``, or None when the square integer ``matrix`` is singular.
+    ``[matrix | rhs]``, or of ``matrix`` alone when no ``rhs`` is given, or
+    None when the square integer ``matrix`` is singular.
 
     After step ``k`` each entry is a minor of order ``k + 1`` of the
     row-permuted matrix, so each division is exact and entries stay within
@@ -398,7 +399,9 @@ def _eliminate(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple]:
     row ``order[k]``, keep ``L`` below the diagonal and ``U`` on and above it.
     """
     m = len(matrix)
-    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    rows = [list(row) for row in matrix]
+    for row, b in zip(rows, rhs or ()):
+        row.append(b)
     order, det = list(range(m)), 1
     for k in range(m):
         p = next((i for i in range(k, m) if rows[i][k]), None)
@@ -423,12 +426,6 @@ def _back_substitute(eliminated: tuple) -> list[int]:
         row = rows[i]
         z[i] = (det * row[m] - sum(row[j] * z[j] for j in range(i + 1, m))) // row[i]
     return z
-
-
-def _integer_solve(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple[int, list[int]]]:
-    """``(det, z)`` with ``matrix (z / det) = rhs``, or None when ``matrix`` is singular."""
-    eliminated = _eliminate(matrix, rhs)
-    return None if eliminated is None else (eliminated[0], _back_substitute(eliminated))
 
 
 def _transposed_solve(eliminated: tuple, c: Sequence[int]) -> tuple[int, list[int]]:
@@ -500,9 +497,9 @@ def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
     """Whether the phase-1 ``basis`` yields a Farkas certificate: a phase-1
     dual ``y`` with every real column's reduced cost ``>= 0`` (``y^T A <= 0``)
     and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``.  ``B`` is
-    eliminated once, and only ``B^T`` is solved."""
+    eliminated once, without ``b``, and only ``B^T`` is solved."""
     *_, b, _ = lp.constraints.integer_form
-    eliminated = _eliminate(_integer_basis(lp, basis), b)
+    eliminated = _eliminate(_integer_basis(lp, basis))
     if eliminated is None:
         return False
     det, yz, reduced = _dual(lp, eliminated, basis, [0] * len(lp.objective) + [1] * len(b))

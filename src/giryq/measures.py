@@ -40,16 +40,23 @@ denominator and divide once.  Mixtures and image measures sum integer
 numerators too, and are built from them by the two integer builders,
 :func:`_integer_dist` and :func:`_image`: the sums over their
 denominator, divided by their gcd with it (:func:`_lowest`), are the
-result's form, never derived again from the weights, and each weight is
-one ``Fraction(n, d)``.  The builders run :func:`_probability` on that form,
-the check the constructors run.
+result's form, never derived again from the weights.  A builder keeps that
+form alone: the ``weights`` tuple, one ``Fraction(n, d)`` per entry, is
+built on its first read (:func:`_weights_on_first_read`) and kept, so a
+composition that only keys, hashes and compares its rows builds none.  The
+builders run :func:`_probability` on that form, the check the constructors
+run.
 :func:`combine_rows`, the weighted row sum shared by the kernels and the
 LP, takes ``int``, ``Fraction`` or ``float`` entries: integers for the
 mixtures and the LP certificate, floats for the LP's guide.
 
 A value never changes after construction: its constructor or builder
 fills every derived attribute (a form, a kept hash, a kernel's row
-partition), so values are safe to share between threads.
+partition), except that a builder's value fills ``weights`` on their first
+read.  Every read, from any thread, gives equal weights, since each is
+built from the one kept form; two threads that read first may each build
+them, and either tuple is kept.  So values are safe to share between
+threads.
 """
 from __future__ import annotations
 
@@ -238,6 +245,19 @@ def _per_point(
     return out
 
 
+def _weights_on_first_read(self, name: str) -> tuple[Fraction, ...]:
+    """``__getattr__`` of :class:`Dist` and :class:`FinSuppMeasure`: a value
+    from an integer builder has no ``weights`` until they are first read;
+    that read builds them from ``_form``, one ``Fraction(n, d)`` each, and
+    keeps them."""
+    if name != "weights":
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    numerators, d = self._form
+    weights = tuple(Fraction(n, d) if n else ZERO for n in numerators)
+    object.__setattr__(self, "weights", weights)
+    return weights
+
+
 @dataclass(frozen=True)
 class Dist:
     """A probability distribution on a :class:`FiniteSpace`.
@@ -245,7 +265,9 @@ class Dist:
     Weights are one exact rational per point, each >= 0, summing to exactly 1.
     Two distributions are equal iff they live on the same space and have
     componentwise-equal weights, that is equal integer forms ``_form``.
-    ``_hash`` is ``hash(_form)``, kept when the distribution is built.
+    ``_hash`` is ``hash(_form)``, kept when the distribution is built.  A
+    distribution from :func:`_integer_dist` builds ``weights`` on their
+    first read.
     """
 
     space: FiniteSpace
@@ -253,18 +275,20 @@ class Dist:
 
     def __post_init__(self) -> None:
         weights = _per_point(self.weights, self.space, "weights")
-        scaled, d = _cleared(weights)
-        self._keep(weights, (tuple(scaled), d))
-
-    def _keep(self, weights: tuple[Fraction, ...], form: tuple[tuple[int, ...], int]) -> None:
-        """Check the weights' form ``(numerators, d)`` and keep the
-        weights, the form and its hash."""
-        _probability(self.space.points, form, "point", self.space)
         object.__setattr__(self, "weights", weights)
+        scaled, d = _cleared(weights)
+        self._keep((tuple(scaled), d))
+
+    def _keep(self, form: tuple[tuple[int, ...], int]) -> None:
+        """Check the weights' form ``(numerators, d)`` and keep the form
+        and its hash."""
+        _probability(self.space.points, form, "point", self.space)
         object.__setattr__(self, "_form", form)
         # integers alone, so the value does not depend on the process's
         # string-hash seed; equality still compares the space
         object.__setattr__(self, "_hash", hash(form))
+
+    __getattr__ = _weights_on_first_read
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -331,7 +355,10 @@ class FinSuppMeasure:
     Atoms may be point labels or whole :class:`Dist` values (a measure over
     distributions).  Zero-weight atoms are pruned on construction so that
     support equality is well-defined; equality disregards atom order.
-    ``_form`` is the kept weights' integer form, from the mass check.
+    ``_form`` is the weights' integer form, from the mass check.  Equality
+    and the hash read ``_pairs``: the set of ``(atom, numerator)`` pairs of
+    the form, and its ``d``.  A measure from :func:`_image` builds
+    ``weights`` on their first read.
     """
 
     __slots__ = ("atoms", "weights", "_pairs", "_form")
@@ -354,23 +381,19 @@ class FinSuppMeasure:
             raise DuplicateAtomError("atoms are not pairwise distinct")
         scaled, d = _cleared(fw)
         kept = [i for i, n in enumerate(scaled) if n]
+        self.weights = tuple(fw[i] for i in kept)
         # a zero weight has denominator 1, so pruning leaves d the lcm
-        self._keep(
-            tuple(atoms[i] for i in kept),
-            tuple(fw[i] for i in kept),
-            (tuple(scaled[i] for i in kept), d),
-        )
+        self._keep(tuple(atoms[i] for i in kept), (tuple(scaled[i] for i in kept), d))
 
-    def _keep(
-        self, atoms: tuple[Hashable, ...], weights: tuple[Fraction, ...],
-        form: tuple[tuple[int, ...], int],
-    ) -> None:
-        """Check the weights' form ``(numerators, d)`` and keep all four slots."""
+    def _keep(self, atoms: tuple[Hashable, ...], form: tuple[tuple[int, ...], int]) -> None:
+        """Check the weights' form ``(numerators, d)`` and keep the atoms,
+        the form and the pairs."""
         _probability(atoms, form, "atom")
         self.atoms = atoms
-        self.weights = weights
-        self._pairs = frozenset(zip(atoms, weights))
+        self._pairs = (frozenset(zip(atoms, form[0])), form[1])
         self._form = form
+
+    __getattr__ = _weights_on_first_read
 
     def map(self, fn: Callable[[Hashable], Hashable]) -> "FinSuppMeasure":
         """Image measure under ``fn``; atoms with equal images merge."""
@@ -399,10 +422,9 @@ def _integer_dist(space: FiniteSpace, numerators: Collection[int], d: int) -> Di
     """The distribution with weight ``n / d`` at each point, built from the
     integers: its form is ``(numerators, d)`` in lowest terms
     (:func:`_lowest`), and the mass check runs on it as in :class:`Dist`."""
-    numerators, d = form = _lowest(numerators, d)
     dist = object.__new__(Dist)
     object.__setattr__(dist, "space", space)
-    dist._keep(tuple(Fraction(n, d) if n else ZERO for n in numerators), form)
+    dist._keep(_lowest(numerators, d))
     return dist
 
 
@@ -415,7 +437,6 @@ def _image(pairs: Iterable[tuple[Hashable, int]], d: int) -> FinSuppMeasure:
     for image, n in pairs:
         if n:
             merged[image] = merged.get(image, 0) + n
-    numerators, d = form = _lowest(merged.values(), d)
     measure = object.__new__(FinSuppMeasure)
-    measure._keep(tuple(merged), tuple(Fraction(n, d) for n in numerators), form)
+    measure._keep(tuple(merged), _lowest(merged.values(), d))
     return measure

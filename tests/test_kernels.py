@@ -90,6 +90,16 @@ def test_embedded_function_round_trips(three_points, two_points):
     assert extract_point_function(k) == fn
 
 
+def test_a_composed_point_function_is_read_without_building_weights(three_points, two_points):
+    # the composed rows come from the integer builder, which keeps only
+    # their integer form; a point mass's form has d == 1
+    first = PointFunction(three_points, three_points, ("x2", "x3", "x3"))
+    second = PointFunction(three_points, two_points, ("y1", "y2", "y1"))
+    composed = compose(deterministic_kernel(second), deterministic_kernel(first))
+    assert extract_point_function(composed).assignment == ("y2", "y1", "y1")
+    assert not any("weights" in vars(row) for row in composed.rows)
+
+
 def test_constant_function_embeds_to_constant_rows(three_points, two_points):
     fn = PointFunction(three_points, two_points, ("y1", "y1", "y1"))
     k = deterministic_kernel(fn)

@@ -776,11 +776,13 @@ def test_a_dual_that_misses_a_basic_column_is_refused_under_python_O(run_python)
 
 
 def test_each_certificate_eliminates_its_basis_once(monkeypatch):
+    # an OPTIMAL answer eliminates [B | b], whose b column its vertex reads;
+    # an INFEASIBLE one eliminates B alone
     eliminate, calls = lp_module._eliminate, []
 
-    def counted(matrix, rhs):
-        calls.append(len(matrix))
-        return eliminate(matrix, rhs)
+    def counted(matrix, *rhs):
+        calls.append((len(matrix), bool(rhs)))
+        return eliminate(matrix, *rhs)
 
     monkeypatch.setattr(lp_module, "_eliminate", counted)
     programs = benchmark_sized_lifted_programs()
@@ -790,7 +792,7 @@ def test_each_certificate_eliminates_its_basis_once(monkeypatch):
         calls.clear()
         solution = lp_solve(lp)
         if solution.guided:
-            assert calls == [len(lp.rhs)], (lp, calls)
+            assert calls == [(len(lp.rhs), solution.status is LpStatus.OPTIMAL)], (lp, calls)
             guided[solution.status] += 1
     assert min(guided.values()) >= 100, guided
 
@@ -846,12 +848,14 @@ def gauss_jordan(matrix, rhs):
 
 
 def agrees_with_fraction_elimination(matrix, rhs):
-    """Whether the integer solve matches :func:`gauss_jordan`, None included."""
+    """Whether the integer solve, :func:`_back_substitute` of the kept
+    elimination of ``[matrix | rhs]``, matches :func:`gauss_jordan`, None
+    included."""
     reference = gauss_jordan(matrix, rhs)
-    solved = lp_module._integer_solve(matrix, rhs)
-    if reference is None or solved is None:
-        return reference is solved
-    det, z = solved
+    eliminated = lp_module._eliminate(matrix, rhs)
+    if reference is None or eliminated is None:
+        return reference is eliminated
+    det, z = eliminated[0], lp_module._back_substitute(eliminated)
     return abs(det) == abs(reference[0]) and [F(zk, det) for zk in z] == reference[1]
 
 
@@ -863,14 +867,15 @@ def random_integer_system(rng):
 
 def transposed_agrees_with_fraction_elimination(matrix, rhs, c):
     """Whether ``B^T y = c``, solved from the kept elimination of ``B``,
-    matches :func:`gauss_jordan` of the transpose, None included, with the
-    primal's ``det``."""
+    matches :func:`gauss_jordan` of the transpose, None included, over the
+    ``det`` that the primal solve of the same elimination divides by."""
     reference = gauss_jordan([list(column) for column in zip(*matrix)], c)
     eliminated = lp_module._eliminate(matrix, rhs)
     if reference is None or eliminated is None:
         return reference is eliminated
     det, w = lp_module._transposed_solve(eliminated, c)
-    assert det == lp_module._integer_solve(matrix, rhs)[0]
+    primal = [F(zk, det) for zk in lp_module._back_substitute(eliminated)]
+    assert primal == gauss_jordan(matrix, rhs)[1]
     return abs(det) == abs(reference[0]) and [F(wk, det) for wk in w] == reference[1]
 
 
@@ -923,6 +928,19 @@ def test_transposed_solve_matches_fraction_elimination_on_random_systems():
         if eliminated is not None
     ]
     assert 0 < sum(swapped) < len(swapped)
+
+
+def test_eliminating_the_matrix_alone_leaves_out_only_the_rhs_column():
+    # a Farkas certificate reads L, U, the order and det, never the rhs
+    rng = random.Random("bareiss")
+    for matrix, rhs in (random_integer_system(rng) for _ in range(300)):
+        augmented = lp_module._eliminate(matrix, rhs)
+        alone = lp_module._eliminate(matrix)
+        if augmented is None:
+            assert alone is None
+        else:
+            det, rows, order = augmented
+            assert alone == (det, [row[:-1] for row in rows], order)
 
 
 @pytest.mark.parametrize("sense", list(Sense))

@@ -1,6 +1,10 @@
+import copy
+import itertools
 import os
+import random
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from fractions import Fraction as F
 from math import lcm
@@ -35,10 +39,15 @@ from giryq import (
     tv_norm,
 )
 from giryq.kernels import compose, image_measure, lift, mixture
-from giryq.laws import tv_oracle
+from giryq.laws import (
+    rand_dist, rand_finsupp_over_dists, rand_kernel, rand_predicate, rand_space, tv_oracle,
+)
+from giryq.lp import Sense
 from giryq.measures import _cleared, _image, _integer_dist, _probability, combine_rows
 from giryq.predicates import LiftedPredicate, entails, expectation, substitute
-from giryq.quantifiers import exists_composite, exists_lifted, forall_fiber
+from giryq.quantifiers import (
+    _pair, check_composite, exists_composite, exists_lifted, forall_fiber,
+)
 
 from strategies import (
     PRIMES, any_dists, dist_pairs, dist_triples, predicates, spaces, weight_lists, wide_dists,
@@ -711,3 +720,153 @@ class TestIntegerBuilders:
             "NegativeWeightError weight of atom 'b' is negative: -1/2",
             "MassNotOneError weights sum to 3/2, expected 1",
         ]
+
+
+def _weights_built(value):
+    """Whether ``value`` holds its ``weights`` yet, read without building them."""
+    if isinstance(value, Dist):
+        return "weights" in vars(value)
+    try:
+        FinSuppMeasure.weights.__get__(value)
+    except AttributeError:
+        return False
+    return True
+
+
+def _law_chains(count):
+    """``count`` chains of the law generators: a distribution, a kernel
+    from its space, a kernel on from there, and a measure over
+    distributions on the middle space."""
+    rng = random.Random("lazy-weights")
+    for _ in range(count):
+        x, y, z = (rand_space(rng, tag) for tag in "XYZ")
+        yield (rand_dist(rng, x), rand_kernel(rng, x, y), rand_kernel(rng, y, z),
+               rand_finsupp_over_dists(rng, y))
+
+
+class TestLazyWeights:
+    """A builder keeps only the integer form; ``weights`` are built on
+    their first read, and read as the constructors' eager ones."""
+
+    def test_built_values_read_as_eager_ones(self):
+        for dist, inner, outer, measure in _law_chains(200):
+            spread = image_measure(inner, dist)
+            built = [*compose(outer, inner).rows, lift(inner)(dist), mixture(spread),
+                     mixture(measure), mixture(measure.map(lift(outer)))]
+            # equal rows of a composed kernel are one object: each is read once
+            values = (*built, spread, measure.map(lift(outer)))
+            for value in {id(value): value for value in values}.values():
+                numerators, d = value._form
+                eager_weights = tuple(F(n, d) for n in numerators)
+                if isinstance(value, Dist):
+                    eager = Dist(value.space, eager_weights)
+                else:
+                    eager = FinSuppMeasure(value.atoms, eager_weights)
+                # equality and the hash read the form alone
+                assert value == eager and hash(value) == hash(eager)
+                assert not _weights_built(value)
+                assert repr(value) == repr(eager)
+                assert _weights_built(value)
+                assert value.weights == eager.weights
+                assert all(type(w) is F for w in value.weights)
+                assert value.weights is value.weights
+                assert list(map(str, value.weights)) == list(map(str, eager.weights))
+
+    def test_a_lazily_built_dist_survives_deepcopy(self):
+        for dist, inner, outer, _ in _law_chains(50):
+            values = (lift(inner)(dist), *compose(outer, inner).rows)
+            for value in {id(value): value for value in values}.values():
+                copied = copy.deepcopy(value)
+                assert not _weights_built(copied)
+                assert copied == value and hash(copied) == hash(value)
+                assert (repr(copied), copied.weights) == (repr(value), value.weights)
+                again = copy.deepcopy(value)
+                assert _weights_built(again) and again.weights == value.weights
+            spread = image_measure(inner, dist)
+            copied = copy.deepcopy(spread)
+            assert copied == spread and hash(copied) == hash(spread)
+            assert repr(copied) == repr(spread)
+
+    def test_a_pickled_lazy_dist_loads_as_one_built_where_it_is_loaded(self):
+        build = (
+            "from giryq import Dist, FiniteSpace, Kernel\n"
+            "from giryq.kernels import compose, lift\n"
+            "x, y = FiniteSpace('X', ('x1', 'x2')), FiniteSpace('Y', ('y1', 'y2', 'y3'))\n"
+            "inner = Kernel(x, x, (Dist(x, ('1/3', '2/3')), Dist(x, ('1/2', '1/2'))))\n"
+            "outer = Kernel(x, y, (Dist(y, ('1/4', '0', '3/4')), Dist(y, ('0', '1/5', '4/5'))))\n"
+            "values = (lift(outer)(Dist(x, ('1/6', '5/6'))), compose(outer, inner))\n"
+        )
+        dump = build + (
+            "import pickle, sys\n"
+            "assert not any('weights' in vars(row) for row in values[1].rows)\n"
+            "sys.stdout.write(pickle.dumps(values).hex())\n"
+        )
+        load = build + (
+            "import pickle, sys\n"
+            "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "rows = (loaded[0], *loaded[1].rows)\n"
+            "print(any('weights' in vars(row) for row in rows), loaded == values,\n"
+            "      hash(loaded) == hash(values), repr(loaded) == repr(values))\n"
+            "print(*(row for row in rows))\n"
+        )
+
+        def run(script, seed, stdin=""):
+            env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+            return subprocess.run([sys.executable, "-c", script], input=stdin, env=env,
+                                  capture_output=True, text=True, timeout=600,
+                                  check=True).stdout
+
+        assert run(load, "2", run(dump, "1")) == (
+            "False True True True\n"
+            "(1/24, 1/6, 19/24) (1/12, 2/15, 47/60) (1/8, 1/10, 31/40)\n"
+        )
+
+    def test_a_checked_composite_builds_no_weights(self):
+        # 64-point spaces whose kernels repeat 8 distinct rows, as in the
+        # benchmark's COMPOSE queries
+        rng = random.Random("composite-at-64")
+        space = FiniteSpace("S", tuple(f"s{i}" for i in range(64)))
+
+        def pooled_kernel():
+            pool = [rand_dist(rng, space) for _ in range(8)]
+            return Kernel(space, space, tuple(rng.choice(pool) for _ in space.points))
+
+        for _ in range(4):
+            inner, outer = pooled_kernel(), pooled_kernel()
+            pred = rand_predicate(rng, space)
+            queries = (compose(outer, inner).rows[0], rand_dist(rng, space))
+            for query, sense in itertools.product(queries, Sense):
+                assert check_composite(inner, outer, pred, query, sense)[1] is None
+            stages, composed = _pair(inner, outer)
+            assert not any(_weights_built(row) for row in composed.rows)
+            assert not any(_weights_built(v) for stage in stages for v in stage)
+
+    def test_threads_that_read_first_read_equal_weights(self):
+        # the first reads race to fill weights; each builds them from the
+        # one kept form, so whichever tuple is kept, every read is equal
+        rng = random.Random("lazy-threads")
+        space = FiniteSpace("S", tuple(f"s{i}" for i in range(12)))
+        kernel = rand_kernel(rng, space, space)
+        reads = []
+
+        def read(values):
+            reads.append([value.weights for value in values])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                values = [lift(kernel)(rand_dist(rng, space)) for _ in range(40)]
+                eager = [tuple(F(n, d) for n in numerators) for numerators, d in
+                         (value._form for value in values)]
+                reads.clear()
+                threads = [threading.Thread(target=read, args=(values,)) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert reads == 8 * [eager]
+                assert [value.weights for value in values] == eager
+        finally:
+            sys.setswitchinterval(interval)
