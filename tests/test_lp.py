@@ -1076,10 +1076,27 @@ def benchmark_sized_lifted_programs():
     return programs
 
 
+def wide_lifted_programs():
+    """36 seeded lifted programs of wide kernels, |X| < |Y|, at 8x16, 16x32
+    and 32x64: per kernel, a reachable interior query and a random target
+    distribution (unreachable, as the rows span too few dimensions), each
+    in both senses.  A feasible fiber here has more rows than rank."""
+    rng = random.Random("lp-answers-wide")
+    programs = []
+    for nx, ny in ((8, 16), (16, 32), (32, 64)):
+        source, target = rand_space(rng, "X", nx, nx), rand_space(rng, "Y", ny, ny)
+        for _ in range(3):
+            kernel, pred = rand_kernel(rng, source, target), rand_predicate(rng, source)
+            for query in (lift(kernel)(rand_dist(rng, source)), rand_dist(rng, target)):
+                programs += [_lifted_program(kernel, pred, query, sense) for sense in Sense]
+    return programs
+
+
 def lp_answer_digests(monkeypatch):
     """Every lp_solve answer of each law suite at seed 0, 20 cases, of
     lp_solve and the exact path on 2,000 seeded random programs, and of
-    lp_solve on 200 lifted programs at the benchmark's sizes."""
+    lp_solve on 200 lifted programs at the benchmark's sizes and on 36 of
+    wide kernels."""
     solved = []
 
     def recording_solve(lp):
@@ -1099,6 +1116,7 @@ def lp_answer_digests(monkeypatch):
     digests["rand_lp.lp_solve"] = answers_digest(map(lp_solve, programs))
     digests["rand_lp._exact"] = answers_digest(map(lp_module._exact, programs))
     digests["lifted.lp_solve"] = answers_digest(map(lp_solve, benchmark_sized_lifted_programs()))
+    digests["lifted_wide.lp_solve"] = answers_digest(map(lp_solve, wide_lifted_programs()))
     return digests
 
 
