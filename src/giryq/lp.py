@@ -13,26 +13,30 @@ exactly in integers (the approach of QSopt_ex; Applegate, Cook, Dash and
 Espinoza, 2007): each column of ``A`` is scaled by the lcm of its
 denominators, ``B`` is eliminated once, fraction-free (Bareiss), and ``B^T``
 is solved from the multipliers it keeps.  As phase 1 is Bland's in both
-paths, a zero-objective solve, exact with no guide, repeats a guided phase
-1 up to rounding; the benchmark's traced phase split relies on that.
+paths, a zero-objective solve of a feasible program, exact with no guide,
+repeats a guided phase 1 up to rounding; the benchmark's traced phase split
+relies on that.  A zero-objective INFEASIBLE solve is guided, as a Farkas
+certificate reads no objective.
 
 * OPTIMAL is accepted only when ``B x_B = b`` gives ``x_B >= 0`` and
   ``B^T y = c_B`` gives a strictly positive reduced cost on every nonbasic
-  column.  The optimum is then unique, so it is the vertex Bland's rule
-  reaches in exact arithmetic, whatever rule the guide priced by.
+  real column.  ``B`` may hold a redundant row's artificial, which must be
+  exactly 0 and costs 0.  The optimum is then unique, so it is the vertex
+  Bland's rule reaches in exact arithmetic, whatever rule the guide priced
+  by.
 * INFEASIBLE is accepted only with a Farkas certificate taken from the
   phase-1 basis: ``y^T A <= 0`` and ``y^T b > 0``.
 
 Any other outcome reruns the simplex under Bland's rule, which cannot
 cycle, with every tableau entry a ``Fraction``: the guide giving up (a zero
-objective, an entry past the float range, the pivot cap), which every
-simplex stage reports as the status None of its :class:`_Tableau`; a row
-that phase 1 dropped as redundant; a singular or rejected basis; or an
-unbounded program.  That exact path is the reference the tests compare
-against.  Either way the optimum and the returned vertex are exact, and one
-last check apart from the certificate, :func:`_optimal`, tests ``A x = b``
-and ``x >= 0`` in integers for every OPTIMAL answer, guided or exact; in
-a certificate, :func:`_dual` checks ``B^T y = c_B`` before ``y`` is read.
+objective on a feasible program, an entry past the float range, the pivot
+cap), which every simplex stage reports as the status None of its
+:class:`_Tableau`; a singular or rejected basis; or an unbounded program.
+That exact path is the reference the tests compare against.  Either way
+the optimum and the returned vertex are exact, and one last check apart
+from the certificate, :func:`_optimal`, tests ``A x = b`` and ``x >= 0`` in
+integers for every OPTIMAL answer, guided or exact; in a certificate,
+:func:`_dual` checks ``B^T y = c_B`` before ``y`` is read.
 
 A :class:`LinearProgram` converts and checks ``A`` and ``b`` once, when it
 is built.  Phase 1 reads only them, never the objective or the sense, so
@@ -44,9 +48,11 @@ passes it ready made).  Both phase-1 starts read it, in floats for the
 guide and in ``Fraction`` for the exact path (built only on a fallback),
 as do the certificate and the re-check.  With every ``b >= 0`` the
 artificial basis is the identity and stays implicit: tableaux hold only
-the real columns.  Phase 2 works on a copy of a start.  Programs built
-with the same ``Constraints`` share all of it; :mod:`giryq.quantifiers`
-keeps one per fiber for the last 32 fibers.
+the real columns.  Phase 1 drops no row: a redundant one is left all zeros
+with its artificial basic at 0, so every basis has a column per row.  Phase
+2 works on a copy of a start.  Programs built with the same ``Constraints``
+share all of it; :mod:`giryq.quantifiers` keeps one per fiber for the last
+32 fibers.
 
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
@@ -203,7 +209,8 @@ def _iterate(
     with the entering column that admitted no ratio test; or None when the
     next pivot would pass ``cap``.
     """
-    reduced = combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows)))
+    # a basic artificial past the end of a phase-2 cost sits on a zero row
+    reduced = combine_rows(cost, ((-cost[b], row) for b, row in zip(basis, rows) if b < len(cost)))
     while True:
         entering = rule(reduced, tol)
         if entering is None:
@@ -230,14 +237,16 @@ class _Tableau:
     """The outcome of a simplex stage: read, never written.
 
     ``status`` None means the stage gave up, and then only ``pivots`` is
-    read.  ``rows`` hold the ``n`` real columns only.  After phase 1,
-    OPTIMAL means ``rows``, ``rhs`` and ``basis`` are a feasible tableau,
-    leftover artificials driven out and redundant rows dropped; INFEASIBLE
-    means the artificial mass stays positive, and ``basis`` is the phase-1
-    basis, whose implicit artificials are ``n..n+m-1``.  After phase 2
-    they are the final tableau, and ``column`` is the entering column that
-    admitted no ratio test when UNBOUNDED.  ``pivots`` counts every pivot
-    from the start of phase 1, the drive-out included.
+    read.  ``rows`` hold the ``n`` real columns only, and ``basis`` has one
+    entry per row; an artificial column is ``n + i`` for row ``i``.  After
+    phase 1, OPTIMAL means ``rows``, ``rhs`` and ``basis`` are a feasible
+    tableau, leftover artificials driven out except on a redundant row,
+    which is all zeros with its artificial basic at 0; INFEASIBLE means
+    the artificial mass stays positive, and ``basis`` is the phase-1
+    basis.  After phase 2 they are the final tableau, and ``column`` is
+    the entering column that admitted no ratio test when UNBOUNDED.
+    ``pivots`` counts every pivot from the start of phase 1, the drive-out
+    included.
     """
 
     status: Optional[LpStatus]
@@ -274,13 +283,14 @@ def _phase1(
         return _Tableau(LpStatus.INFEASIBLE, basis=tuple(basis), pivots=pivots)
 
     # drive leftover artificials (value zero) out of the basis; a row with
-    # no real coefficient left is redundant and is dropped
+    # no real coefficient left is redundant: it becomes exact zeros, never
+    # passes a ratio test, and keeps its artificial basic at 0
     for r in reversed(range(m)):
         if basis[r] < n:
             continue
         entering = next((j for j in range(n) if abs(rows[r][j]) > tol), None)
         if entering is None:
-            del rows[r], rhs[r], basis[r]
+            rows[r], rhs[r] = [zero] * n, zero
         else:
             _pivot(rows, rhs, basis, r, entering)
             pivots += 1
@@ -372,16 +382,17 @@ def _propose(lp: LinearProgram) -> _Tableau:
     """The float guide: the last tableau of the simplex run in floats, phase
     2 under Dantzig's rule; its status is None wherever the guide declines.
     """
+    start = lp.constraints.guide_start
     # under a zero objective every reduced cost is zero, so the certificate
-    # would refuse any basis that leaves a column out: skip the guide
+    # would refuse any optimal basis that leaves a column out; a Farkas
+    # certificate reads no objective
     if not any(lp.objective):
-        return _Tableau(None)
+        return start if start.status is LpStatus.INFEASIBLE else _Tableau(None)
     c, d_c = lp.integer_objective
     try:
         cost = [v / d_c for v in _min_cost(lp, c)]
     except OverflowError:  # an entry beyond the float range
         return _Tableau(None)
-    start = lp.constraints.guide_start
     if start.status is not LpStatus.OPTIMAL:
         return start
     return _phase2(start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost)))
@@ -477,16 +488,20 @@ def _dual(
 def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple[int, list[int]]]:
     """``(det, z)`` with ``B (z / det) = b`` over :attr:`Constraints.integer_form`,
     if the basic solution of ``basis`` is the program's only optimum; ``B``
-    is eliminated once, for the vertex and its dual."""
-    if len(basis) != len(lp.rhs):  # a redundant row was dropped
+    is eliminated once, for the vertex and its dual.  A basic artificial
+    must be exactly 0, so the real columns alone meet ``A x = b``; its cost
+    is 0, so its row's dual value is 0."""
+    if len(basis) != len(lp.rhs):  # not a basis of B
         return None
     eliminated = _eliminate(_integer_basis(lp, basis), lp.constraints.integer_form[2])
     if eliminated is None:
         return None
-    det, z = eliminated[0], _back_substitute(eliminated)
-    if any(zk * det < 0 for zk in z):  # x_B = d_B z / (det d_b) must be >= 0
+    n, det, z = len(lp.objective), eliminated[0], _back_substitute(eliminated)
+    # x_B = d_B z / (det d_b) must be >= 0, and 0 on an artificial
+    if any(zk * det < 0 or (j >= n and zk) for j, zk in zip(basis, z)):
         return None
-    _, _, reduced = _dual(lp, eliminated, basis, _min_cost(lp, lp.integer_objective[0]))
+    cost = _min_cost(lp, lp.integer_objective[0]) + [0] * len(lp.rhs)
+    _, _, reduced = _dual(lp, eliminated, basis, cost)
     basic = set(basis)
     if any(c * det <= 0 for j, c in enumerate(reduced) if j not in basic):
         return None
@@ -512,19 +527,20 @@ def _optimal(
     lp: LinearProgram, basis: Sequence[int], det: int, z: list[int], pivots: int, *, guided: bool
 ) -> LpSolution:
     """The answer at the vertex ``x_j = d_j z_k / (det d_b)``, ``j = basis[k]``,
-    checked in integers: it meets every row of :attr:`Constraints.integer_form`,
-    a row that phase 1 dropped as redundant included, and ``x >= 0``."""
+    checked in integers: it meets every row of :attr:`Constraints.integer_form`
+    and ``x >= 0``.  It reads the real columns ``j < n`` only."""
     rows, d, b, d_b = lp.constraints.integer_form
+    x = [(j, zk) for j, zk in zip(basis, z) if j < len(d)]
     for i, (row, bi) in enumerate(zip(rows, b)):
-        if sum(row[j] * zk for j, zk in zip(basis, z)) != det * bi:
+        if sum(row[j] * zk for j, zk in x) != det * bi:
             raise CertificateError(f"vertex violates constraint row {i}")
-    if any(zk * det < 0 for zk in z):
+    if any(zk * det < 0 for _, zk in x):
         raise CertificateError("vertex has a negative coordinate")
     c, d_c = lp.integer_objective
     point = [ZERO] * len(d)
-    for j, zk in zip(basis, z):
+    for j, zk in x:
         point[j] = Fraction(d[j] * zk, det * d_b)
-    value = Fraction(sum(c[j] * d[j] * zk for j, zk in zip(basis, z)), d_c * det * d_b)
+    value = Fraction(sum(c[j] * d[j] * zk for j, zk in x), d_c * det * d_b)
     return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=guided)
 
 
@@ -545,10 +561,12 @@ def _exact(lp: LinearProgram) -> LpSolution:
         ray = [ZERO] * n
         ray[final.column] = Fraction(1)
         for row, b in zip(final.rows, final.basis):
-            ray[b] = -row[final.column]
+            if b < n:
+                ray[b] = -row[final.column]
         return LpSolution(status=LpStatus.UNBOUNDED, ray=tuple(ray), pivots=final.pivots)
     _, d, _, d_b = lp.constraints.integer_form
-    z, det = _cleared([x * d_b / d[j] for j, x in zip(final.basis, final.rhs)])
+    # a basic artificial is 0, and so is its entry of z
+    z, det = _cleared([x * d_b / d[j] if j < n else x for j, x in zip(final.basis, final.rhs)])
     return _optimal(lp, final.basis, det, z, final.pivots, guided=False)
 
 

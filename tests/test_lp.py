@@ -170,6 +170,20 @@ def test_classic_cycling_instance_terminates():
     assert feasible and solution.value == best
 
 
+def assert_redundant_row_keeps_its_artificial(lp, row, basis):
+    """Both phase-1 starts keep a basis entry per row: on the redundant
+    ``row``, a row of zeros, its artificial stays basic at 0."""
+    n = len(lp.objective)
+    for start in (lp.constraints.guide_start, lp.constraints.exact_start):
+        assert start.status is LpStatus.OPTIMAL
+        assert start.basis == basis and basis[row] == n + row
+        assert (start.rows[row], start.rhs[row]) == ((0,) * n, 0)
+    solution = lp_solve(lp)
+    assert solution.guided
+    assert answer(solution) == answer(lp_module._exact(lp))
+    return solution
+
+
 def test_redundant_constraints_are_harmless():
     # the second row repeats the first; the artificial basis must drain
     lp = LinearProgram(
@@ -178,22 +192,36 @@ def test_redundant_constraints_are_harmless():
         rhs=(F(1), F(2)),
         sense=Sense.MIN,
     )
-    solution = lp_solve(lp)
+    solution = assert_redundant_row_keeps_its_artificial(lp, 1, (0, 3))
     assert solution.status is LpStatus.OPTIMAL
     assert solution.value == 1
     assert solution.point == (F(1), F(0))
 
 
-def test_zero_rows_with_zero_rhs_are_dropped():
+def test_a_zero_row_with_zero_rhs_keeps_its_artificial():
     lp = LinearProgram(
         objective=(F(1),),
         matrix=((F(0),), (F(1),)),
         rhs=(F(0), F(2)),
         sense=Sense.MAX,
     )
-    solution = lp_solve(lp)
+    solution = assert_redundant_row_keeps_its_artificial(lp, 0, (1, 0))
     assert solution.status is LpStatus.OPTIMAL
     assert solution.point == (F(2),)
+
+
+def test_every_tableau_with_a_status_has_a_basis_entry_per_row():
+    programs = [rand_lp(random.Random(f"square-{i}")) for i in range(200)]
+    programs += [seeded_lifted_program(i) for i in range(60)]
+    programs += [degenerate_program(seed) for seed in REENTRY_SEEDS]
+    statuses = set()
+    for lp in programs:
+        starts = lp.constraints.guide_start, lp.constraints.exact_start
+        for tableau in (*starts, lp_module._propose(lp)):
+            if tableau.status is not None:
+                assert len(tableau.basis) == len(lp.rhs), lp
+                statuses.add(tableau.status)
+    assert statuses == set(LpStatus)
 
 
 @pytest.mark.parametrize(
@@ -203,9 +231,10 @@ def test_zero_rows_with_zero_rhs_are_dropped():
         (LinearProgram(objective=(F(1), F(-2)), matrix=(), rhs=()), False),
         # a zero reduced cost: the origin is optimal but not the only optimum
         (LinearProgram(objective=(F(1), F(0)), matrix=(), rhs=()), False),
-        # no columns means a zero objective, which skips the guide
+        # no columns means a zero objective: the guide declines a feasible
+        # program, while a Farkas certificate reads no objective
         (LinearProgram(objective=(), matrix=((),), rhs=(F(0),)), False),
-        (LinearProgram(objective=(), matrix=((),), rhs=(F(1),)), False),
+        (LinearProgram(objective=(), matrix=((),), rhs=(F(1),)), True),
     ],
     ids=[
         "no_rows_bounded", "no_rows_unbounded", "no_rows_tied",
@@ -614,6 +643,8 @@ WRONG_PROPOSALS = {
     "negative_vertex": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[1, 2])),
     "singular": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[0, 0])),
     "too_few_columns": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[0])),
+    # dual feasible with y = (1/2, 0), but the artificial of row 1 is 3/10
+    "nonzero_artificial": (blend_program(Sense.MIN), _Tableau(LpStatus.OPTIMAL, basis=[0, 4])),
     "feasible_called_infeasible": (
         blend_program(Sense.MIN),
         _Tableau(LpStatus.INFEASIBLE, basis=[3, 4]),
@@ -1122,3 +1153,33 @@ def lp_answer_digests(monkeypatch):
 
 def test_lp_answers_are_pinned(monkeypatch):
     assert lp_answer_digests(monkeypatch) == json.loads(ANSWERS.read_text())
+
+
+def test_wide_lifted_programs_are_guided_at_the_exact_vertex():
+    # a feasible fiber of a wide kernel has more rows than rank, so its
+    # guide basis holds the artificial of each redundant row
+    statuses = set()
+    for lp in wide_lifted_programs():
+        solution = lp_solve(lp)
+        assert solution.guided, lp
+        assert answer(solution) == answer(lp_module._exact(lp))
+        if solution.status is LpStatus.OPTIMAL:
+            assert max(lp_module._propose(lp).basis) >= len(lp.objective)
+        statuses.add(solution.status)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_law_suite_answers_match_the_exact_path(monkeypatch, seed):
+    solved = []
+
+    def recording_solve(lp):
+        solved.append((lp, lp_solve(lp)))
+        return solved[-1][1]
+
+    for module in (laws, quantifiers):
+        monkeypatch.setattr(module, "lp_solve", recording_solve)
+    assert all(report.passed for report in laws.run_suites(seed=seed, cases=20))
+    assert len(solved) >= 400, len(solved)
+    for lp, solution in solved:
+        assert answer(solution) == answer(lp_module._exact(lp)), lp
