@@ -387,7 +387,7 @@ def _suite_continuity(rng: random.Random, cases: int) -> list[str]:
         p = rand_dist(rng, sx)
         p2 = rand_dist(rng, sx)
         apply_f = lift(f)
-        if tv_metric(apply_f(p), apply_f(p2)) > tv_norm(p - p2):
+        if tv_metric(apply_f(p), apply_f(p2)) > tv_metric(p, p2):
             failures.append(f"case {i}: lifted map expanded the metric")
         if 2 * tv_metric(p, p2) != tv_norm(p - p2):
             failures.append(f"case {i}: metric is not half the variation norm")

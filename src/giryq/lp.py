@@ -11,12 +11,13 @@ the most negative reduced cost; a pivot cap stops a guide that rounding or
 a degenerate cycle keeps from ending.  It then certifies the guide's basis
 exactly in integers (the approach of QSopt_ex; Applegate, Cook, Dash and
 Espinoza, 2007): each column of ``A`` is scaled by the lcm of its
-denominators, ``B`` is eliminated once, fraction-free (Bareiss), and ``B^T``
-is solved from the multipliers it keeps.  As phase 1 is Bland's in both
-paths, a zero-objective solve of a feasible program, exact with no guide,
-repeats a guided phase 1 up to rounding; the benchmark's traced phase split
-relies on that.  A zero-objective INFEASIBLE solve is guided, as a Farkas
-certificate reads no objective.
+denominators, the dual ``B^T y = c_B`` is solved first, by one
+fraction-free (Bareiss) elimination of ``[B^T | c_B]``, and an OPTIMAL
+basis's vertex ``B x_B = b`` from the multipliers that elimination keeps.
+As phase 1 is Bland's in both paths, a zero-objective solve of a feasible
+program, exact with no guide, repeats a guided phase 1 up to rounding; the
+benchmark's traced phase split relies on that.  A zero-objective
+INFEASIBLE solve is guided, as a Farkas certificate reads no objective.
 
 * OPTIMAL is accepted only when ``B x_B = b`` gives ``x_B >= 0`` and
   ``B^T y = c_B`` gives a strictly positive reduced cost on every nonbasic
@@ -398,10 +399,9 @@ def _propose(lp: LinearProgram) -> _Tableau:
     return _phase2(start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost)))
 
 
-def _eliminate(matrix: Sequence, rhs: Optional[Sequence[int]] = None) -> Optional[tuple]:
+def _eliminate(matrix: Sequence, rhs: Sequence[int]) -> Optional[tuple]:
     """``(det, rows, order)`` from fraction-free (Bareiss) elimination of
-    ``[matrix | rhs]``, or of ``matrix`` alone when no ``rhs`` is given, or
-    None when the square integer ``matrix`` is singular.
+    ``[matrix | rhs]``, or None when the square integer ``matrix`` is singular.
 
     After step ``k`` each entry is a minor of order ``k + 1`` of the
     row-permuted matrix, so each division is exact and entries stay within
@@ -410,9 +410,7 @@ def _eliminate(matrix: Sequence, rhs: Optional[Sequence[int]] = None) -> Optiona
     row ``order[k]``, keep ``L`` below the diagonal and ``U`` on and above it.
     """
     m = len(matrix)
-    rows = [list(row) for row in matrix]
-    for row, b in zip(rows, rhs or ()):
-        row.append(b)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     order, det = list(range(m)), 1
     for k in range(m):
         p = next((i for i in range(k, m) if rows[i][k]), None)
@@ -440,10 +438,12 @@ def _back_substitute(eliminated: tuple) -> list[int]:
 
 
 def _transposed_solve(eliminated: tuple, c: Sequence[int]) -> tuple[int, list[int]]:
-    """``(det, w)`` with ``B^T (w / det) = c``, from :func:`_eliminate` of ``B``:
-    Bareiss on ``[A^T | c]``, ``A`` the row-permuted ``B``, divides exactly by
-    ``A``'s own pivots; its steps read the kept ``U``, its back substitution
-    ``L^T``, and entry ``k`` of its solution is ``w[order[k]]``."""
+    """``(det, w)`` with ``M^T (w / det) = c``, from :func:`_eliminate` of ``M``,
+    whose rhs column it never reads; the certificate's ``M`` is ``B^T``, so
+    this is its vertex ``B x_B = b``.  Bareiss on ``[A^T | c]``, ``A`` the
+    row-permuted ``M``, divides exactly by ``A``'s own pivots; its steps read
+    the kept ``U``, its back substitution ``L^T``, and entry ``k`` of its
+    solution is ``w[order[k]]``."""
     det, rows, order = eliminated
     g, previous, w = list(c), 1, [0] * len(c)
     for k, top in enumerate(rows):
@@ -457,53 +457,51 @@ def _transposed_solve(eliminated: tuple, c: Sequence[int]) -> tuple[int, list[in
     return det, w
 
 
-def _integer_basis(lp: LinearProgram, basis: Sequence[int]) -> list[list[int]]:
-    """``B`` in integers: the columns ``basis`` of :attr:`Constraints.integer_form`,
-    where an artificial ``j >= n`` is row ``j - n``'s unit vector."""
-    n = len(lp.objective)
-    rows, *_ = lp.constraints.integer_form
-    return [[row[j] if j < n else int(j - n == i) for j in basis] for i, row in enumerate(rows)]
+def _dual(lp: LinearProgram, basis: Sequence[int], cost: Sequence[int]) -> Optional[tuple]:
+    """Solve ``B^T y = c_B`` by one :func:`_eliminate` of ``[B^T | c_B]``, check
+    it, and price every real column; None when ``B`` is singular.
 
-
-def _dual(
-    lp: LinearProgram, eliminated: tuple, basis: Sequence[int], cost: Sequence[int]
-) -> tuple[int, list[int], list[int]]:
-    """Solve ``B^T y = c_B`` from ``eliminated``, :func:`_eliminate` of ``B``
-    (:func:`_integer_basis`), check it, and price every real column.
-
-    ``cost`` is ``d_c > 0`` times the cost of each real column, then of each
-    artificial one.  Returns ``(det, yz, reduced)``, ``yz = det d_c y`` and
+    ``B`` is the columns ``basis`` of :attr:`Constraints.integer_form`, an
+    artificial ``j >= n`` being row ``j - n``'s unit vector.  ``cost`` is
+    ``d_c > 0`` times the cost of each real column, then of each artificial
+    one.  Returns ``(eliminated, yz, reduced)``: the elimination, whose
+    ``det`` is that of ``B`` up to sign, ``yz = det d_c y`` and
     ``reduced[j] = d_c d_j det (c_j - A_j^T y)``; a basic column whose
     reduced cost is not exactly zero raises :class:`CertificateError`.
     """
     rows, d, *_ = lp.constraints.integer_form
-    n = len(d)
-    det, yz = _transposed_solve(eliminated, [cost[j] * (d[j] if j < n else 1) for j in basis])
+    n, m = len(d), len(rows)
+    transposed = [[row[j] for row in rows] if j < n else [int(j - n == i) for i in range(m)]
+                  for j in basis]
+    eliminated = _eliminate(transposed, [cost[j] * (d[j] if j < n else 1) for j in basis])
+    if eliminated is None:
+        return None
+    det, yz = eliminated[0], _back_substitute(eliminated)
     reduced = combine_rows([c * dj * det for c, dj in zip(cost, d)], zip([-y for y in yz], rows))
     if any(reduced[j] if j < n else yz[j - n] - det * cost[j] for j in basis):
         raise CertificateError("dual solution misses a basic column")
-    return det, yz, reduced
+    return eliminated, yz, reduced
 
 
 def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple[int, list[int]]]:
     """``(det, z)`` with ``B (z / det) = b`` over :attr:`Constraints.integer_form`,
-    if the basic solution of ``basis`` is the program's only optimum; ``B``
-    is eliminated once, for the vertex and its dual.  A basic artificial
-    must be exactly 0, so the real columns alone meet ``A x = b``; its cost
-    is 0, so its row's dual value is 0."""
+    if the basic solution of ``basis`` is the program's only optimum.  Its
+    :func:`_dual` must price every nonbasic real column strictly positive;
+    only then is the vertex solved, from the same elimination.  A basic
+    artificial must be exactly 0, so the real columns alone meet ``A x = b``;
+    its cost is 0, so its row's dual value is 0."""
     if len(basis) != len(lp.rhs):  # not a basis of B
         return None
-    eliminated = _eliminate(_integer_basis(lp, basis), lp.constraints.integer_form[2])
-    if eliminated is None:
+    dual = _dual(lp, basis, _min_cost(lp, lp.integer_objective[0]) + [0] * len(lp.rhs))
+    if dual is None:
         return None
-    n, det, z = len(lp.objective), eliminated[0], _back_substitute(eliminated)
-    # x_B = d_B z / (det d_b) must be >= 0, and 0 on an artificial
-    if any(zk * det < 0 or (j >= n and zk) for j, zk in zip(basis, z)):
-        return None
-    cost = _min_cost(lp, lp.integer_objective[0]) + [0] * len(lp.rhs)
-    _, _, reduced = _dual(lp, eliminated, basis, cost)
+    eliminated, _, reduced = dual
     basic = set(basis)
-    if any(c * det <= 0 for j, c in enumerate(reduced) if j not in basic):
+    if any(c * eliminated[0] <= 0 for j, c in enumerate(reduced) if j not in basic):
+        return None
+    det, z = _transposed_solve(eliminated, lp.constraints.integer_form[2])
+    # x_B = d_B z / (det d_b) must be >= 0, and 0 on an artificial
+    if any(zk * det < 0 or (j >= len(lp.objective) and zk) for j, zk in zip(basis, z)):
         return None
     return det, z
 
@@ -511,16 +509,14 @@ def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple
 def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
     """Whether the phase-1 ``basis`` yields a Farkas certificate: a phase-1
     dual ``y`` with every real column's reduced cost ``>= 0`` (``y^T A <= 0``)
-    and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``.  ``B`` is
-    eliminated once, without ``b``, and only ``B^T`` is solved."""
+    and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``.  It reads
+    :func:`_dual` alone; no vertex is solved."""
     *_, b, _ = lp.constraints.integer_form
-    eliminated = _eliminate(_integer_basis(lp, basis))
-    if eliminated is None:
+    dual = _dual(lp, basis, [0] * len(lp.objective) + [1] * len(b))
+    if dual is None:
         return False
-    det, yz, reduced = _dual(lp, eliminated, basis, [0] * len(lp.objective) + [1] * len(b))
-    if sum(y * v for y, v in zip(yz, b)) * det <= 0:
-        return False
-    return all(c * det >= 0 for c in reduced)
+    (det, *_), yz, reduced = dual
+    return sum(y * v for y, v in zip(yz, b)) * det > 0 and all(c * det >= 0 for c in reduced)
 
 
 def _optimal(

@@ -12,6 +12,12 @@ a predicate value outside [0, 1]) is reported at its document path by
 :func:`_located`; :func:`_doc` writes a value back in document form, for
 :func:`scenario_to_dict` and for the CLI's result records alike.
 
+Text output prints names and labels raw, so a space name, a point label and
+the name of a kernel, predicate or simplex predicate must each be printable
+(``str.isprintable``): a newline, tab, escape or zero-width character in one
+could forge a line of output.  :func:`_name` refuses any other at its
+document path.
+
 Sparse and deterministic kernels repeat a few literals many times (``"0"``
 above all), so :func:`_rational` reads each distinct string once, through a
 bounded memo of :func:`parse_rational`, and equal literals share one
@@ -170,6 +176,14 @@ def _get(doc: dict, key: str, kind: type, where: str) -> Any:
 _literal = lru_cache(maxsize=_LITERAL_MEMO)(parse_rational)
 
 
+def _name(raw: Any, where: str) -> str:
+    """``raw``, a string that text output prints raw, if it is printable."""
+    name = _expect(raw, str, where)
+    if not name.isprintable():
+        raise ScenarioValidationError(f"{where}: {_quoted(name)} is not printable")
+    return name
+
+
 def _rational(raw: Any, where: str):
     try:
         return _literal(_expect(raw, str, where))
@@ -261,10 +275,9 @@ def scenario_from_dict(doc: Any) -> Scenario:
         where = f"spaces[{i}]"
         _expect(raw, dict, where)
         _no_extras(raw, {"name", "points"}, where)
-        name = _get(raw, "name", str, where)
+        name = _name(_get(raw, "name", str, where), f"{where}.name")
         points = tuple(
-            _expect(p, str, f"{where}.points[{j}]")
-            for j, p in enumerate(_get(raw, "points", list, where))
+            _name(p, f"{where}.points[{j}]") for j, p in enumerate(_get(raw, "points", list, where))
         )
         if name in spaces:
             raise ScenarioValidationError(f"{where}: space {_quoted(name)} declared twice")
@@ -277,6 +290,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     kernels: dict[str, Kernel] = {}
     for name, raw in _get(doc, "kernels", dict, "document").items():
         where = f"kernels[{_quoted(name)}]"
+        _name(name, where)
         _expect(raw, dict, where)
         _no_extras(raw, {"source", "target", "rows"}, where)
         source = _ref(raw, "source", spaces, "space", where)
@@ -292,6 +306,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     predicates: dict[str, Predicate] = {}
     for name, raw in _get(doc, "predicates", dict, "document").items():
         where = f"predicates[{_quoted(name)}]"
+        _name(name, where)
         _expect(raw, dict, where)
         _no_extras(raw, {"space", "values"}, where)
         space = _ref(raw, "space", spaces, "space", where)
@@ -304,6 +319,7 @@ def scenario_from_dict(doc: Any) -> Scenario:
     simplex_predicates: dict[str, SimplexPredicate] = {}
     for name, raw in _get(doc, "simplex_predicates", dict, "document").items():
         where = f"simplex_predicates[{_quoted(name)}]"
+        _name(name, where)
         _expect(raw, dict, where)
         kind = _get(raw, "kind", str, where)
         if kind == "lifted":

@@ -134,6 +134,27 @@ def test_continuity_reports_a_wrong_metric(monkeypatch):
     assert "oracle case 0: metric disagrees with enumeration" in failures
 
 
+def stretching_lift(kernel):
+    """A map that moves the first source point's mass ``s`` to
+    ``1/2 + 3/2 (s - 1/2)``, clipped to [0, 1], on the first target point:
+    it expands the metric by up to 3/2, less than the variation norm's 2."""
+    half = Fraction(1, 2)
+
+    def apply(dist):
+        t = min(max(half + 3 * half * (dist.weights[0] - half), Fraction(0)), Fraction(1))
+        n = len(kernel.target)  # a one-point target takes all the mass
+        return Dist(kernel.target, (t, 1 - t) + (Fraction(0),) * (n - 2) if n > 1 else (1,))
+
+    return apply
+
+
+def test_continuity_reports_a_lift_that_expands_the_metric(monkeypatch):
+    # a Markov kernel contracts the metric itself, not twice the metric
+    monkeypatch.setattr(laws, "lift", stretching_lift)
+    failures = run_suite("continuity", seed=0, cases=200).failures
+    assert failures and all(f.endswith(": lifted map expanded the metric") for f in failures)
+
+
 def test_composites_reports_a_wrong_composed_kernel(monkeypatch):
     compose = quantifiers.compose
 

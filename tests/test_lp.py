@@ -765,8 +765,8 @@ def test_corrupted_exact_vertex_is_refused_under_python_O(run_python):
 
 
 def test_a_dual_that_misses_a_basic_column_is_refused_under_python_O(run_python):
-    # the dual solve is checked where it is priced: a y altered after the
-    # transposed solve raises, on a guided OPTIMAL and a guided INFEASIBLE answer
+    # the dual solve is checked where it is priced: a y altered after its
+    # back substitution raises, on a guided OPTIMAL and a guided INFEASIBLE answer
     code = textwrap.dedent(
         """
         from fractions import Fraction as F
@@ -786,13 +786,12 @@ def test_a_dual_that_misses_a_basic_column_is_refused_under_python_O(run_python)
         )
         programs = (blend, unreachable)
         print(*((s.status.value, s.guided) for s in map(lp_solve, programs)))
-        solve = lp_module._transposed_solve
+        solve = lp_module._back_substitute
         for lp in programs:
             for k in range(len(lp.rhs)):
-                def corrupted(eliminated, c, k=k):
-                    det, w = solve(eliminated, c)
-                    return det, [wk + (i == k) for i, wk in enumerate(w)]
-                lp_module._transposed_solve = corrupted
+                def corrupted(eliminated, k=k):
+                    return [yk + (i == k) for i, yk in enumerate(solve(eliminated))]
+                lp_module._back_substitute = corrupted
                 try:
                     print(lp_solve(lp))
                 except CertificateError as refused:
@@ -807,15 +806,20 @@ def test_a_dual_that_misses_a_basic_column_is_refused_under_python_O(run_python)
 
 
 def test_each_certificate_eliminates_its_basis_once(monkeypatch):
-    # an OPTIMAL answer eliminates [B | b], whose b column its vertex reads;
-    # an INFEASIBLE one eliminates B alone
-    eliminate, calls = lp_module._eliminate, []
+    # every certificate eliminates [B^T | c_B] once, for its dual; only an
+    # OPTIMAL one then solves its vertex, from the same elimination
+    eliminate, transposed_solve, calls = lp_module._eliminate, lp_module._transposed_solve, []
 
-    def counted(matrix, *rhs):
-        calls.append((len(matrix), bool(rhs)))
-        return eliminate(matrix, *rhs)
+    def counted(matrix, rhs):
+        calls.append(("eliminate", len(matrix), len(rhs)))
+        return eliminate(matrix, rhs)
+
+    def counted_transposed(eliminated, c):
+        calls.append(("transposed_solve",))
+        return transposed_solve(eliminated, c)
 
     monkeypatch.setattr(lp_module, "_eliminate", counted)
+    monkeypatch.setattr(lp_module, "_transposed_solve", counted_transposed)
     programs = benchmark_sized_lifted_programs()
     programs += [rand_lp(random.Random(f"one-elimination-{i}")) for i in range(300)]
     guided = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
@@ -823,7 +827,8 @@ def test_each_certificate_eliminates_its_basis_once(monkeypatch):
         calls.clear()
         solution = lp_solve(lp)
         if solution.guided:
-            assert calls == [(len(lp.rhs), solution.status is LpStatus.OPTIMAL)], (lp, calls)
+            m, optimal = len(lp.rhs), solution.status is LpStatus.OPTIMAL
+            assert calls == [("eliminate", m, m)] + optimal * [("transposed_solve",)], (lp, calls)
             guided[solution.status] += 1
     assert min(guided.values()) >= 100, guided
 
@@ -959,19 +964,6 @@ def test_transposed_solve_matches_fraction_elimination_on_random_systems():
         if eliminated is not None
     ]
     assert 0 < sum(swapped) < len(swapped)
-
-
-def test_eliminating_the_matrix_alone_leaves_out_only_the_rhs_column():
-    # a Farkas certificate reads L, U, the order and det, never the rhs
-    rng = random.Random("bareiss")
-    for matrix, rhs in (random_integer_system(rng) for _ in range(300)):
-        augmented = lp_module._eliminate(matrix, rhs)
-        alone = lp_module._eliminate(matrix)
-        if augmented is None:
-            assert alone is None
-        else:
-            det, rows, order = augmented
-            assert alone == (det, [row[:-1] for row in rows], order)
 
 
 @pytest.mark.parametrize("sense", list(Sense))

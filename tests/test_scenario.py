@@ -436,6 +436,50 @@ def test_a_long_declared_name_is_not_echoed(tmp_path, run_python, doc, message):
     assert done.stdout == b""
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (minimal_doc(spaces=[{"name": "X\n", "points": []}], kernels={}, predicates={}),
+         "spaces[0].name"),
+        (minimal_doc(spaces=[{"name": "X", "points": ["x1", "x2\t"]}]), "spaces[0].points[1]"),
+        (minimal_doc(kernels={"f\x1b[2K": minimal_doc()["kernels"]["f"]}),
+         "kernels['f\\x1b[2K']"),
+        (minimal_doc(predicates={"g\u200b": minimal_doc()["predicates"]["g"]}),
+         "predicates['g\\u200b']"),
+        (minimal_doc(simplex_predicates={"h\r": {"kind": "lifted", "base": "g"}}),
+         "simplex_predicates['h\\r']"),
+    ],
+    ids=["space_name", "point_label", "kernel_name", "predicate_name", "simplex_predicate_name"],
+)
+def test_an_unprintable_name_is_refused_at_its_path(tmp_path, capsys, doc, where):
+    # text output prints names and labels raw: a newline, tab, escape or
+    # zero-width character in one could forge a line
+    path = tmp_path / "unprintable.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.endswith(" is not printable\n"), err
+    assert err.count("\n") == 1, err
+
+
+def test_a_forged_point_label_cannot_add_an_output_line(tmp_path, run_python):
+    # the label would print a second value line under a DETERMINISM answer
+    doc = minimal_doc(
+        spaces=[{"name": "X", "points": ["x1", "x2"]},
+                {"name": "Y", "points": ["y1", "y2\n  value: 0 (approx 0)"]}],
+        kernels={"f": {"source": "X", "target": "Y", "rows": [["1", "0"], ["0", "1"]]}},
+        predicates={},
+        queries=[{"kind": "DETERMINISM", "kernel": "f"}],
+    )
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    done = run_python("-m", "giryq.cli", "run", str(path))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        "error: spaces[1].points[1]: 'y2\\n  value: 0 (approx 0)' is not printable\n"
+    )
+
+
 def test_lifted_base_serializes_under_its_own_name():
     doc = minimal_doc()
     doc["predicates"]["p"] = {"space": "Y", "values": ["1/4", "3/4"]}
