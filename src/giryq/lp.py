@@ -1,5 +1,5 @@
-"""Exact-rational linear programming: a float simplex guide, an integer
-certificate of its basis, and an exact Bland simplex behind them.
+"""Exact-rational linear programming: a float simplex guide, an exact Bland
+simplex behind it, and one integer certificate of whichever basis answers.
 
 Programs are in equality form: optimize ``c . x`` subject to ``A x = b`` and
 ``x >= 0``.  One simplex body serves two number types; the leaving row has
@@ -8,36 +8,41 @@ row of the tableau is carried through each pivot as one more row.  Phase 1
 prices by Bland's rule, the first negative reduced cost.  :func:`lp_solve`
 runs it first in ``float`` (the guide), with phase 2 under Dantzig's rule,
 the most negative reduced cost; a pivot cap stops a guide that rounding or
-a degenerate cycle keeps from ending.  It then certifies the guide's basis
-exactly in integers (the approach of QSopt_ex; Applegate, Cook, Dash and
-Espinoza, 2007): each column of ``A`` is scaled by the lcm of its
-denominators, the dual ``B^T y = c_B`` is solved first, by one
-fraction-free (Bareiss) elimination of ``[B^T | c_B]``, and an OPTIMAL
-basis's vertex ``B x_B = b`` from the multipliers that elimination keeps.
-As phase 1 is Bland's in both paths, a zero-objective solve of a feasible
-program, exact with no guide, repeats a guided phase 1 up to rounding; the
-benchmark's traced phase split relies on that.  A zero-objective
-INFEASIBLE solve is guided, as a Farkas certificate reads no objective.
+a degenerate cycle keeps from ending.  Only a basis is taken from a
+simplex run: every OPTIMAL and INFEASIBLE answer, guided or exact, is
+built by :func:`_certified` from its basis alone, exactly in integers (the
+approach of QSopt_ex; Applegate, Cook, Dash and Espinoza, 2007).  Each
+column of ``A`` is scaled by the lcm of its denominators, the dual
+``B^T y = c_B`` is solved first, by one fraction-free (Bareiss)
+elimination of ``[B^T | c_B]`` in :func:`_dual`, which checks it before
+``y`` is read, and an OPTIMAL basis's vertex ``B x_B = b`` from the
+multipliers that elimination keeps.  As phase 1 is Bland's in both paths,
+a zero-objective solve of a feasible program, exact with no guide, repeats
+a guided phase 1 up to rounding; the benchmark's traced phase split relies
+on that.  An INFEASIBLE solve is guided whatever its objective, as a
+Farkas certificate reads none.
 
 * OPTIMAL is accepted only when ``B x_B = b`` gives ``x_B >= 0`` and
-  ``B^T y = c_B`` gives a strictly positive reduced cost on every nonbasic
-  real column.  ``B`` may hold a redundant row's artificial, which must be
-  exactly 0 and costs 0.  The optimum is then unique, so it is the vertex
-  Bland's rule reaches in exact arithmetic, whatever rule the guide priced
-  by.
+  ``B^T y = c_B`` gives a nonnegative reduced cost on every real column,
+  strictly positive on every nonbasic one for the guide's basis.  ``B`` may
+  hold a redundant row's artificial, which must be exactly 0 and costs 0.
+  The guide's optimum is then unique, so it is the vertex Bland's rule
+  reaches in exact arithmetic, whatever rule the guide priced by.  The
+  vertex is then re-checked in integers against every row of ``A x = b``,
+  apart from the elimination that solved it.
 * INFEASIBLE is accepted only with a Farkas certificate taken from the
   phase-1 basis: ``y^T A <= 0`` and ``y^T b > 0``.
 
-Any other outcome reruns the simplex under Bland's rule, which cannot
-cycle, with every tableau entry a ``Fraction``: the guide giving up (a zero
-objective on a feasible program, an entry past the float range, the pivot
-cap), which every simplex stage reports as the status None of its
-:class:`_Tableau`; a singular or rejected basis; or an unbounded program.
-That exact path is the reference the tests compare against.  Either way
-the optimum and the returned vertex are exact, and one last check apart
-from the certificate, :func:`_optimal`, tests ``A x = b`` and ``x >= 0`` in
-integers for every OPTIMAL answer, guided or exact; in a certificate,
-:func:`_dual` checks ``B^T y = c_B`` before ``y`` is read.
+Any guide outcome but an accepted basis reruns the simplex under Bland's
+rule, which cannot cycle, with every tableau entry a ``Fraction``: the
+guide giving up (a zero objective on a feasible program, an entry past the
+float range, the pivot cap), which every simplex stage reports as the
+status None of its :class:`_Tableau`; a singular or rejected basis; or an
+unbounded program.  That exact path is the reference the tests compare
+against: its basis comes from a simplex independent of the guide, but its
+answer from the same certificate, and a basis the certificate refuses
+raises :class:`CertificateError`.  An UNBOUNDED answer is exact only, its
+ray read off the final ``Fraction`` tableau.
 
 A :class:`LinearProgram` converts and checks ``A`` and ``b`` once, when it
 is built.  Phase 1 reads only them, never the objective or the sense, so
@@ -57,8 +62,8 @@ share all of it; :mod:`giryq.quantifiers` keeps one per fiber for the last
 
 Every weighted row sum here, in floats, integers and ``Fraction`` alike, is
 one call to :func:`measures.combine_rows`: the elimination step of a pivot,
-the objective row of the tableau, and the reduced costs of the one dual
-solve that both certificates share.
+the objective row of the tableau, and the reduced costs of the certificate's
+one dual solve.
 """
 from __future__ import annotations
 
@@ -137,13 +142,15 @@ class LpSolution:
     When OPTIMAL, ``point`` is a basic feasible solution achieving ``value``
     exactly.  When UNBOUNDED, ``ray`` is an improving recession direction:
     ``A ray = 0``, ``ray >= 0``, and the objective strictly improves along
-    it.  ``guided`` is True when the float guide's basis passed the exact
-    certificate.  ``pivots`` counts the simplex pivots behind the answer:
-    the guide's (phase 2 under Dantzig's rule), plus the exact Bland path's
-    when the certificate failed.  Each count includes its path's phase-1
-    pivots, each entering a real column, even when that phase 1 was solved
-    once and shared with other programs over the same constraints, so the
-    count does not depend on what was solved before.
+    it.  An OPTIMAL or INFEASIBLE answer is built by one exact integer
+    certificate of the basis that answers, and ``guided`` is True when that
+    basis was the float guide's; otherwise it is the exact Bland path's.
+    ``pivots`` counts the simplex pivots behind the answer: the guide's
+    (phase 2 under Dantzig's rule), plus the exact Bland path's when the
+    certificate refused the guide's.  Each count includes its path's
+    phase-1 pivots, each entering a real column, even when that phase 1 was
+    solved once and shared with other programs over the same constraints,
+    so the count does not depend on what was solved before.
     """
 
     status: LpStatus
@@ -384,18 +391,18 @@ def _propose(lp: LinearProgram) -> _Tableau:
     2 under Dantzig's rule; its status is None wherever the guide declines.
     """
     start = lp.constraints.guide_start
+    # a Farkas certificate reads no objective
+    if start.status is not LpStatus.OPTIMAL:
+        return start
     # under a zero objective every reduced cost is zero, so the certificate
-    # would refuse any optimal basis that leaves a column out; a Farkas
-    # certificate reads no objective
+    # would refuse any optimal basis that leaves a column out
     if not any(lp.objective):
-        return start if start.status is LpStatus.INFEASIBLE else _Tableau(None)
+        return _Tableau(None)
     c, d_c = lp.integer_objective
     try:
         cost = [v / d_c for v in _min_cost(lp, c)]
     except OverflowError:  # an entry beyond the float range
         return _Tableau(None)
-    if start.status is not LpStatus.OPTIMAL:
-        return start
     return _phase2(start, cost, _dantzig, _TOL, _guide_cap(len(lp.rhs), len(cost)))
 
 
@@ -483,76 +490,73 @@ def _dual(lp: LinearProgram, basis: Sequence[int], cost: Sequence[int]) -> Optio
     return eliminated, yz, reduced
 
 
-def _certified_vertex(lp: LinearProgram, basis: Sequence[int]) -> Optional[tuple[int, list[int]]]:
-    """``(det, z)`` with ``B (z / det) = b`` over :attr:`Constraints.integer_form`,
-    if the basic solution of ``basis`` is the program's only optimum.  Its
-    :func:`_dual` must price every nonbasic real column strictly positive;
-    only then is the vertex solved, from the same elimination.  A basic
-    artificial must be exactly 0, so the real columns alone meet ``A x = b``;
-    its cost is 0, so its row's dual value is 0."""
-    if len(basis) != len(lp.rhs):  # not a basis of B
-        return None
-    dual = _dual(lp, basis, _min_cost(lp, lp.integer_objective[0]) + [0] * len(lp.rhs))
-    if dual is None:
-        return None
-    eliminated, _, reduced = dual
-    basic = set(basis)
-    if any(c * eliminated[0] <= 0 for j, c in enumerate(reduced) if j not in basic):
-        return None
-    det, z = _transposed_solve(eliminated, lp.constraints.integer_form[2])
-    # x_B = d_B z / (det d_b) must be >= 0, and 0 on an artificial
-    if any(zk * det < 0 or (j >= len(lp.objective) and zk) for j, zk in zip(basis, z)):
-        return None
-    return det, z
+def _certified(lp: LinearProgram, tableau: _Tableau, unique: bool) -> Optional[LpSolution]:
+    """The answer of an OPTIMAL or INFEASIBLE ``tableau``, if its basis ``B``
+    over :attr:`Constraints.integer_form` is certified; else None.
 
-
-def _certified_infeasible(lp: LinearProgram, basis: Sequence[int]) -> bool:
-    """Whether the phase-1 ``basis`` yields a Farkas certificate: a phase-1
-    dual ``y`` with every real column's reduced cost ``>= 0`` (``y^T A <= 0``)
-    and ``y^T b > 0``, so that no ``x >= 0`` has ``A x = b``.  It reads
-    :func:`_dual` alone; no vertex is solved."""
-    *_, b, _ = lp.constraints.integer_form
-    dual = _dual(lp, basis, [0] * len(lp.objective) + [1] * len(b))
-    if dual is None:
-        return False
-    (det, *_), yz, reduced = dual
-    return sum(y * v for y, v in zip(yz, b)) * det > 0 and all(c * det >= 0 for c in reduced)
-
-
-def _optimal(
-    lp: LinearProgram, basis: Sequence[int], det: int, z: list[int], pivots: int, *, guided: bool
-) -> LpSolution:
-    """The answer at the vertex ``x_j = d_j z_k / (det d_b)``, ``j = basis[k]``,
-    checked in integers: it meets every row of :attr:`Constraints.integer_form`
-    and ``x >= 0``.  It reads the real columns ``j < n`` only."""
+    One :func:`_dual` call prices ``B``: under the program's cost for
+    OPTIMAL, each artificial costing 0, and under the phase-1 cost for
+    INFEASIBLE.  Every real column's reduced cost must be ``>= 0``.
+    INFEASIBLE then needs ``y^T b > 0``, a Farkas certificate: with
+    ``y^T A <= 0`` no ``x >= 0`` has ``A x = b``.  For OPTIMAL, ``unique``
+    (the guide's basis) asks more: every nonbasic real column priced
+    strictly positive, so the vertex is the only optimum.  Only then is the
+    vertex ``B x_B = b`` solved, from the same elimination; it needs
+    ``x_B >= 0``, exactly 0 on a basic artificial, so the real columns
+    alone meet ``A x = b``.  The vertex is re-checked in integers against
+    every row, apart from the elimination; a violated row raises
+    :class:`CertificateError`.  The answer is ``guided`` when ``unique``.
+    """
     rows, d, b, d_b = lp.constraints.integer_form
-    x = [(j, zk) for j, zk in zip(basis, z) if j < len(d)]
+    n, m, basis = len(d), len(b), tableau.basis
+    optimal = tableau.status is LpStatus.OPTIMAL
+    if len(basis) != m or not (optimal or tableau.status is LpStatus.INFEASIBLE):
+        return None
+    c, d_c = lp.integer_objective
+    dual = _dual(lp, basis, _min_cost(lp, c) + [0] * m if optimal else [0] * n + [1] * m)
+    if dual is None:
+        return None
+    eliminated, yz, reduced = dual
+    det = eliminated[0]
+    if any(r * det < 0 for r in reduced):
+        return None
+    if not optimal:
+        if sum(y * v for y, v in zip(yz, b)) * det <= 0:
+            return None
+        return LpSolution(LpStatus.INFEASIBLE, pivots=tableau.pivots, guided=unique)
+    basic = set(basis)
+    if unique and not all(r for j, r in enumerate(reduced) if j not in basic):
+        return None
+    det, z = _transposed_solve(eliminated, b)
+    # x_j = d_j z_k / (det d_b) for j = basis[k] must be >= 0, and 0 on an artificial
+    if any(zk * det < 0 or (j >= n and zk) for j, zk in zip(basis, z)):
+        return None
+    x = [(j, zk) for j, zk in zip(basis, z) if j < n]
     for i, (row, bi) in enumerate(zip(rows, b)):
         if sum(row[j] * zk for j, zk in x) != det * bi:
             raise CertificateError(f"vertex violates constraint row {i}")
-    if any(zk * det < 0 for _, zk in x):
-        raise CertificateError("vertex has a negative coordinate")
-    c, d_c = lp.integer_objective
-    point = [ZERO] * len(d)
+    point = [ZERO] * n
     for j, zk in x:
         point[j] = Fraction(d[j] * zk, det * d_b)
     value = Fraction(sum(c[j] * d[j] * zk for j, zk in x), d_c * det * d_b)
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=pivots, guided=guided)
+    return LpSolution(LpStatus.OPTIMAL, value, tuple(point), pivots=tableau.pivots, guided=unique)
 
 
 def _exact(lp: LinearProgram) -> LpSolution:
     """Solve with every tableau entry a Fraction: the fallback and the
-    reference.  The returned vertex is the first optimal basic solution
-    under Bland's ordering; its basic values are cleared to the
-    certificate's ``(det, z)`` form for the one re-check, :func:`_optimal`.
+    reference.  Its basis is the first optimal one under Bland's ordering,
+    or the phase-1 basis of an infeasible program, and :func:`_certified`
+    builds the answer from that basis alone; a basis it refuses raises
+    :class:`CertificateError`.  An UNBOUNDED answer's ray is read off the
+    final tableau.
     """
     n = len(lp.objective)
     start = lp.constraints.exact_start
     if start.status is None:
         raise CertificateError("phase-1 objective is bounded below by zero")
-    if start.status is LpStatus.INFEASIBLE:
-        return LpSolution(status=LpStatus.INFEASIBLE, pivots=start.pivots)
-    final = _phase2(start, _min_cost(lp, lp.objective), _bland)
+    final = start
+    if start.status is LpStatus.OPTIMAL:
+        final = _phase2(start, _min_cost(lp, lp.objective), _bland)
     if final.status is LpStatus.UNBOUNDED:
         ray = [ZERO] * n
         ray[final.column] = Fraction(1)
@@ -560,27 +564,25 @@ def _exact(lp: LinearProgram) -> LpSolution:
             if b < n:
                 ray[b] = -row[final.column]
         return LpSolution(status=LpStatus.UNBOUNDED, ray=tuple(ray), pivots=final.pivots)
-    _, d, _, d_b = lp.constraints.integer_form
-    # a basic artificial is 0, and so is its entry of z
-    z, det = _cleared([x * d_b / d[j] if j < n else x for j, x in zip(final.basis, final.rhs)])
-    return _optimal(lp, final.basis, det, z, final.pivots, guided=False)
+    solution = _certified(lp, final, unique=False)
+    if solution is None:
+        raise CertificateError(f"the exact path's {final.status.value} basis is refused")
+    return solution
 
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve an equality-form program exactly.
 
     The float guide proposes a basis and the exact certificate accepts or
-    rejects it; on rejection the exact path answers.  Both give the same
+    rejects it; on rejection the exact path's basis goes through the same
+    certificate, or, when unbounded, its ray answers.  Both give the same
     status, value and vertex: the first optimal basic solution under
     Bland's ordering.  Phase 1 of either path is shared through
     ``lp.constraints`` with every program built over the same ones.
     """
     guide = _propose(lp)
-    if guide.status is LpStatus.OPTIMAL:
-        vertex = _certified_vertex(lp, guide.basis)
-        if vertex is not None:
-            return _optimal(lp, guide.basis, *vertex, guide.pivots, guided=True)
-    elif guide.status is LpStatus.INFEASIBLE and _certified_infeasible(lp, guide.basis):
-        return LpSolution(status=LpStatus.INFEASIBLE, pivots=guide.pivots, guided=True)
+    solution = _certified(lp, guide, unique=True)
+    if solution is not None:
+        return solution
     exact = _exact(lp)
     return replace(exact, pivots=guide.pivots + exact.pivots)

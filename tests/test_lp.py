@@ -3,7 +3,7 @@ import json
 import random
 import textwrap
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from giryq import (
     FiniteSpace,
     Kernel,
     LinearProgram,
+    LpSolution,
     LpStatus,
     Predicate,
     Sense,
@@ -250,7 +251,8 @@ def test_empty_shapes_match_the_exact_path(lp, guided):
 def test_no_columns_and_rhs_1_has_a_farkas_certificate():
     # no x has 0 = 1: the artificial basis gives y = 1, and no column to check
     lp = LinearProgram(objective=(), matrix=((),), rhs=(F(1),))
-    assert lp_module._certified_infeasible(lp, [0])
+    solution = lp_module._certified(lp, _Tableau(LpStatus.INFEASIBLE, basis=[0]), unique=True)
+    assert solution == LpSolution(LpStatus.INFEASIBLE, guided=True)
 
 
 def test_enumeration_oracle_sees_the_blend_vertices():
@@ -461,6 +463,15 @@ def test_entries_beyond_float_range_take_the_exact_path(lp):
     assert answer(solution) == answer(lp_module._exact(lp))
 
 
+def test_an_objective_beyond_float_range_leaves_the_farkas_certificate_guided():
+    # a Farkas certificate reads no objective, so an objective that float()
+    # overflows must not send an infeasible program to the exact path
+    lp = LinearProgram(objective=(F(10**400), F(1)), matrix=((1, 1),), rhs=(-1,), sense=Sense.MAX)
+    solution = lp_solve(lp)
+    assert (solution.status, solution.guided) == (LpStatus.INFEASIBLE, True)
+    assert answer(solution) == answer(lp_module._exact(lp))
+
+
 def test_zero_objective_skips_the_guide():
     # every reduced cost is zero, so no basis could pass the certificate
     lp = LinearProgram(objective=(F(0),) * 3, matrix=blend_program(Sense.MIN).matrix,
@@ -473,12 +484,16 @@ def test_zero_objective_skips_the_guide():
 
 def test_pivot_cap_hands_over_to_the_exact_path(monkeypatch):
     monkeypatch.setattr(lp_module, "_guide_cap", lambda m, n: 1)
-    lp = blend_program(Sense.MAX)
-    solution = lp_solve(lp)
-    exact = lp_module._exact(lp)
-    assert not solution.guided
-    assert answer(solution) == answer(exact)
-    assert solution.pivots == 1 + exact.pivots
+    blend = blend_program(Sense.MAX)
+    # a phase 1 stopped at the cap is handed on before the objective is
+    # read, so its pivot counts under a zero or an overflowing objective too
+    for objective in (blend.objective, (F(0),) * 3, (F(10**400), F(1), F(1))):
+        lp = LinearProgram(objective, blend.matrix, blend.rhs, Sense.MAX, blend.constraints)
+        solution = lp_solve(lp)
+        exact = lp_module._exact(lp)
+        assert not solution.guided
+        assert answer(solution) == answer(exact)
+        assert solution.pivots == 1 + exact.pivots, objective
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +713,7 @@ def test_wrong_guide_basis_is_refused_under_python_O(run_python):
 
 def test_corrupted_certificate_vertex_is_refused_under_python_O(run_python):
     # the integer re-check of a guided answer is independent of the
-    # certificate: a vertex (det, z) altered after it fails the re-check
+    # elimination: a vertex (det, z) altered after its solve fails the re-check
     code = textwrap.dedent(
         """
         from fractions import Fraction as F
@@ -712,12 +727,12 @@ def test_corrupted_certificate_vertex_is_refused_under_python_O(run_python):
             sense=Sense.MIN,
         )
         print(lp_solve(blend).guided)
-        certify = lp_module._certified_vertex
+        solve = lp_module._transposed_solve
         for k in range(2):
-            def corrupted(lp, basis, k=k):
-                det, z = certify(lp, basis)
+            def corrupted(eliminated, b, k=k):
+                det, z = solve(eliminated, b)
                 return det, [zk + (i == k) for i, zk in enumerate(z)]
-            lp_module._certified_vertex = corrupted
+            lp_module._transposed_solve = corrupted
             try:
                 print(lp_solve(blend))
             except CertificateError as refused:
@@ -730,8 +745,8 @@ def test_corrupted_certificate_vertex_is_refused_under_python_O(run_python):
 
 
 def test_corrupted_exact_vertex_is_refused_under_python_O(run_python):
-    # the exact path's vertex goes through the same integer re-check: a
-    # basic value altered after phase 2 fails it
+    # the exact path's vertex is solved and checked from its basis by the
+    # one certificate: a basis altered after phase 2 is refused
     code = textwrap.dedent(
         """
         from dataclasses import replace
@@ -751,7 +766,7 @@ def test_corrupted_exact_vertex_is_refused_under_python_O(run_python):
         for k in range(2):
             def corrupted(start, cost, rule, *args, k=k):
                 final = phase2(start, cost, rule, *args)
-                return replace(final, rhs=tuple(x + (i == k) for i, x in enumerate(final.rhs)))
+                return replace(final, basis=tuple(2 if i == k else j for i, j in enumerate(final.basis)))
             lp_module._phase2 = corrupted
             try:
                 print(lp_solve(blend))
@@ -761,7 +776,65 @@ def test_corrupted_exact_vertex_is_refused_under_python_O(run_python):
     )
     done = run_python("-O", "-c", code)
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout.decode() == "False\n" + 2 * "vertex violates constraint row 0\n"
+    assert done.stdout.decode() == "False\n" + 2 * "the exact path's OPTIMAL basis is refused\n"
+
+
+# corruptions of the exact path that its certificate must catch, with the
+# blend program's maximum, 47/70, as the uncorrupted answer
+EXACT_PATH_CORRUPTIONS = {
+    # the start's basis is feasible, with value 14/25, but not optimal
+    "unpivoted_phase2": (
+        "lp_module._phase2 = lambda start, *args: start",
+        "the exact path's OPTIMAL basis is refused",
+    ),
+    # the phase-1 optimum of a feasible program: y = 0, so y.b > 0 fails
+    "feasible_start_called_infeasible": (
+        "start = blend.constraints.exact_start\n"
+        "blend.constraints.exact_start = replace(start, status=LpStatus.INFEASIBLE)",
+        "the exact path's INFEASIBLE basis is refused",
+    ),
+    "dual_misses_a_basic_column": (
+        "solve = lp_module._back_substitute\n"
+        "lp_module._back_substitute = lambda e: [y + (i == 0) for i, y in enumerate(solve(e))]",
+        "dual solution misses a basic column",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PATH_CORRUPTIONS))
+def test_a_corrupted_exact_answer_is_refused_under_python_O(run_python, name):
+    # every exact OPTIMAL and INFEASIBLE answer goes through the one
+    # certificate, with the guide declining every program
+    corruption, refusal = EXACT_PATH_CORRUPTIONS[name]
+    code = textwrap.dedent(
+        """
+        from dataclasses import replace
+        from fractions import Fraction as F
+        from giryq import CertificateError, LinearProgram, LpStatus, Sense, lp_solve
+        from giryq import lp as lp_module
+
+        blend = LinearProgram(
+            objective=(F(1, 2), F(3, 5), F(9, 10)),
+            matrix=((F(1), F(1, 2), F(3, 10)), (F(0), F(1, 2), F(7, 10))),
+            rhs=(F(7, 10), F(3, 10)),
+            sense=Sense.MAX,
+        )
+        lp_module._propose = lambda lp: lp_module._Tableau(None)
+        s = lp_solve(blend)
+        print(s.status.value, s.value, s.guided)
+        """
+    ) + corruption + textwrap.dedent(
+        """
+        try:
+            s = lp_solve(blend)
+            print(s.status.value, s.value)
+        except CertificateError as refused:
+            print(refused)
+        """
+    )
+    done = run_python("-O", "-c", code)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == f"OPTIMAL 47/70 False\n{refusal}\n"
 
 
 def test_a_dual_that_misses_a_basic_column_is_refused_under_python_O(run_python):
@@ -983,7 +1056,7 @@ def test_columns_with_coprime_denominators_are_certified(sense):
 
 
 # ---------------------------------------------------------------------------
-# both certificates against a Fraction reference over A's own rows
+# the certificate, OPTIMAL and INFEASIBLE, against a Fraction reference over A's own rows
 # ---------------------------------------------------------------------------
 
 
@@ -1008,15 +1081,16 @@ def reference_dual(lp, basis, cost):
     return y, [c - sum(a * v for a, v in zip(col, y)) for c, col in zip(cost, columns)]
 
 
-def reference_vertex(lp, basis):
+def reference_vertex(lp, basis, unique=True):
     """The basic solution of ``basis`` if ``x_B >= 0`` and every nonbasic
-    reduced cost is strictly positive, else None."""
+    reduced cost is strictly positive, or when not ``unique`` nonnegative,
+    else None."""
     solved = gauss_jordan([[row[j] for j in basis] for row in lp.matrix], lp.rhs)
     if solved is None or any(x < 0 for x in solved[1]):
         return None
     cost = [c if lp.sense is Sense.MIN else -c for c in lp.objective]
     _, reduced = reference_dual(lp, basis, cost)
-    if any(r <= 0 for j, r in enumerate(reduced) if j not in basis):
+    if any(r < 0 or (unique and r == 0) for j, r in enumerate(reduced) if j not in basis):
         return None
     point = [F(0)] * len(lp.objective)
     for j, x in zip(basis, solved[1]):
@@ -1035,30 +1109,41 @@ def reference_farkas(lp, basis):
 
 def test_certificates_accept_exactly_the_bases_the_reference_accepts():
     # every basis of m columns, in a shuffled order: phase-2 bases of real
-    # columns and phase-1 bases holding artificial ones, on programs whose
-    # rows often have b < 0
+    # columns, certified as the guide's (unique) and as the exact path's,
+    # and phase-1 bases holding artificial ones, on programs whose rows
+    # often have b < 0; each program's zero objective ties every feasible
+    # basis, which only the exact path's certificate may accept
     rng = random.Random("one-dual")
-    accepted = {"vertex": 0, "farkas": 0, "vertex_flipped": 0, "farkas_flipped": 0}
+    accepted = {"vertex": 0, "farkas": 0, "vertex_flipped": 0, "farkas_flipped": 0, "tied": 0}
     for _ in range(60):
         lp = rand_lp(rng)
         n, m = len(lp.objective), len(lp.rhs)
         flipped = any(b < 0 for b in lp.rhs)
-        exact = lp_module._exact(lp)
+        tied = LinearProgram((F(0),) * n, lp.matrix, lp.rhs, lp.sense, lp.constraints)
+        solved = [(p, lp_module._exact(p)) for p in (lp, tied)]
         for basis in combinations(range(n + m), m):
             basis = rng.sample(basis, m)
             if max(basis) < n:
-                vertex = reference_vertex(lp, basis)
-                certified = lp_module._certified_vertex(lp, basis)
-                if certified is not None:
-                    # the answer at (det, z), through the integer re-check
-                    certified = lp_module._optimal(lp, basis, *certified, 0, guided=True)
-                assert (None if certified is None else certified.point) == vertex, (lp, basis)
-                if vertex is not None:
-                    assert (exact.point, exact.value) == (vertex, certified.value)
-                    accepted["vertex"] += 1
-                    accepted["vertex_flipped"] += flipped
+                for (program, exact), unique in product(solved, (True, False)):
+                    vertex = reference_vertex(program, basis, unique)
+                    # the answer at the basis, through the integer re-check
+                    tableau = _Tableau(LpStatus.OPTIMAL, basis=basis)
+                    certified = lp_module._certified(program, tableau, unique)
+                    assert (None if certified is None else certified.point) == vertex, (lp, basis)
+                    if vertex is None:
+                        continue
+                    assert certified.guided is unique
+                    # a tied optimum need not be the exact path's vertex
+                    assert exact.value == certified.value
+                    if unique:
+                        assert exact.point == vertex
+                        accepted["vertex"] += 1
+                        accepted["vertex_flipped"] += flipped
+                    else:
+                        accepted["tied"] += reference_vertex(program, basis) is None
             farkas = reference_farkas(lp, basis)
-            assert lp_module._certified_infeasible(lp, basis) is farkas, (lp, basis)
+            tableau = _Tableau(LpStatus.INFEASIBLE, basis=basis)
+            assert (lp_module._certified(lp, tableau, True) is not None) is farkas, (lp, basis)
             accepted["farkas"] += farkas
             accepted["farkas_flipped"] += farkas and flipped
     assert all(accepted.values()), accepted
